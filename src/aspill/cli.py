@@ -96,7 +96,6 @@ def _add_model_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sides", type=_sides_arg, default=(
         ShockSide.POSITIVE, ShockSide.NEGATIVE, ShockSide.SYMMETRIC),
         help="comma-separated subset of pos,neg,sym")
-    parser.add_argument("--seed", type=int, help="seed recorded for simulation fixtures")
 
 
 def _add_rolling_options(parser: argparse.ArgumentParser, required: bool) -> None:
@@ -128,7 +127,6 @@ def _config_from_args(args: argparse.Namespace, emit_tables: bool) -> RunConfig:
         step=args.step,
         decompose_per_window=args.decompose_per_window,
         emit_tables=emit_tables,
-        seed=args.seed,
     )
 
 

@@ -19,14 +19,22 @@ from .var_engine import MaCoefficients
 
 _SIGMA_SCALINGS = ("jj", "ii")
 
+_DIAGONAL_NOT_POSITIVE = "covariance diagonal must be strictly positive"
+_ZERO_FEV = "zero forecast-error variance in at least one equation"
+_ROW_NOT_POSITIVE = "cannot normalize a row with non-positive sum"
+
 
 @dataclass(frozen=True, eq=False)
 class FevdResult:
-    """Raw and row-normalized variance-decomposition shares (fractions)."""
+    """Raw and row-normalized variance-decomposition shares (fractions).
+
+    For a stack of windows, gap_reasons says why each window failed.
+    """
 
     horizon: int
     raw: np.ndarray
     normalized: np.ndarray
+    gap_reasons: tuple[str | None, ...] = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,6 +71,40 @@ class NetMeasures:
     net_pairwise_scaled: np.ndarray
 
 
+def gfevd_stack(
+    K: np.ndarray, gamma: np.ndarray, n: int, sigma_scaling: str
+) -> tuple[np.ndarray, list[str | None]]:
+    """Raw decomposition of every window at horizon n, and why each failed.
+
+    K is (c, >n, m, m) and gamma (c, m, m). A failed window's reason is
+    the message gfevd raises for it; its raw matrix is finite filler.
+    """
+    if sigma_scaling not in _SIGMA_SCALINGS:
+        raise ValueError(f"sigma_scaling must be one of {_SIGMA_SCALINGS}, got {sigma_scaling!r}")
+    sigma_diag = np.diagonal(gamma, axis1=1, axis2=2)
+    c, m = sigma_diag.shape
+    numerator = np.zeros((c, m, m))
+    denominator = np.zeros((c, m))
+    for i in range(n + 1):
+        A = K[:, i] @ gamma
+        numerator += A * A
+        denominator += (A * K[:, i]).sum(axis=2)
+    bad_sigma = np.any(sigma_diag <= 0.0, axis=1)
+    bad_fev = np.any(denominator <= 0.0, axis=1)
+    # Failed windows divide by one so that no warning is raised for them.
+    sigma_diag = np.where(sigma_diag <= 0.0, 1.0, sigma_diag)
+    denominator = np.where(denominator <= 0.0, 1.0, denominator)
+    if sigma_scaling == "jj":
+        numerator = numerator / sigma_diag[:, np.newaxis, :]
+    else:
+        numerator = numerator / sigma_diag[:, :, np.newaxis]
+    reasons = [
+        _DIAGONAL_NOT_POSITIVE if sigma else _ZERO_FEV if fev else None
+        for sigma, fev in zip(bad_sigma.tolist(), bad_fev.tolist())
+    ]
+    return numerator / denominator[:, :, np.newaxis], reasons
+
+
 def gfevd(ma: MaCoefficients, gamma: np.ndarray, n: int, sigma_scaling: str = "jj") -> np.ndarray:
     """Raw generalized variance-decomposition matrix at horizon n.
 
@@ -73,79 +115,107 @@ def gfevd(ma: MaCoefficients, gamma: np.ndarray, n: int, sigma_scaling: str = "j
     form (unit diagonal at n=0); "ii" reproduces a variant that scales
     by the responding variable's own variance instead.
     """
-    if sigma_scaling not in _SIGMA_SCALINGS:
-        raise ValueError(f"sigma_scaling must be one of {_SIGMA_SCALINGS}, got {sigma_scaling!r}")
     if n < 0:
         raise ValueError(f"horizon must be >= 0, got {n}")
     if n > ma.horizon:
         raise ValueError(f"horizon {n} exceeds the {ma.horizon} MA terms available")
     gamma = np.asarray(gamma, dtype=float)
-    sigma_diag = np.diag(gamma)
-    if np.any(sigma_diag <= 0.0):
-        raise DegenerateCovarianceError("covariance diagonal must be strictly positive")
-    m = gamma.shape[0]
-    numerator = np.zeros((m, m))
-    denominator = np.zeros(m)
-    for K in ma.K[: n + 1]:
-        A = K @ gamma
-        numerator += A * A
-        denominator += np.einsum("ij,ij->i", A, K)
-    if np.any(denominator <= 0.0):
-        raise DegenerateCovarianceError("zero forecast-error variance in at least one equation")
-    if sigma_scaling == "jj":
-        numerator = numerator / sigma_diag[np.newaxis, :]
-    else:
-        numerator = numerator / sigma_diag[:, np.newaxis]
-    return numerator / denominator[:, np.newaxis]
+    K = np.stack(ma.K[: n + 1])[np.newaxis]
+    raw, reasons = gfevd_stack(K, gamma[np.newaxis], n, sigma_scaling)
+    if reasons[0] is not None:
+        raise DegenerateCovarianceError(reasons[0])
+    return raw[0]
+
+
+def normalize_stack(raw: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
+    """Scale each row of every (c, a, b) stack entry to sum to one, and say which failed."""
+    sums = raw.sum(axis=2)
+    bad = np.any(sums <= 0.0, axis=1)
+    normalized = raw / np.where(sums <= 0.0, 1.0, sums)[:, :, np.newaxis]
+    return normalized, [_ROW_NOT_POSITIVE if flag else None for flag in bad.tolist()]
 
 
 def normalize_rows(raw: np.ndarray) -> np.ndarray:
     """Scale each row to sum to one."""
     raw = np.asarray(raw, dtype=float)
-    sums = raw.sum(axis=1)
-    if np.any(sums <= 0.0):
-        raise DegenerateCovarianceError("cannot normalize a row with non-positive sum")
-    return raw / sums[:, np.newaxis]
+    normalized, reasons = normalize_stack(raw[np.newaxis])
+    if reasons[0] is not None:
+        raise DegenerateCovarianceError(reasons[0])
+    return normalized[0]
 
 
 def compute_fevd(
-    ma: MaCoefficients, gamma: np.ndarray, n: int, sigma_scaling: str = "jj"
+    ma: MaCoefficients | np.ndarray, gamma: np.ndarray, n: int, sigma_scaling: str = "jj"
 ) -> FevdResult:
-    """Convenience wrapper bundling the raw and normalized decompositions."""
-    raw = gfevd(ma, gamma, n, sigma_scaling)
-    return FevdResult(horizon=n, raw=raw, normalized=normalize_rows(raw))
+    """Raw and row-normalized decompositions at horizon n.
 
-
-def _assemble(matrix_pct: np.ndarray, labels: tuple[str, ...]) -> ConnectednessTable:
-    m = matrix_pct.shape[0]
-    off_diagonal = matrix_pct - np.diag(np.diag(matrix_pct))
-    from_others = off_diagonal.sum(axis=1)
-    to_others = off_diagonal.sum(axis=0)
-    including_own = matrix_pct.sum(axis=0)
-    total = float(off_diagonal.sum() / m)
-    return ConnectednessTable(
-        labels=labels,
-        matrix=matrix_pct,
-        from_others=from_others,
-        to_others=to_others,
-        including_own=including_own,
-        total_spillover=total,
-        aggregates_from=matrix_pct.sum(axis=1) / m,
-        aggregates_to=including_own / m,
+    ma is one model's MaCoefficients with its (m, m) gamma, and a failure
+    raises DegenerateCovarianceError. ma may instead be a (c, >n, m, m)
+    stack of K_0.. with a (c, m, m) gamma stack; then raw and normalized
+    are stacks too, and gap_reasons says per window why it failed (None
+    where it did not) instead of raising.
+    """
+    if isinstance(ma, MaCoefficients):
+        raw = gfevd(ma, gamma, n, sigma_scaling)
+        return FevdResult(horizon=n, raw=raw, normalized=normalize_rows(raw))
+    if not 0 <= n < ma.shape[1]:
+        raise ValueError(f"horizon {n} is outside the {ma.shape[1] - 1} MA terms available")
+    raw, reasons = gfevd_stack(ma, gamma, n, sigma_scaling)
+    normalized, row_reasons = normalize_stack(raw)
+    return FevdResult(
+        horizon=n,
+        raw=raw,
+        normalized=normalized,
+        gap_reasons=tuple(a or b for a, b in zip(reasons, row_reasons)),
     )
+
+
+def _assemble(matrix_pct: np.ndarray, labels: tuple[str, ...]) -> list[ConnectednessTable]:
+    """One table per entry of a (c, m, m) stack of percent-scaled matrices."""
+    m = matrix_pct.shape[1]
+    diagonal = np.zeros_like(matrix_pct)
+    index = np.arange(m)
+    diagonal[:, index, index] = matrix_pct[:, index, index]
+    off_diagonal = matrix_pct - diagonal
+    from_others = off_diagonal.sum(axis=2)
+    to_others = off_diagonal.sum(axis=1)
+    including_own = matrix_pct.sum(axis=1)
+    totals = (off_diagonal.sum(axis=(1, 2)) / m).tolist()
+    aggregates_from = matrix_pct.sum(axis=2) / m
+    aggregates_to = including_own / m
+    return [
+        ConnectednessTable(
+            labels=labels,
+            matrix=matrix_pct[i],
+            from_others=from_others[i],
+            to_others=to_others[i],
+            including_own=including_own[i],
+            total_spillover=totals[i],
+            aggregates_from=aggregates_from[i],
+            aggregates_to=aggregates_to[i],
+        )
+        for i in range(matrix_pct.shape[0])
+    ]
+
+
+def build_tables(
+    normalized: np.ndarray, labels: Sequence[str], row_sum_tol: float = 1e-6
+) -> list[ConnectednessTable]:
+    """Assemble one spillover table per entry of a (c, m, m) stack of row-normalized shares."""
+    normalized = np.asarray(normalized, dtype=float)
+    labels = tuple(labels)
+    if normalized.shape[1:] != (len(labels), len(labels)):
+        raise ValueError(f"matrix shape {normalized.shape[1:]} does not match {len(labels)} labels")
+    if np.any(np.max(np.abs(normalized.sum(axis=2) - 1.0), axis=1) > row_sum_tol):
+        raise ValueError("rows of the normalized matrix must sum to 1")
+    return _assemble(normalized * 100.0, labels)
 
 
 def build_table(
     normalized: np.ndarray, labels: Sequence[str], row_sum_tol: float = 1e-6
 ) -> ConnectednessTable:
     """Assemble the spillover table from row-normalized fractional shares."""
-    normalized = np.asarray(normalized, dtype=float)
-    labels = tuple(labels)
-    if normalized.shape != (len(labels), len(labels)):
-        raise ValueError(f"matrix shape {normalized.shape} does not match {len(labels)} labels")
-    if np.max(np.abs(normalized.sum(axis=1) - 1.0)) > row_sum_tol:
-        raise ValueError("rows of the normalized matrix must sum to 1")
-    return _assemble(normalized * 100.0, labels)
+    return build_tables(np.asarray(normalized, dtype=float)[np.newaxis], labels, row_sum_tol)[0]
 
 
 def table_from_percent(
@@ -163,7 +233,7 @@ def table_from_percent(
         raise ValueError(f"matrix shape {matrix_pct.shape} does not match {len(labels)} labels")
     if np.max(np.abs(matrix_pct.sum(axis=1) - 100.0)) > row_sum_tol:
         raise ValueError("rows of a percent matrix must sum to 100")
-    return _assemble(matrix_pct, labels)
+    return _assemble(matrix_pct[np.newaxis], labels)[0]
 
 
 def net_measures(table: ConnectednessTable) -> NetMeasures:

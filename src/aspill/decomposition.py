@@ -70,32 +70,60 @@ class DecomposedPanel:
     fits: tuple[TrendFit, ...]
 
 
-def fit_trend(series: Series, spec: TrendSpec) -> TrendFit:
-    """Estimate c and d of the walk by least squares on first differences.
+def _trend_stack(g: np.ndarray, spec: TrendSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """c and d, each (s, m), and shocks (s, m, T-1) of an (s, m, T) stack of walks.
 
     Differencing turns the level recursion into dG_t = c + d t + v_t,
     a plain regression on {1, t}. Variants force c or d to zero rather
-    than dropping the corresponding residual structure.
+    than dropping the corresponding residual structure. The two-regressor
+    fit centres t, which makes the regressors orthogonal.
     """
-    g = series.values
-    if g.size < _MIN_LENGTH:
-        raise SeriesTooShortError(
-            f"series {series.name!r}: length {g.size} < {_MIN_LENGTH} needed for trend fit"
-        )
-    dg = np.diff(g)
-    t = np.arange(1, g.size, dtype=float)
+    shocks = np.diff(g, axis=2)
+    t = np.arange(1, g.shape[2], dtype=float)
+    zeros = np.zeros(g.shape[:2])
     if spec is TrendSpec.NONE:
-        c, d = 0.0, 0.0
+        c, d = zeros, zeros
     elif spec is TrendSpec.DRIFT:
-        c, d = float(np.mean(dg)), 0.0
+        c, d = shocks.mean(axis=2), zeros
     else:
-        design = np.column_stack([np.ones_like(t), t])
-        coef, _, rank, _ = np.linalg.lstsq(design, dg, rcond=None)
-        if rank < 2:
-            raise SeriesTooShortError(f"series {series.name!r}: degenerate trend design")
-        c, d = float(coef[0]), float(coef[1])
-    residuals = dg - c - d * t
-    return TrendFit(c=c, d=d, g0=float(g[0]), residuals=residuals)
+        centred = t - t.mean()
+        d = (shocks * centred).sum(axis=2) / float(np.sum(centred * centred))
+        c = shocks.mean(axis=2) - d * t.mean()
+    shocks -= c[:, :, np.newaxis]
+    shocks -= d[:, :, np.newaxis] * t
+    return c, d, shocks
+
+
+def _components(
+    g: np.ndarray, c: np.ndarray, d: np.ndarray, shocks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """G+ and G- of an (s, m, T) stack, so that G+ + G- reproduces it.
+
+    Each component carries half of the deterministic path
+    c t + d t(t+1)/2 + G_0 plus its own cumulative shocks; at t=0 both
+    sides equal G_0 / 2. Work is done in place to keep one full-sample
+    decomposition from holding many sample-sized temporaries at once.
+    """
+    t = np.arange(g.shape[2], dtype=float)
+    half = c[:, :, np.newaxis] * t
+    half += d[:, :, np.newaxis] * t * (t + 1.0) / 2.0
+    half += g[:, :, :1]
+    half /= 2.0
+    plus, minus = np.empty_like(half), np.empty_like(half)
+    for part, clamp in ((plus, np.maximum), (minus, np.minimum)):
+        part[:, :, 0] = 0.0
+        np.cumsum(clamp(shocks, 0.0), axis=2, out=part[:, :, 1:])
+        part += half
+    return plus, minus
+
+
+def component_stack(stack: np.ndarray, spec: TrendSpec, side: ShockSide) -> np.ndarray:
+    """A side's components of every window in a (c, W, m) stack, each anchored at its first row."""
+    if side is ShockSide.SYMMETRIC:
+        return stack
+    g = stack.swapaxes(1, 2)
+    plus, minus = _components(g, *_trend_stack(g, spec))
+    return (plus if side is ShockSide.POSITIVE else minus).swapaxes(1, 2)
 
 
 def split_shocks(residuals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -104,42 +132,55 @@ def split_shocks(residuals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(residuals, 0.0), np.minimum(residuals, 0.0)
 
 
-def build_components(series: Series, spec: TrendSpec) -> ComponentPair:
-    """Build G+ and G- so that G+[t] + G-[t] reproduces the series.
+def _too_short(name: str, length: int) -> str | None:
+    """Why a series of this length cannot be decomposed, or None."""
+    if length < _MIN_LENGTH:
+        return f"series {name!r}: length {length} < {_MIN_LENGTH} needed for trend fit"
+    return None
 
-    Each component carries half of the deterministic path
-    c t + d t(t+1)/2 + G_0 plus its own cumulative shocks; at t=0 both
-    sides equal G_0 / 2.
-    """
-    fit = fit_trend(series, spec)
-    v_plus, v_minus = split_shocks(fit.residuals)
-    t = np.arange(series.values.size, dtype=float)
-    deterministic_half = (fit.c * t + fit.d * t * (t + 1.0) / 2.0 + fit.g0) / 2.0
-    plus = deterministic_half + np.concatenate([[0.0], np.cumsum(v_plus)])
-    minus = deterministic_half + np.concatenate([[0.0], np.cumsum(v_minus)])
-    return ComponentPair(
-        plus=Series(series.name + "_pos", series.dates, plus),
-        minus=Series(series.name + "_neg", series.dates, minus),
-        fit=fit,
-    )
+
+def _trend_fit(c: np.ndarray, d: np.ndarray, g: np.ndarray, shocks: np.ndarray, j: int) -> TrendFit:
+    """TrendFit of series j of the first stack entry."""
+    return TrendFit(c=float(c[0, j]), d=float(d[0, j]), g0=float(g[0, j, 0]), residuals=shocks[0, j])
 
 
 def decompose_panel(panel: Panel, spec: TrendSpec) -> DecomposedPanel:
-    """Apply build_components to every series, reporting all failures at once."""
-    pairs: list[ComponentPair] = []
-    failures: list[str] = []
-    for series in panel.series:
-        try:
-            pairs.append(build_components(series, spec))
-        except SeriesTooShortError as exc:
-            failures.append(str(exc))
-    if failures:
+    """Split every series of the panel, reporting all failures at once."""
+    failures = [_too_short(name, len(panel)) for name in panel.names]
+    if any(failures):
         raise SeriesTooShortError("; ".join(failures))
+    g = np.stack([series.values for series in panel.series])[np.newaxis]
+    c, d, shocks = _trend_stack(g, spec)
+    plus, minus = _components(g, c, d, shocks)
     return DecomposedPanel(
-        plus_panel=Panel(tuple(pair.plus for pair in pairs)),
-        minus_panel=Panel(tuple(pair.minus for pair in pairs)),
-        fits=tuple(pair.fit for pair in pairs),
+        plus_panel=Panel(
+            tuple(Series(s.name + "_pos", s.dates, plus[0, j]) for j, s in enumerate(panel.series))
+        ),
+        minus_panel=Panel(
+            tuple(Series(s.name + "_neg", s.dates, minus[0, j]) for j, s in enumerate(panel.series))
+        ),
+        fits=tuple(_trend_fit(c, d, g, shocks, j) for j in range(panel.m)),
     )
+
+
+def build_components(series: Series, spec: TrendSpec) -> ComponentPair:
+    """Build G+ and G- so that G+[t] + G-[t] reproduces the series."""
+    decomposed = decompose_panel(Panel((series,)), spec)
+    return ComponentPair(
+        plus=decomposed.plus_panel.series[0],
+        minus=decomposed.minus_panel.series[0],
+        fit=decomposed.fits[0],
+    )
+
+
+def fit_trend(series: Series, spec: TrendSpec) -> TrendFit:
+    """Estimate c and d of the walk by least squares on first differences."""
+    failure = _too_short(series.name, len(series))
+    if failure:
+        raise SeriesTooShortError(failure)
+    g = series.values[np.newaxis, np.newaxis]
+    c, d, shocks = _trend_stack(g, spec)
+    return _trend_fit(c, d, g, shocks, 0)
 
 
 def component_panel(decomposed: DecomposedPanel, source: Panel, side: ShockSide) -> Panel:

@@ -29,6 +29,10 @@ class NoOverlapError(AspillError):
     """Panels share no common dates, so an inner join is empty."""
 
 
+class MalformedCsvError(AspillError):
+    """A CSV file is not UTF-8 CSV text, or a cell is not a date or finite number."""
+
+
 class NonPositiveValueError(AspillError):
     """A log transform was requested for a value that is not strictly positive."""
 

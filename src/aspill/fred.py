@@ -22,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 
+from .atomic import write_atomic
 from .errors import (
     HttpFetchError,
     MalformedResponseError,
@@ -86,11 +87,9 @@ def _read_cache(path: Path, series_id: str) -> Series | None:
 
 def _write_cache(path: Path, series: Series) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
     lines = [f"# {series.name}"]
     lines += [f"{d.isoformat()} {float(v)!r}" for d, v in zip(series.dates, series.values)]
-    tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _parse_observations(series_id: str, body: bytes) -> Series:

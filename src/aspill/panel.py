@@ -9,7 +9,8 @@ normalized to the first of the month.
 from __future__ import annotations
 
 import csv
-import os
+import io
+import math
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -17,8 +18,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .atomic import write_atomic
 from .errors import (
     DuplicateDateError,
+    MalformedCsvError,
     NonPositiveValueError,
     NoOverlapError,
     NoUsableRowsError,
@@ -30,16 +33,46 @@ _MISSING_TOKENS = {"", ".", "na", "nan", "null", "none", "#n/a"}
 
 
 def parse_date(text: str) -> date:
-    """Parse an ISO date, accepting YYYY-MM-DD or month-resolution YYYY-MM."""
+    """Parse an ISO date, accepting YYYY-MM-DD or month-resolution YYYY-MM.
+
+    Raises:
+        ValueError: the text is not such a date.
+    """
     raw = text.strip()
     parts = raw.split("-")
-    if len(parts) == 2:
-        return date(int(parts[0]), int(parts[1]), 1)
-    return date.fromisoformat(raw)
+    try:
+        if len(parts) == 2:
+            return date(int(parts[0]), int(parts[1]), 1)
+        return date.fromisoformat(raw)
+    except OverflowError:
+        raise ValueError(f"date out of range: {text!r}") from None
 
 
 def _is_missing(cell: str) -> bool:
     return cell.strip().lower() in _MISSING_TOKENS
+
+
+def _is_finite_number(cell: str) -> bool:
+    try:
+        return math.isfinite(float(cell))
+    except ValueError:
+        return False
+
+
+def _cell_error(
+    path: Path, row: int, date_column: str, date_cell: str, columns: Sequence[str], cells: list[str]
+) -> MalformedCsvError:
+    """The error naming the first cell of a row that is not a date or a finite number."""
+    try:
+        parse_date(date_cell)
+    except ValueError:
+        return MalformedCsvError(
+            f"{path}: row {row}, column {date_column!r}: cannot read {date_cell!r} as a date"
+        )
+    column, cell = next((c, cell) for c, cell in zip(columns, cells) if not _is_finite_number(cell))
+    return MalformedCsvError(
+        f"{path}: row {row}, column {column!r}: cannot read {cell!r} as a finite number"
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,36 +161,60 @@ def load_csv(path: str | Path, date_column: str, value_columns: Sequence[str]) -
     Raises:
         FileNotFoundError: the file does not exist.
         UnknownColumnError: a named column is absent from the header.
+        MalformedCsvError: the file is not UTF-8 CSV text, or a kept row has
+            a date or value cell that does not parse; the message names the
+            file, the 1-based row and the column.
         DuplicateDateError: the same date occurs twice.
         NoUsableRowsError: every row had a missing value.
     """
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"no such file: {path}")
+    rows: list[tuple[date, list[float]]] = []
+    dropped = 0
     with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise NoUsableRowsError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        positions: dict[str, int] = {}
-        for column in [date_column, *value_columns]:
-            if column not in header:
-                raise UnknownColumnError(f"{path}: column {column!r} not in header {header}")
-            positions[column] = header.index(column)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise NoUsableRowsError(f"{path}: empty file") from None
+            header = [h.strip() for h in header]
+            positions: dict[str, int] = {}
+            for column in [date_column, *value_columns]:
+                if column not in header:
+                    raise UnknownColumnError(f"{path}: column {column!r} not in header {header}")
+                positions[column] = header.index(column)
 
-        rows: list[tuple[date, list[float]]] = []
-        dropped = 0
-        for line in reader:
-            if not line or all(not cell.strip() for cell in line):
-                continue
-            cells = [line[positions[c]] if positions[c] < len(line) else "" for c in value_columns]
-            if any(_is_missing(cell) for cell in cells):
-                dropped += 1
-                continue
-            when = parse_date(line[positions[date_column]])
-            rows.append((when, [float(cell) for cell in cells]))
+            date_position = positions[date_column]
+            value_positions = [positions[c] for c in value_columns]
+            width = max(positions.values()) + 1
+            for line in reader:
+                if not line or all(not cell.strip() for cell in line):
+                    continue
+                if len(line) < width:
+                    line += [""] * (width - len(line))
+                cells = [line[i] for i in value_positions]
+                if any(_is_missing(cell) for cell in cells):
+                    dropped += 1
+                    continue
+                try:
+                    when = parse_date(line[date_position])
+                    values = [float(cell) for cell in cells]
+                    parsed = all(map(math.isfinite, values))
+                except ValueError:
+                    parsed = False
+                if not parsed:
+                    raise _cell_error(
+                        path, reader.line_num, date_column, line[date_position], value_columns, cells
+                    )
+                rows.append((when, values))
+        except csv.Error as exc:
+            raise MalformedCsvError(f"{path}: row {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise MalformedCsvError(
+                f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+            ) from None
 
     if not rows:
         raise NoUsableRowsError(f"{path}: no usable rows (dropped {dropped})")
@@ -173,15 +230,13 @@ def load_csv(path: str | Path, date_column: str, value_columns: Sequence[str]) -
 
 def write_csv(panel: Panel, path: str | Path, date_column: str = "date") -> None:
     """Write a panel as CSV with full-precision (round-trippable) floats."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow([date_column, *panel.names])
-        matrix = panel.matrix
-        for i, when in enumerate(panel.dates):
-            writer.writerow([when.isoformat(), *[repr(float(v)) for v in matrix[i]]])
-    os.replace(tmp, path)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow([date_column, *panel.names])
+    matrix = panel.matrix
+    for i, when in enumerate(panel.dates):
+        writer.writerow([when.isoformat(), *[repr(float(v)) for v in matrix[i]]])
+    write_atomic(path, buffer.getvalue())
 
 
 def align(panels: Iterable[Panel]) -> Panel:

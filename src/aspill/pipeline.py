@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
+from .atomic import write_atomic
 from .connectedness import build_table, compute_fevd, net_measures
 from .decomposition import DecomposedPanel, ShockSide, TrendSpec, component_panel, decompose_panel
 from .errors import AspillError, ManifestMismatchError, PipelineError
@@ -53,7 +53,6 @@ class RunConfig:
     step: int = 1
     decompose_per_window: bool = False
     emit_tables: bool = True
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         if not self.sides:
@@ -81,6 +80,8 @@ class RunConfig:
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "RunConfig":
         data = dict(raw)
+        # Manifests written before the unused seed field was removed still re-run.
+        data.pop("seed", None)
         data["columns"] = tuple(data["columns"])
         data["trend"] = TrendSpec(data["trend"])
         data["sides"] = tuple(ShockSide(s) for s in data["sides"])
@@ -104,12 +105,6 @@ class RunManifest:
             "sides": self.sides,
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def _write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
 
 
 def _sha256(path: Path) -> str:
@@ -154,10 +149,10 @@ def _run_side(
         stage_box[0] = "write-tables"
         for fmt, ext in (("csv", "csv"), ("json", "json"), ("markdown", "md")):
             name = f"table_{side.value}.{ext}"
-            _write_text(out_dir / name, render_table(table, fmt))
+            write_atomic(out_dir / name, render_table(table, fmt))
             files[f"table_{ext}"] = name
         net_name = f"net_{side.value}.json"
-        _write_text(out_dir / net_name, render_net_json(net))
+        write_atomic(out_dir / net_name, render_net_json(net))
         files["net_json"] = net_name
 
     if cfg.window is not None:
@@ -173,13 +168,15 @@ def _run_side(
         )
         with warnings.catch_warnings(record=True) as rolling_records:
             warnings.simplefilter("always")
-            windows = rolling_tables(panel, rolling_cfg, cfg.decompose_per_window)
+            windows = rolling_tables(
+                panel, rolling_cfg, cfg.decompose_per_window, decomposed=decomposed
+            )
             caught.extend(str(r.message) for r in rolling_records)
         series = windows.index_series()
         stage_box[0] = "write-rolling"
         csv_name = f"rolling_{side.value}.csv"
         svg_name = f"rolling_{side.value}.svg"
-        _write_text(out_dir / csv_name, render_rolling_csv(series))
+        write_atomic(out_dir / csv_name, render_rolling_csv(series))
         render_plot(series, out_dir / svg_name)
         files["rolling_csv"] = csv_name
         files["rolling_svg"] = svg_name
@@ -247,7 +244,7 @@ def run_pipeline(cfg: RunConfig) -> RunManifest:
         },
         sides=side_summaries,
     )
-    _write_text(out_dir / MANIFEST_NAME, manifest.to_json())
+    write_atomic(out_dir / MANIFEST_NAME, manifest.to_json())
     return manifest
 
 

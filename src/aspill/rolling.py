@@ -14,16 +14,31 @@ from dataclasses import dataclass
 from datetime import date
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .connectedness import ConnectednessTable, build_table, compute_fevd
-from .decomposition import ShockSide, TrendSpec, component_panel, decompose_panel
-from .errors import (
-    AllWindowsFailedError,
-    AspillError,
-    InsufficientDataError,
+from .connectedness import ConnectednessTable, build_tables, compute_fevd
+from .decomposition import (
+    DecomposedPanel,
+    ShockSide,
+    TrendSpec,
+    component_panel,
+    component_stack,
+    decompose_panel,
 )
+from .errors import AllWindowsFailedError, InsufficientDataError
 from .panel import Panel
-from .var_engine import UnstableVarWarning, VarSpec, estimate_var, ma_coefficients
+from .var_engine import (
+    UnstableVarWarning,
+    VarSpec,
+    check_sample,
+    design_bytes,
+    fit_var_stack,
+    ma_stack,
+)
+
+# Bound on the stacked design of one chunk of windows, in bytes: it keeps
+# peak memory flat in the number of windows.
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -87,28 +102,23 @@ class RollingTables:
         )
 
 
-def _side_panel(panel: Panel, cfg: RollingConfig) -> Panel:
-    if cfg.shock_side is ShockSide.SYMMETRIC:
-        return panel
-    return component_panel(decompose_panel(panel, cfg.trend_spec), panel, cfg.shock_side)
-
-
-def _window_table(window_panel: Panel, cfg: RollingConfig, labels: tuple[str, ...]) -> ConnectednessTable:
-    fit = estimate_var(window_panel, cfg.var_spec)
-    ma = ma_coefficients(fit, cfg.horizon)
-    fevd = compute_fevd(ma, fit.Gamma, cfg.horizon, cfg.sigma_scaling)
-    return build_table(fevd.normalized, labels)
-
-
 def rolling_tables(
-    panel: Panel, cfg: RollingConfig, decompose_per_window: bool = False
+    panel: Panel,
+    cfg: RollingConfig,
+    decompose_per_window: bool = False,
+    decomposed: DecomposedPanel | None = None,
 ) -> RollingTables:
     """Estimate a connectedness table in every sliding window.
 
     panel is the raw (untransformed) panel; the shock side in cfg decides
     what each window actually sees. With decompose_per_window the
     partial-sum transform is re-anchored inside every window instead of
-    once over the full sample.
+    once over the full sample. decomposed, when given, is the full-sample
+    decomposition of panel under cfg.trend_spec, so it is not redone.
+
+    Windows go through the stacked kernels in chunks of about
+    _CHUNK_BYTES of design; each window's numbers depend only on its own
+    rows, so the chunk size never changes a result.
 
     Raises:
         InsufficientDataError: the panel is shorter than one window, or
@@ -118,55 +128,61 @@ def rolling_tables(
     T = len(panel)
     if T < cfg.window:
         raise InsufficientDataError(f"{T} rows cannot fill a window of {cfg.window}")
-    min_window = panel.m * cfg.var_spec.p_effective + 10
+    m = panel.m
+    p_eff = cfg.var_spec.p_effective
+    min_window = m * p_eff + 10
     if cfg.window <= min_window:
         raise InsufficientDataError(
-            f"window {cfg.window} too small for m={panel.m}, lags={cfg.var_spec.p_effective}; "
-            f"need more than {min_window}"
+            f"window {cfg.window} too small for m={m}, lags={p_eff}; need more than {min_window}"
         )
-    labels = panel.names
-    source = panel if decompose_per_window else _side_panel(panel, cfg)
-
     starts = range(0, T - cfg.window + 1, cfg.step)
-    dates: list[date] = []
+    try:
+        check_sample(cfg.window, m, cfg.var_spec)
+    except InsufficientDataError as exc:
+        raise AllWindowsFailedError(
+            f"all {len(starts)} windows failed; last reason: {exc}"
+        ) from exc
+
+    if decompose_per_window or cfg.shock_side is ShockSide.SYMMETRIC:
+        source = panel.matrix
+    else:
+        if decomposed is None:
+            decomposed = decompose_panel(panel, cfg.trend_spec)
+        source = component_panel(decomposed, panel, cfg.shock_side).matrix
+    windows = sliding_window_view(source, cfg.window, axis=0)[:: cfg.step].swapaxes(1, 2)
+    chunk = max(1, _CHUNK_BYTES // design_bytes(cfg.window, m, cfg.var_spec))
+
+    labels = panel.names
     tables: list[ConnectednessTable | None] = []
     reasons: list[str | None] = []
-    with warnings.catch_warnings(record=True) as records:
-        warnings.simplefilter("always")
-        for start in starts:
-            stop = start + cfg.window
-            dates.append(panel.dates[stop - 1])
-            window_panel = source.window(start, stop)
-            if decompose_per_window and cfg.shock_side is not ShockSide.SYMMETRIC:
-                window_panel = component_panel(
-                    decompose_panel(window_panel, cfg.trend_spec), window_panel, cfg.shock_side
-                )
-            try:
-                tables.append(_window_table(window_panel, cfg, labels))
-                reasons.append(None)
-            except AspillError as exc:
-                tables.append(None)
-                reasons.append(str(exc))
-    # One summary instead of a per-window flood; other warnings pass through.
-    unstable = sum(1 for r in records if issubclass(r.category, UnstableVarWarning))
+    unstable = 0
+    for lo in range(0, len(windows), chunk):
+        stack = windows[lo : lo + chunk]
+        if decompose_per_window:
+            stack = component_stack(stack, cfg.trend_spec, cfg.shock_side)
+        fit = fit_var_stack(stack, cfg.var_spec)
+        ma = ma_stack(fit.B[:, : fit.p], cfg.horizon)
+        fevd = compute_fevd(ma, fit.Gamma, cfg.horizon, cfg.sigma_scaling)
+        unstable += int(np.count_nonzero(fit.unstable))
+        chunk_reasons = [fit.failure(i) or fevd.gap_reasons[i] for i in range(len(stack))]
+        ok = [i for i, reason in enumerate(chunk_reasons) if reason is None]
+        built = iter(build_tables(fevd.normalized[ok], labels))
+        tables.extend(None if reason else next(built) for reason in chunk_reasons)
+        reasons.extend(chunk_reasons)
     if unstable:
+        # One summary instead of a per-window flood.
         warnings.warn(
             f"{unstable} of {len(tables)} windows fitted with companion spectral radius above 1",
             UnstableVarWarning,
             stacklevel=2,
         )
-    for record in records:
-        if not issubclass(record.category, UnstableVarWarning):
-            warnings.warn_explicit(
-                record.message, record.category, record.filename, record.lineno
-            )
     if all(t is None for t in tables):
         raise AllWindowsFailedError(
             f"all {len(tables)} windows failed; last reason: {reasons[-1]}"
         )
     return RollingTables(
         side=cfg.shock_side,
-        window_end_dates=tuple(dates),
+        window_end_dates=tuple(panel.dates[s + cfg.window - 1] for s in starts),
         tables=tuple(tables),
         gap_reasons=tuple(reasons),
     )

@@ -7,12 +7,12 @@ Gaps in the series break the line; nothing is interpolated across them.
 
 from __future__ import annotations
 
-import os
 from datetime import date
 from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_atomic
 from .rolling import SpilloverSeries
 
 _WIDTH = 900
@@ -115,8 +115,4 @@ def render_svg(series: SpilloverSeries, title: str | None = None, y_max: float =
 
 def render_plot(series: SpilloverSeries, path: str | Path, title: str | None = None, y_max: float = 100.0) -> None:
     """Write the chart to a file atomically."""
-    path = Path(path)
-    markup = render_svg(series, title=title, y_max=y_max)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(markup, encoding="utf-8")
-    os.replace(tmp, path)
+    write_atomic(path, render_svg(series, title=title, y_max=y_max))

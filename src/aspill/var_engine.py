@@ -75,15 +75,60 @@ class MaCoefficients:
     K: tuple[np.ndarray, ...]
 
 
+# The fit warns when the companion spectral radius exceeds this.
+_UNSTABLE_RADIUS = 1.0 + 1e-6
+
+
+@dataclass(frozen=True, eq=False)
+class VarStack:
+    """Least-squares fits of a stack of c equally long windows.
+
+    coef is (c, k, m), one column per equation, regressors ordered
+    [1, y_{t-1}, .., y_{t-p_effective}]; B (c, p_effective, m, m) holds
+    the lag matrices of coef. A window whose regressors are rank
+    deficient holds zero coefficients so that the stacked steps after it
+    stay finite; callers treat it as failed.
+    """
+
+    p: int
+    coef: np.ndarray
+    B: np.ndarray
+    Gamma: np.ndarray
+    singular_values: np.ndarray
+    rank: np.ndarray
+    radius: np.ndarray
+
+    @property
+    def k(self) -> int:
+        return self.coef.shape[1]
+
+    @property
+    def unstable(self) -> np.ndarray:
+        """Windows whose fit succeeded with companion radius above one."""
+        return (self.rank == self.k) & (self.radius > _UNSTABLE_RADIUS)
+
+    def failure(self, i: int) -> str | None:
+        """Why window i cannot be used, or None."""
+        if self.rank[i] < self.k:
+            return f"regressor matrix is rank deficient ({self.rank[i]} < {self.k})"
+        return None
+
+
+def _stacked_design(
+    stack: np.ndarray, lags: int, intercept: bool, targets: bool = True
+) -> np.ndarray:
+    """Rows t = lags..W-1 of every window as [1, y_{t-1}, .., y_{t-lags}], then y_t with targets."""
+    c, W, m = stack.shape
+    shifts = [*range(1, lags + 1), *([0] if targets else [])]
+    blocks = [stack[:, lags - s : W - s] for s in shifts]
+    if intercept:
+        blocks.insert(0, np.ones((c, W - lags, 1)))
+    return np.concatenate(blocks, axis=2)
+
+
 def _lagged_design(matrix: np.ndarray, lags: int, intercept: bool) -> tuple[np.ndarray, np.ndarray]:
     """Stack Y rows t = lags..T-1 against regressors [1, y_{t-1}, .., y_{t-lags}]."""
-    T = matrix.shape[0]
-    y = matrix[lags:]
-    blocks = [matrix[lags - s : T - s] for s in range(1, lags + 1)]
-    x = np.hstack(blocks)
-    if intercept:
-        x = np.hstack([np.ones((T - lags, 1)), x])
-    return y, x
+    return matrix[lags:], _stacked_design(matrix[np.newaxis], lags, intercept, targets=False)[0]
 
 
 def _solve_ols(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -97,13 +142,74 @@ def _solve_ols(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return coef
 
 
-def _companion_radius(B: tuple[np.ndarray, ...], m: int) -> float:
-    p = len(B)
-    companion = np.zeros((m * p, m * p))
-    companion[:m, :] = np.hstack(B)
+def _companion_radius(B: np.ndarray) -> np.ndarray:
+    """Spectral radius of each companion matrix; B is (c, p, m, m)."""
+    c, p, m, _ = B.shape
+    companion = np.zeros((c, m * p, m * p))
+    companion[:, :m, :] = B.swapaxes(1, 2).reshape(c, m, m * p)
     if p > 1:
-        companion[m:, : m * (p - 1)] = np.eye(m * (p - 1))
-    return float(np.max(np.abs(np.linalg.eigvals(companion))))
+        companion[:, m:, : m * (p - 1)] = np.eye(m * (p - 1))
+    return np.max(np.abs(np.linalg.eigvals(companion)), axis=1)
+
+
+def check_sample(rows: int, m: int, spec: VarSpec) -> None:
+    """Raise InsufficientDataError unless rows observations of m series can be fitted."""
+    if m < 2:
+        raise InsufficientDataError(f"need at least 2 series for a VAR, got {m}")
+    k = m * spec.p_effective + (1 if spec.include_intercept else 0)
+    T_eff = rows - spec.p_effective
+    if T_eff <= k:
+        raise InsufficientDataError(
+            f"{rows} rows give {T_eff} usable observations for {k} regressors"
+        )
+
+
+def design_bytes(rows: int, m: int, spec: VarSpec) -> int:
+    """Size of the augmented design fit_var_stack builds for one window of rows."""
+    columns = m * (spec.p_effective + 1) + (1 if spec.include_intercept else 0)
+    return 8 * (rows - spec.p_effective) * columns
+
+
+def fit_var_stack(stack: np.ndarray, spec: VarSpec) -> VarStack:
+    """Fit every window of a (c, W, m) stack with one batched QR.
+
+    The augmented design [X, Y] of each window factors as
+    R = [[R11, R12], [0, R22]]: the coefficients solve R11 coef = R12 and
+    R22'R22 is the residual cross product. The rank follows lstsq's rule,
+    counting singular values of R11 (those of X) above eps * max(n, k)
+    times the largest. Each window's result depends on its own rows only,
+    so any split of a stack into chunks gives identical bits.
+    """
+    design = _stacked_design(stack, spec.p_effective, spec.include_intercept)
+    return _fit_design(design, stack.shape[2], spec)
+
+
+def _fit_design(design: np.ndarray, m: int, spec: VarSpec) -> VarStack:
+    """fit_var_stack on a prebuilt (c, n, k + m) augmented design."""
+    c, n, k = design.shape[0], design.shape[1], design.shape[2] - m
+    r = np.linalg.qr(design, mode="r")
+    r11, r12, r22 = r[:, :k, :k], r[:, :k, k:], r[:, k:, k:]
+    sv = np.linalg.svd(r11, compute_uv=False)
+    rank = np.count_nonzero(sv > np.finfo(float).eps * max(n, k) * sv[:, :1], axis=1)
+    deficient = (rank < k)[:, np.newaxis, np.newaxis]
+    if deficient.any():
+        # A singular R11 would fail the solve for the whole stack.
+        r11 = np.where(deficient, np.eye(k), r11)
+        r12 = np.where(deficient, 0.0, r12)
+    coef = np.linalg.solve(r11, r12)
+    gamma = r22.swapaxes(1, 2) @ r22 / (n - k)
+    gamma = (gamma + gamma.swapaxes(1, 2)) / 2.0
+    lags = coef[:, int(spec.include_intercept) :]
+    B = lags.reshape(c, spec.p_effective, m, m).swapaxes(2, 3).copy()
+    return VarStack(
+        p=spec.p,
+        coef=coef,
+        B=B,
+        Gamma=gamma,
+        singular_values=sv,
+        rank=rank,
+        radius=_companion_radius(B),
+    )
 
 
 def estimate_var(panel: Panel, spec: VarSpec) -> VarFit:
@@ -114,40 +220,31 @@ def estimate_var(panel: Panel, spec: VarSpec) -> VarFit:
         SingularDesignError: collinear regressors.
     """
     matrix = panel.matrix
-    m = panel.m
-    if m < 2:
-        raise InsufficientDataError(f"need at least 2 series for a VAR, got {m}")
-    p_eff = spec.p_effective
-    k = m * p_eff + (1 if spec.include_intercept else 0)
-    T_eff = matrix.shape[0] - p_eff
-    if T_eff <= k:
-        raise InsufficientDataError(
-            f"{matrix.shape[0]} rows give {T_eff} usable observations for {k} regressors"
-        )
-    y, x = _lagged_design(matrix, p_eff, spec.include_intercept)
-    coef = _solve_ols(y, x)
-    offset = 1 if spec.include_intercept else 0
-    B0 = coef[0].copy() if spec.include_intercept else np.zeros(m)
-    B = tuple(coef[offset + s * m : offset + (s + 1) * m].T.copy() for s in range(p_eff))
-    residuals = y - x @ coef
-    gamma = residuals.T @ residuals / (T_eff - k)
-    gamma = (gamma + gamma.T) / 2.0
-    radius = _companion_radius(B, m)
-    if radius > 1.0 + 1e-6:
+    check_sample(matrix.shape[0], panel.m, spec)
+    design = _stacked_design(matrix[np.newaxis], spec.p_effective, spec.include_intercept)
+    fits = _fit_design(design, panel.m, spec)
+    reason = fits.failure(0)
+    if reason is not None:
+        sv = fits.singular_values[0]
+        condition = float("inf") if sv[-1] == 0.0 else float(sv[0] / sv[-1])
+        raise SingularDesignError(reason, condition=condition)
+    if fits.unstable[0]:
         warnings.warn(
-            f"companion spectral radius {radius:.4f} exceeds 1; impulse responses may diverge",
+            f"companion spectral radius {fits.radius[0]:.4f} exceeds 1; "
+            "impulse responses may diverge",
             UnstableVarWarning,
             stacklevel=2,
         )
+    x, y = design[0, :, : fits.k], design[0, :, fits.k :]
     return VarFit(
         names=panel.names,
         p=spec.p,
-        p_effective=p_eff,
-        B0=B0,
-        B=B,
-        residuals=residuals,
-        Gamma=gamma,
-        T_effective=T_eff,
+        p_effective=spec.p_effective,
+        B0=fits.coef[0, 0].copy() if spec.include_intercept else np.zeros(panel.m),
+        B=tuple(fits.B[0]),
+        residuals=y - x @ fits.coef[0],
+        Gamma=fits.Gamma[0],
+        T_effective=y.shape[0],
     )
 
 
@@ -173,9 +270,7 @@ def select_lag(panel: Panel, p_max: int, criterion: str = "hjc") -> int:
     best_j = 1
     best_value = math.inf
     for j in range(1, p_max + 1):
-        y = matrix[p_max:]
-        blocks = [matrix[p_max - s : matrix.shape[0] - s] for s in range(1, j + 1)]
-        x = np.hstack([np.ones((n, 1)), *blocks])
+        y, x = _lagged_design(matrix[p_max - j :], j, True)
         coef = _solve_ols(y, x)
         residuals = y - x @ coef
         gamma_ml = residuals.T @ residuals / n
@@ -199,6 +294,19 @@ def select_lag(panel: Panel, p_max: int, criterion: str = "hjc") -> int:
     return best_j
 
 
+def ma_stack(B: np.ndarray, horizon: int) -> np.ndarray:
+    """K_0..K_horizon of every window as (c, horizon + 1, m, m); B is (c, p, m, m)."""
+    c, p, m, _ = B.shape
+    K = np.empty((c, horizon + 1, m, m))
+    K[:, 0] = np.eye(m)
+    for i in range(1, horizon + 1):
+        acc = np.zeros((c, m, m))
+        for s in range(1, min(i, p) + 1):
+            acc += B[:, s - 1] @ K[:, i - s]
+        K[:, i] = acc
+    return K
+
+
 def ma_coefficients(fit: VarFit, horizon: int) -> MaCoefficients:
     """Run the recursion K_i = sum_s B_s K_{i-s} up to the horizon.
 
@@ -207,12 +315,5 @@ def ma_coefficients(fit: VarFit, horizon: int) -> MaCoefficients:
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    m = fit.m
-    B = fit.B[: fit.p]
-    K: list[np.ndarray] = [np.eye(m)]
-    for i in range(1, horizon + 1):
-        acc = np.zeros((m, m))
-        for s in range(1, min(i, len(B)) + 1):
-            acc += B[s - 1] @ K[i - s]
-        K.append(acc)
+    K = ma_stack(np.stack(fit.B[: fit.p])[np.newaxis], horizon)[0]
     return MaCoefficients(horizon=horizon, K=tuple(K))

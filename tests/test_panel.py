@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aspill.errors import (
+    AspillError,
     DuplicateDateError,
+    MalformedCsvError,
     NonPositiveValueError,
     NoOverlapError,
     NoUsableRowsError,
@@ -139,6 +141,63 @@ class TestLoadCsv:
         panel, _ = load_csv(path, "date", ["a"])
         np.testing.assert_array_equal(panel.matrix[:, 0], [1.0, 2.0, 3.0])
         assert panel.dates == (date(2000, 1, 1), date(2000, 2, 1), date(2000, 3, 1))
+
+
+class TestMalformedCsv:
+    @pytest.mark.parametrize(
+        "row, column, cell, kind",
+        [
+            ("2020-01-02,abc,3", "a", "abc", "a finite number"),
+            ("2020-01-02,2,inf", "b", "inf", "a finite number"),
+            ("2020-13-01,2,3", "date", "2020-13-01", "a date"),
+            ("99999999999-01,2,3", "date", "99999999999-01", "a date"),
+        ],
+    )
+    def test_bad_cell_names_file_row_and_column(self, tmp_path, row, column, cell, kind):
+        path = write_file(tmp_path / "data.csv", f"date,a,b\n2020-01-01,1,2\n{row}\n")
+        with pytest.raises(MalformedCsvError) as info:
+            load_csv(path, "date", ["a", "b"])
+        assert str(info.value) == f"{path}: row 3, column {column!r}: cannot read {cell!r} as {kind}"
+
+    def test_short_row_reports_missing_date(self, tmp_path):
+        path = write_file(tmp_path / "data.csv", "a,b,date\n1,2,2020-01-01\n3,4\n")
+        with pytest.raises(MalformedCsvError, match="row 3, column 'date'"):
+            load_csv(path, "date", ["a", "b"])
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"date,a\n2020-01-01,\xff\n")
+        with pytest.raises(MalformedCsvError, match="not UTF-8"):
+            load_csv(path, "date", ["a"])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        text=st.one_of(
+            st.text(st.characters(blacklist_categories=("Cs",)), max_size=120),
+            st.lists(
+                st.lists(
+                    st.one_of(
+                        st.sampled_from(
+                            ["2020-01-01", "2020-01-02", "2020-02", "2020-13-01", "0-1",
+                             "1.5", "-2e3", "inf", "-Infinity", "1e999", "nan", ".", "",
+                             "abc", '"1,5"', '"', " 7 ", "date", "a"]
+                        ),
+                        st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+                    ),
+                    max_size=4,
+                ).map(",".join),
+                max_size=8,
+            ).map(lambda rows: "date,a,b\n" + "\n".join(rows)),
+        )
+    )
+    def test_any_text_loads_or_raises_aspill_error(self, text, tmp_path_factory):
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        path.write_text(text, encoding="utf-8")
+        try:
+            panel, _ = load_csv(path, "date", ["a", "b"])
+        except AspillError:
+            return
+        assert np.all(np.isfinite(panel.matrix))
 
 
 class TestRoundTrip:

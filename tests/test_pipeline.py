@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import aspill.pipeline as pipeline
+import aspill.rolling as rolling
 from aspill.connectedness import build_table, compute_fevd
 from aspill.decomposition import ShockSide, TrendSpec
 from aspill.errors import ManifestMismatchError, PipelineError
@@ -194,7 +196,44 @@ class TestManifestReuse:
             config_from_manifest(out / "manifest.json")
 
 
+class TestSharedOutputDirectory:
+    def test_foreign_temp_file_is_left_alone(self, tmp_path):
+        csv_path = tmp_path / "walk.csv"
+        write_walk_csv(csv_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        foreign = out / "table_sym.csv.tmp"
+        foreign.write_text("another run's partial output", encoding="utf-8")
+        run_pipeline(base_config(csv_path, out, sides=(ShockSide.SYMMETRIC,)))
+        assert foreign.read_text(encoding="utf-8") == "another run's partial output"
+        assert sorted(p.name for p in out.iterdir() if p.suffix == ".tmp") == [foreign.name]
+
+
+class TestDecompositionReuse:
+    def test_rolling_reuses_the_run_decomposition(self, tmp_path, monkeypatch):
+        calls = []
+        original = pipeline.decompose_panel
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "decompose_panel", counting)
+        monkeypatch.setattr(rolling, "decompose_panel", counting)
+        csv_path = tmp_path / "walk.csv"
+        write_walk_csv(csv_path)
+        run_pipeline(base_config(csv_path, tmp_path / "out", window=220, step=5))
+        assert len(calls) == 1
+
+
 class TestConfigValidation:
+    def test_legacy_seed_key_is_dropped(self, tmp_path):
+        cfg = base_config(tmp_path / "x.csv", tmp_path / "out")
+        recorded = cfg.to_dict()
+        assert "seed" not in recorded
+        recorded["seed"] = 7
+        assert RunConfig.from_dict(recorded) == cfg
+
     def test_empty_sides_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             base_config(tmp_path / "x.csv", tmp_path / "out", sides=())
