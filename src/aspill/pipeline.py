@@ -122,7 +122,6 @@ def _run_side(
 ) -> dict[str, Any]:
     summary: dict[str, Any] = {}
     files: dict[str, str] = {}
-    caught: list[str] = []
 
     stage_box[0] = "component"
     side_panel = panel if side is ShockSide.SYMMETRIC else component_panel(decomposed, panel, side)
@@ -140,55 +139,51 @@ def _run_side(
         stage_box[0] = "table"
         table = build_table(fevd.normalized, labels)
         net = net_measures(table)
-        caught.extend(str(r.message) for r in records)
 
-    summary["lag"] = lag
-    summary["total_spillover"] = table.total_spillover
+        summary["lag"] = lag
+        summary["total_spillover"] = table.total_spillover
 
-    if cfg.emit_tables:
-        stage_box[0] = "write-tables"
-        for fmt, ext in (("csv", "csv"), ("json", "json"), ("markdown", "md")):
-            name = f"table_{side.value}.{ext}"
-            write_atomic(out_dir / name, render_table(table, fmt))
-            files[f"table_{ext}"] = name
-        net_name = f"net_{side.value}.json"
-        write_atomic(out_dir / net_name, render_net_json(net))
-        files["net_json"] = net_name
+        if cfg.emit_tables:
+            stage_box[0] = "write-tables"
+            for fmt, ext in (("csv", "csv"), ("json", "json"), ("markdown", "md")):
+                name = f"table_{side.value}.{ext}"
+                write_atomic(out_dir / name, render_table(table, fmt))
+                files[f"table_{ext}"] = name
+            net_name = f"net_{side.value}.json"
+            write_atomic(out_dir / net_name, render_net_json(net))
+            files["net_json"] = net_name
 
-    if cfg.window is not None:
-        stage_box[0] = "rolling"
-        rolling_cfg = RollingConfig(
-            window=cfg.window,
-            horizon=cfg.horizon,
-            var_spec=var_spec,
-            trend_spec=cfg.trend,
-            shock_side=side,
-            step=cfg.step,
-            sigma_scaling=cfg.sigma_scaling,
-        )
-        with warnings.catch_warnings(record=True) as rolling_records:
-            warnings.simplefilter("always")
+        if cfg.window is not None:
+            stage_box[0] = "rolling"
+            rolling_cfg = RollingConfig(
+                window=cfg.window,
+                horizon=cfg.horizon,
+                var_spec=var_spec,
+                trend_spec=cfg.trend,
+                shock_side=side,
+                step=cfg.step,
+                sigma_scaling=cfg.sigma_scaling,
+            )
             windows = rolling_tables(
                 panel, rolling_cfg, cfg.decompose_per_window, decomposed=decomposed
             )
-            caught.extend(str(r.message) for r in rolling_records)
-        series = windows.index_series()
-        stage_box[0] = "write-rolling"
-        csv_name = f"rolling_{side.value}.csv"
-        svg_name = f"rolling_{side.value}.svg"
-        write_atomic(out_dir / csv_name, render_rolling_csv(series))
-        render_plot(series, out_dir / svg_name)
-        files["rolling_csv"] = csv_name
-        files["rolling_svg"] = svg_name
-        gaps = {
-            when.isoformat(): reason
-            for when, reason in zip(series.window_end_dates, series.gap_reasons)
-            if reason is not None
-        }
-        summary["rolling"] = {"windows": len(series), "gaps": len(gaps), "gap_reasons": gaps}
+            series = windows.index_series()
+            stage_box[0] = "write-rolling"
+            csv_name = f"rolling_{side.value}.csv"
+            svg_name = f"rolling_{side.value}.svg"
+            write_atomic(out_dir / csv_name, render_rolling_csv(series))
+            render_plot(series, out_dir / svg_name)
+            files["rolling_csv"] = csv_name
+            files["rolling_svg"] = svg_name
+            gaps = {
+                when.isoformat(): reason
+                for when, reason in zip(series.window_end_dates, series.gap_reasons)
+                if reason is not None
+            }
+            summary["rolling"] = {"windows": len(series), "gaps": len(gaps), "gap_reasons": gaps}
 
     summary["files"] = files
-    summary["warnings"] = sorted(set(caught))
+    summary["warnings"] = sorted({str(r.message) for r in records})
     return summary
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,32 +115,50 @@ class VarStack:
         return None
 
 
-def _stacked_design(
-    stack: np.ndarray, lags: int, intercept: bool, targets: bool = True
-) -> np.ndarray:
-    """Rows t = lags..W-1 of every window as [1, y_{t-1}, .., y_{t-lags}], then y_t with targets."""
+# Usable rows of augmented design per QR step. A window with no more
+# usable rows than this factors in one QR; a longer one folds block after
+# block into its R factor, so memory stays flat in the sample length.
+_BLOCK_ROWS = 2048
+
+
+def _stacked_design(stack: np.ndarray, lags: int, intercept: bool) -> np.ndarray:
+    """Rows t = lags..W-1 of every window as [1, y_{t-1}, .., y_{t-lags}, y_t]."""
     c, W, m = stack.shape
-    shifts = [*range(1, lags + 1), *([0] if targets else [])]
-    blocks = [stack[:, lags - s : W - s] for s in shifts]
+    blocks = [stack[:, lags - s : W - s] for s in (*range(1, lags + 1), 0)]
     if intercept:
         blocks.insert(0, np.ones((c, W - lags, 1)))
     return np.concatenate(blocks, axis=2)
 
 
-def _lagged_design(matrix: np.ndarray, lags: int, intercept: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Stack Y rows t = lags..T-1 against regressors [1, y_{t-1}, .., y_{t-lags}]."""
-    return matrix[lags:], _stacked_design(matrix[np.newaxis], lags, intercept, targets=False)[0]
+def _design_blocks(stack: np.ndarray, lags: int, intercept: bool) -> Iterator[np.ndarray]:
+    """The augmented design of a (c, W, m) stack, _BLOCK_ROWS usable rows at a time."""
+    for lo in range(0, stack.shape[1] - lags, _BLOCK_ROWS):
+        yield _stacked_design(stack[:, lo : lo + _BLOCK_ROWS + lags], lags, intercept)
 
 
-def _solve_ols(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Least-squares coefficient matrix, guarding against rank deficiency."""
-    coef, _, rank, sv = np.linalg.lstsq(x, y, rcond=None)
-    if rank < x.shape[1]:
-        condition = float("inf") if sv[-1] == 0.0 else float(sv[0] / sv[-1])
-        raise SingularDesignError(
-            f"regressor matrix is rank deficient ({rank} < {x.shape[1]})", condition=condition
-        )
-    return coef
+def _r_factor(stack: np.ndarray, lags: int, intercept: bool) -> np.ndarray:
+    """R of the QR of each window's augmented design, folded over row blocks.
+
+    Stacking R on the next block and factoring again leaves the same R,
+    up to row signs, as one QR of all rows (TSQR).
+    """
+    r = None
+    for block in _design_blocks(stack, lags, intercept):
+        r = np.linalg.qr(block if r is None else np.concatenate([r, block], axis=1), mode="r")
+    return r
+
+
+def _lstsq_rank(sv: np.ndarray, rows: int) -> np.ndarray:
+    """lstsq's rank rule: singular values (..., k) above eps * max(rows, k) times the largest."""
+    k = sv.shape[-1]
+    return np.count_nonzero(sv > np.finfo(float).eps * max(rows, k) * sv[..., :1], axis=-1)
+
+
+def _rank_deficient(rank: int, sv: np.ndarray) -> SingularDesignError:
+    condition = float("inf") if sv[-1] == 0.0 else float(sv[0] / sv[-1])
+    return SingularDesignError(
+        f"regressor matrix is rank deficient ({rank} < {sv.size})", condition=condition
+    )
 
 
 def _companion_radius(B: np.ndarray) -> np.ndarray:
@@ -165,13 +184,13 @@ def check_sample(rows: int, m: int, spec: VarSpec) -> None:
 
 
 def design_bytes(rows: int, m: int, spec: VarSpec) -> int:
-    """Size of the augmented design fit_var_stack builds for one window of rows."""
+    """Size of the largest design block fit_var_stack builds for one window of rows."""
     columns = m * (spec.p_effective + 1) + (1 if spec.include_intercept else 0)
-    return 8 * (rows - spec.p_effective) * columns
+    return 8 * min(rows - spec.p_effective, _BLOCK_ROWS) * columns
 
 
 def fit_var_stack(stack: np.ndarray, spec: VarSpec) -> VarStack:
-    """Fit every window of a (c, W, m) stack with one batched QR.
+    """Fit every window of a (c, W, m) stack by a batched, row-blocked QR.
 
     The augmented design [X, Y] of each window factors as
     R = [[R11, R12], [0, R22]]: the coefficients solve R11 coef = R12 and
@@ -180,17 +199,13 @@ def fit_var_stack(stack: np.ndarray, spec: VarSpec) -> VarStack:
     times the largest. Each window's result depends on its own rows only,
     so any split of a stack into chunks gives identical bits.
     """
-    design = _stacked_design(stack, spec.p_effective, spec.include_intercept)
-    return _fit_design(design, stack.shape[2], spec)
-
-
-def _fit_design(design: np.ndarray, m: int, spec: VarSpec) -> VarStack:
-    """fit_var_stack on a prebuilt (c, n, k + m) augmented design."""
-    c, n, k = design.shape[0], design.shape[1], design.shape[2] - m
-    r = np.linalg.qr(design, mode="r")
+    c, W, m = stack.shape
+    n = W - spec.p_effective
+    r = _r_factor(stack, spec.p_effective, spec.include_intercept)
+    k = r.shape[2] - m
     r11, r12, r22 = r[:, :k, :k], r[:, :k, k:], r[:, k:, k:]
     sv = np.linalg.svd(r11, compute_uv=False)
-    rank = np.count_nonzero(sv > np.finfo(float).eps * max(n, k) * sv[:, :1], axis=1)
+    rank = _lstsq_rank(sv, n)
     deficient = (rank < k)[:, np.newaxis, np.newaxis]
     if deficient.any():
         # A singular R11 would fail the solve for the whole stack.
@@ -221,13 +236,9 @@ def estimate_var(panel: Panel, spec: VarSpec) -> VarFit:
     """
     matrix = panel.matrix
     check_sample(matrix.shape[0], panel.m, spec)
-    design = _stacked_design(matrix[np.newaxis], spec.p_effective, spec.include_intercept)
-    fits = _fit_design(design, panel.m, spec)
-    reason = fits.failure(0)
-    if reason is not None:
-        sv = fits.singular_values[0]
-        condition = float("inf") if sv[-1] == 0.0 else float(sv[0] / sv[-1])
-        raise SingularDesignError(reason, condition=condition)
+    fits = fit_var_stack(matrix[np.newaxis], spec)
+    if fits.rank[0] < fits.k:
+        raise _rank_deficient(fits.rank[0], fits.singular_values[0])
     if fits.unstable[0]:
         warnings.warn(
             f"companion spectral radius {fits.radius[0]:.4f} exceeds 1; "
@@ -235,16 +246,22 @@ def estimate_var(panel: Panel, spec: VarSpec) -> VarFit:
             UnstableVarWarning,
             stacklevel=2,
         )
-    x, y = design[0, :, : fits.k], design[0, :, fits.k :]
+    k, coef = fits.k, fits.coef[0]
+    residuals = np.concatenate(
+        [
+            block[0, :, k:] - block[0, :, :k] @ coef
+            for block in _design_blocks(matrix[np.newaxis], spec.p_effective, spec.include_intercept)
+        ]
+    )
     return VarFit(
         names=panel.names,
         p=spec.p,
         p_effective=spec.p_effective,
-        B0=fits.coef[0, 0].copy() if spec.include_intercept else np.zeros(panel.m),
+        B0=coef[0].copy() if spec.include_intercept else np.zeros(panel.m),
         B=tuple(fits.B[0]),
-        residuals=y - x @ fits.coef[0],
+        residuals=residuals,
         Gamma=fits.Gamma[0],
-        T_effective=y.shape[0],
+        T_effective=residuals.shape[0],
     )
 
 
@@ -255,6 +272,24 @@ def select_lag(panel: Panel, p_max: int, criterion: str = "hjc") -> int:
     after dropping p_max initial observations) so their likelihood terms
     are comparable. Ties resolve to the smallest order.
     """
+    best_j = 1
+    best_value = math.inf
+    for j, value in enumerate(_lag_criteria(panel, p_max, criterion), start=1):
+        if value < best_value - 1e-12:
+            best_value = value
+            best_j = j
+    return best_j
+
+
+def _lag_criteria(panel: Panel, p_max: int, criterion: str) -> list[float]:
+    """Information criterion of each candidate lag 1..p_max, for select_lag.
+
+    The candidate designs are nested: lag j regresses on the first
+    k_j = 1 + m j columns of the p_max design. One R factor of the
+    augmented p_max design therefore serves them all; R[k_j:, K:] holds
+    the targets' part orthogonal to those columns, so its cross product
+    is candidate j's residual cross product.
+    """
     criterion = criterion.lower()
     if criterion not in _CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}; expected one of {_CRITERIA}")
@@ -263,17 +298,21 @@ def select_lag(panel: Panel, p_max: int, criterion: str = "hjc") -> int:
     matrix = panel.matrix
     m = panel.m
     n = matrix.shape[0] - p_max
-    if n <= m * p_max + 1:
+    K = m * p_max + 1
+    if n <= K:
         raise InsufficientDataError(
-            f"{matrix.shape[0]} rows leave {n} common observations for up to {m * p_max + 1} regressors"
+            f"{matrix.shape[0]} rows leave {n} common observations for up to {K} regressors"
         )
-    best_j = 1
-    best_value = math.inf
+    r = _r_factor(matrix[np.newaxis], p_max, True)[0]
+    values = []
     for j in range(1, p_max + 1):
-        y, x = _lagged_design(matrix[p_max - j :], j, True)
-        coef = _solve_ols(y, x)
-        residuals = y - x @ coef
-        gamma_ml = residuals.T @ residuals / n
+        k = m * j + 1
+        sv = np.linalg.svd(r[:k, :k], compute_uv=False)
+        rank = int(_lstsq_rank(sv, n))
+        if rank < k:
+            raise _rank_deficient(rank, sv)
+        orthogonal = r[k:, K:]
+        gamma_ml = orthogonal.T @ orthogonal / n
         sign, logdet = np.linalg.slogdet(gamma_ml)
         if sign <= 0:
             raise DegenerateCovarianceError(
@@ -287,11 +326,8 @@ def select_lag(panel: Panel, p_max: int, criterion: str = "hjc") -> int:
             penalty = 2.0 * j * m * m * math.log(math.log(n)) / n
         else:
             penalty = j * (m * m * math.log(n) + 2.0 * m * m * math.log(math.log(n))) / (2.0 * n)
-        value = logdet + penalty
-        if value < best_value - 1e-12:
-            best_value = value
-            best_j = j
-    return best_j
+        values.append(logdet + penalty)
+    return values
 
 
 def ma_stack(B: np.ndarray, horizon: int) -> np.ndarray:

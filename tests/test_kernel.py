@@ -22,6 +22,7 @@ from aspill.connectedness import compute_fevd, gfevd, gfevd_stack
 from aspill.decomposition import ShockSide, TrendSpec
 from aspill.rolling import RollingConfig, rolling_tables
 from aspill.var_engine import (
+    _BLOCK_ROWS,
     MaCoefficients,
     UnstableVarWarning,
     VarSpec,
@@ -135,6 +136,14 @@ def drifting_panel():
     return random_walk_panel(np.random.default_rng(81), T=260, m=3, drift=0.05)
 
 
+# Windows of more usable rows than one block, so each fit folds two blocks.
+LONG_WINDOW = _BLOCK_ROWS + 250
+
+
+def long_panel():
+    return random_walk_panel(np.random.default_rng(84), T=LONG_WINDOW + 100, m=3, drift=0.05)
+
+
 CASES = {
     "anchored-pos": (
         drifting_panel,
@@ -155,6 +164,11 @@ CASES = {
     "ty-augment-sym": (
         drifting_panel,
         dict(window=140, step=2, var_spec=VarSpec(p=2, ty_extra_lags=1)),
+        False,
+    ),
+    "long-windows-pos": (
+        long_panel,
+        dict(window=LONG_WINDOW, step=50, shock_side=ShockSide.POSITIVE),
         False,
     ),
     "flat-start-gaps": (

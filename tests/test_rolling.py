@@ -13,7 +13,7 @@ from aspill.decomposition import ShockSide, TrendSpec, component_panel, decompos
 from aspill.errors import AllWindowsFailedError, InsufficientDataError
 from aspill.panel import Panel, Series
 from aspill.rolling import RollingConfig, rolling_index, rolling_tables
-from aspill.var_engine import UnstableVarWarning, VarSpec, estimate_var, ma_coefficients
+from aspill.var_engine import _BLOCK_ROWS, UnstableVarWarning, VarSpec, estimate_var, ma_coefficients
 from varsim import make_panel, random_walk_matrix, random_walk_panel
 
 
@@ -46,14 +46,22 @@ def full_sample_index(panel, cfg: RollingConfig) -> float:
 
 
 class TestWindowArithmetic:
-    def test_single_window_equals_full_sample(self):
-        rng = np.random.default_rng(60)
-        panel = random_walk_panel(rng, T=180, m=3)
-        cfg = base_config(window=180)
+    @staticmethod
+    def check_single_window_equals_full_sample(panel):
+        cfg = base_config(window=len(panel))
         series = rolling_index(panel, cfg)
         assert len(series.index_values) == 1
         assert series.index_values[0] == full_sample_index(panel, cfg)
         assert series.window_end_dates[0] == panel.dates[-1]
+
+    def test_single_window_equals_full_sample(self):
+        rng = np.random.default_rng(60)
+        self.check_single_window_equals_full_sample(random_walk_panel(rng, T=180, m=3))
+
+    def test_single_window_over_several_row_blocks_equals_full_sample(self):
+        rng = np.random.default_rng(66)
+        T = 5 * _BLOCK_ROWS // 2
+        self.check_single_window_equals_full_sample(random_walk_panel(rng, T=T, m=3))
 
     def test_step_one_count(self):
         rng = np.random.default_rng(61)

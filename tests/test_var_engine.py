@@ -9,8 +9,10 @@ import pytest
 
 from aspill.errors import InsufficientDataError, SingularDesignError
 from aspill.var_engine import (
+    _BLOCK_ROWS,
     UnstableVarWarning,
     VarSpec,
+    _lag_criteria,
     estimate_var,
     ma_coefficients,
     select_lag,
@@ -160,6 +162,25 @@ class TestEstimateVar:
         np.testing.assert_array_equal(fit.B0, np.zeros(2))
 
 
+def lstsq_var(y: np.ndarray, p: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """(coef, residuals) of the last rows of y on [1, y_{t-1}..y_{t-p}] by plain lstsq."""
+    T = y.shape[0]
+    x = np.hstack([np.ones((rows, 1))] + [y[T - rows - s : T - s] for s in range(1, p + 1)])
+    coef = np.linalg.lstsq(x, y[T - rows :], rcond=None)[0]
+    return coef, y[T - rows :] - x @ coef
+
+
+def lstsq_hjc(y: np.ndarray, p_max: int) -> list[float]:
+    """Hatemi-J criterion of lags 1..p_max, one lstsq per candidate on common rows."""
+    n, m = y.shape[0] - p_max, y.shape[1]
+    values = []
+    for j in range(1, p_max + 1):
+        _, residuals = lstsq_var(y, j, n)
+        logdet = np.linalg.slogdet(residuals.T @ residuals / n)[1]
+        values.append(logdet + j * (m * m * np.log(n) + 2.0 * m * m * np.log(np.log(n))) / (2.0 * n))
+    return values
+
+
 class TestSelectLag:
     def test_single_candidate(self):
         rng = np.random.default_rng(20)
@@ -203,6 +224,38 @@ class TestSelectLag:
         panel = make_panel(rng.normal(size=(10, 3)))
         with pytest.raises(InsufficientDataError):
             select_lag(panel, 4)
+
+    def test_singular_design_reports_condition(self):
+        rng = np.random.default_rng(24)
+        column = rng.normal(size=60)
+        panel = make_panel(np.column_stack([column, 2.0 * column]))
+        with pytest.raises(SingularDesignError, match=r"rank deficient \(2 < 3\)") as info:
+            select_lag(panel, 2)
+        assert info.value.condition > 1e10
+
+
+class TestSamplesLongerThanOneRowBlock:
+    """Fits whose sample folds several row blocks into one R factor."""
+
+    def test_select_lag_matches_per_candidate_lstsq(self):
+        rng = np.random.default_rng(25)
+        y = simulate_var(rng, random_stable_coefficients(rng, 3, 2), 3 * _BLOCK_ROWS)
+        expected = lstsq_hjc(y, 4)
+        got = _lag_criteria(make_panel(y), 4, "hjc")
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
+        assert select_lag(make_panel(y), 4) == int(np.argmin(expected)) + 1
+
+    def test_estimate_var_matches_lstsq(self):
+        rng = np.random.default_rng(26)
+        y = simulate_var(rng, random_stable_coefficients(rng, 3, 2), 5 * _BLOCK_ROWS // 2)
+        fit = estimate_var(make_panel(y), VarSpec(p=2))
+        coef, residuals = lstsq_var(y, 2, y.shape[0] - 2)
+        np.testing.assert_allclose(fit.B0, coef[0], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(np.hstack(fit.B), coef[1:].T, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(fit.residuals, residuals, rtol=0, atol=1e-10)
+        gamma = residuals.T @ residuals / (residuals.shape[0] - coef.shape[0])
+        np.testing.assert_allclose(fit.Gamma, gamma, rtol=0, atol=1e-10)
+        assert fit.T_effective == y.shape[0] - 2
 
 
 class TestMaCoefficients:
