@@ -13,6 +13,8 @@ import sys
 from datetime import date
 from pathlib import Path
 
+import numpy as np
+
 from .decomposition import ShockSide, TrendSpec, decompose_panel
 from .errors import AspillError, PipelineError
 from .fred import DEFAULT_CACHE_DIR, fetch_fred
@@ -165,12 +167,13 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     if args.log:
         panel = log_transform(panel)
     decomposed = decompose_panel(panel, args.trend)
-    interleaved = []
-    for plus, minus in zip(decomposed.plus_panel.series, decomposed.minus_panel.series):
-        interleaved += [plus, minus]
+    plus, minus = decomposed.plus_panel, decomposed.minus_panel
+    names = [name for pair in zip(plus.names, minus.names) for name in pair]
+    interleaved = np.stack([plus.matrix, minus.matrix], axis=2).reshape(len(panel), -1)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    write_csv(Panel(tuple(interleaved)), out_path, date_column=args.date_column)
+    components = Panel.from_matrix(names, panel.dates, interleaved)
+    write_csv(components, out_path, date_column=args.date_column)
     print(f"wrote {out_path} ({len(panel)} rows, {dropped} dropped)")
     return 0
 

@@ -149,15 +149,17 @@ def decompose_panel(panel: Panel, spec: TrendSpec) -> DecomposedPanel:
     failures = [_too_short(name, len(panel)) for name in panel.names]
     if any(failures):
         raise SeriesTooShortError("; ".join(failures))
-    g = np.stack([series.values for series in panel.series])[np.newaxis]
+    # Series-major and contiguous: the trend fit's sums are ordered by
+    # memory layout, and a transposed view would move their last bits.
+    g = np.ascontiguousarray(panel.matrix.T)[np.newaxis]
     c, d, shocks = _trend_stack(g, spec)
     plus, minus = _components(g, c, d, shocks)
     return DecomposedPanel(
-        plus_panel=Panel(
-            tuple(Series(s.name + "_pos", s.dates, plus[0, j]) for j, s in enumerate(panel.series))
+        plus_panel=Panel._on_checked_dates(
+            tuple(name + "_pos" for name in panel.names), panel.dates, plus[0].T
         ),
-        minus_panel=Panel(
-            tuple(Series(s.name + "_neg", s.dates, minus[0, j]) for j, s in enumerate(panel.series))
+        minus_panel=Panel._on_checked_dates(
+            tuple(name + "_neg" for name in panel.names), panel.dates, minus[0].T
         ),
         fits=tuple(_trend_fit(c, d, g, shocks, j) for j in range(panel.m)),
     )

@@ -1,9 +1,10 @@
 """Aligned multivariate time-series panels and their CSV ingestion.
 
 A Series is one named, date-indexed column of finite floats; a Panel is a
-set of Series sharing one date index. Dates are compared as calendar
-dates, never as raw strings, and month-resolution inputs ("2001-07") are
-normalized to the first of the month.
+set of series sharing one date index, held as one read-only (T, m)
+matrix. Dates are compared as calendar dates, never as raw strings, and
+month-resolution inputs ("2001-07") are normalized to the first of the
+month.
 """
 
 from __future__ import annotations
@@ -13,8 +14,11 @@ import io
 import math
 from dataclasses import dataclass
 from datetime import date
+from functools import cached_property
+from itertools import islice
+from operator import itemgetter, lt
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,6 +34,12 @@ from .errors import (
 
 # Strings treated as a missing observation in CSV cells.
 _MISSING_TOKENS = {"", ".", "na", "nan", "null", "none", "#n/a"}
+
+# Non-blank CSV rows parsed per block. It bounds the cell strings held at
+# once, so ingest memory is the float matrix plus one block of text; the
+# heap that text leaves behind also stays under the fits that follow.
+# Each block's fixed cost is small next to 512 rows of parsing.
+_BLOCK_ROWS = 512
 
 
 def parse_date(text: str) -> date:
@@ -75,6 +85,14 @@ def _cell_error(
     )
 
 
+def _check_dates(name: str, dates: Sequence[date]) -> None:
+    """Raise DuplicateDateError unless the dates strictly increase."""
+    if all(map(lt, dates, islice(dates, 1, None))):
+        return
+    cur = next(cur for prev, cur in zip(dates, dates[1:]) if cur <= prev)
+    raise DuplicateDateError(f"series {name!r}: dates not strictly increasing at {cur.isoformat()}")
+
+
 @dataclass(frozen=True, eq=False)
 class Series:
     """One named series of finite values on strictly increasing dates."""
@@ -91,11 +109,7 @@ class Series:
             raise ValueError(f"series {self.name!r}: {len(self.dates)} dates vs {values.size} values")
         if not np.all(np.isfinite(values)):
             raise ValueError(f"series {self.name!r} holds non-finite values")
-        for prev, cur in zip(self.dates, self.dates[1:]):
-            if cur <= prev:
-                raise DuplicateDateError(
-                    f"series {self.name!r}: dates not strictly increasing at {cur.isoformat()}"
-                )
+        _check_dates(self.name, self.dates)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -106,57 +120,205 @@ class Series:
         return Series(name, self.dates, self.values.copy())
 
 
-@dataclass(frozen=True, eq=False)
+def _column_series(name: str, dates: tuple[date, ...], column: np.ndarray) -> Series:
+    """A Series of one panel column on the panel's already-checked dates."""
+    values = column.copy()
+    values.flags.writeable = False
+    series = object.__new__(Series)
+    object.__setattr__(series, "name", name)
+    object.__setattr__(series, "dates", dates)
+    object.__setattr__(series, "values", values)
+    return series
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Panel:
-    """Series sharing identical dates; the unit every estimator consumes."""
+    """Series sharing one date index; the unit every estimator consumes.
 
-    series: tuple[Series, ...]
+    Column j of the read-only, C-contiguous (T, m) matrix is the series
+    names[j], and row i holds the observations dated dates[i]. Dates are
+    checked once, where a panel is built from outside data; windows,
+    transforms and joins share a checked panel's dates without checking
+    them again.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.series:
+    names: tuple[str, ...]
+    dates: tuple[date, ...]
+    matrix: np.ndarray
+
+    def __init__(self, series: Sequence[Series]) -> None:
+        series = tuple(series)
+        if not series:
             raise ValueError("panel needs at least one series")
-        ref = self.series[0].dates
-        for s in self.series[1:]:
+        ref = series[0].dates
+        for s in series[1:]:
             if s.dates != ref:
-                raise ValueError(f"series {s.name!r} is not aligned with {self.series[0].name!r}")
+                raise ValueError(f"series {s.name!r} is not aligned with {series[0].name!r}")
+        self._assign(tuple(s.name for s in series), ref, np.stack([s.values for s in series], axis=1))
+        self.__dict__["series"] = series
+
+    @classmethod
+    def _on_checked_dates(
+        cls, names: Sequence[str], dates: tuple[date, ...], matrix: np.ndarray
+    ) -> "Panel":
+        """A panel on dates known to strictly increase; it takes ownership of matrix."""
+        panel = object.__new__(cls)
+        panel._assign(tuple(names), dates, matrix)
+        return panel
+
+    def _assign(self, names: tuple[str, ...], dates: tuple[date, ...], matrix: np.ndarray) -> None:
+        if not names:
+            raise ValueError("panel needs at least one series")
+        if matrix.shape[0] == 0:
+            raise ValueError(f"series {names[0]!r} must hold a non-empty 1-D value array")
+        finite = np.isfinite(matrix).all(axis=0)
+        if not finite.all():
+            raise ValueError(f"series {names[int(np.argmin(finite))]!r} holds non-finite values")
+        matrix = np.ascontiguousarray(matrix)
+        matrix.flags.writeable = False
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "dates", dates)
+        object.__setattr__(self, "matrix", matrix)
+
+    def __reduce__(self) -> tuple:
+        # A pickled array comes back writeable; rebuilding makes it read-only again.
+        return (Panel._on_checked_dates, (self.names, self.dates, self.matrix))
+
+    @cached_property
+    def series(self) -> tuple[Series, ...]:
+        """The columns as Series, built on first use."""
+        return tuple(
+            _column_series(name, self.dates, self.matrix[:, j]) for j, name in enumerate(self.names)
+        )
 
     @property
     def m(self) -> int:
-        return len(self.series)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(s.name for s in self.series)
-
-    @property
-    def dates(self) -> tuple[date, ...]:
-        return self.series[0].dates
+        return self.matrix.shape[1]
 
     def __len__(self) -> int:
-        return len(self.series[0])
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Observations as a (T, m) float array, one column per series."""
-        return np.column_stack([s.values for s in self.series])
+        return self.matrix.shape[0]
 
     def window(self, start: int, stop: int) -> "Panel":
-        """Row slice [start, stop) as a new Panel."""
-        dates = self.dates[start:stop]
-        return Panel(tuple(Series(s.name, dates, s.values[start:stop].copy()) for s in self.series))
+        """Row slice [start, stop) as a new Panel sharing this panel's matrix."""
+        return Panel._on_checked_dates(self.names, self.dates[start:stop], self.matrix[start:stop])
 
     @classmethod
     def from_matrix(cls, names: Sequence[str], dates: Sequence[date], matrix: np.ndarray) -> "Panel":
-        matrix = np.asarray(matrix, dtype=float)
-        dates = tuple(dates)
-        return cls(tuple(Series(name, dates, matrix[:, j].copy()) for j, name in enumerate(names)))
+        """A panel holding a copy of a (T, m) matrix, one column per name."""
+        names, dates = tuple(names), tuple(dates)
+        if not names:
+            raise ValueError("panel needs at least one series")
+        matrix = np.array(matrix, dtype=float)
+        if matrix.ndim != 2 or matrix.shape[1] != len(names):
+            raise ValueError(f"matrix shape {matrix.shape} does not match {len(names)} names")
+        if len(dates) != matrix.shape[0]:
+            raise ValueError(f"series {names[0]!r}: {len(dates)} dates vs {matrix.shape[0]} values")
+        _check_dates(names[0], dates)
+        return cls._on_checked_dates(names, dates, matrix)
+
+
+def _row_blocks(reader: Any) -> Iterator[tuple[list[list[str]], list[int]]]:
+    """Blocks of up to _BLOCK_ROWS non-blank rows, with the line each row ends on.
+
+    A csv.Error or UnicodeDecodeError is raised only after the rows read
+    before it are yielded, so that a bad cell in an earlier row is the
+    one reported.
+    """
+    rows: list[list[str]] = []
+    ends: list[int] = []
+    error: Exception | None = None
+    try:
+        for line in reader:
+            if "".join(line).strip():
+                rows.append(line)
+                ends.append(reader.line_num)
+                if len(rows) == _BLOCK_ROWS:
+                    yield rows, ends
+                    rows, ends = [], []
+    except (csv.Error, UnicodeDecodeError) as exc:
+        error = exc
+    if rows:
+        yield rows, ends
+    if error is not None:
+        raise error
+
+
+def _floats(cells: list[str]) -> list[float]:
+    """float() of every cell, NaN where it raises.
+
+    map(float) runs in C; Python code runs once per failing cell only.
+    list.extend keeps what it appended before the failure, and the
+    iterator resumes after the failing cell.
+    """
+    out: list[float] = []
+    remaining = iter(cells)
+    while True:
+        try:
+            out.extend(map(float, remaining))
+            return out
+        except ValueError:
+            out.append(math.nan)
+
+
+def _parse_block(
+    path: Path,
+    rows: list[list[str]],
+    ends: list[int],
+    date_column: str,
+    value_columns: Sequence[str],
+    date_position: int,
+    value_positions: list[int],
+) -> tuple[list[date], np.ndarray, int]:
+    """Dates, (n, m) values and dropped-row count of one block of rows.
+
+    Only rows holding a non-finite or unreadable value are inspected one
+    at a time: a missing cell drops the row, anything else raises. Dates
+    are parsed for kept rows only. Of the rows that raise, the first in
+    file order is reported.
+    """
+    width = max([date_position, *value_positions]) + 1
+    if min(map(len, rows)) < width:
+        rows = [row + [""] * (width - len(row)) for row in rows]
+    date_cells = list(map(itemgetter(date_position), rows))
+    value_cells = [list(map(itemgetter(p), rows)) for p in value_positions]
+    values = np.empty((len(rows), len(value_cells)))
+    for j, cells in enumerate(value_cells):
+        values[:, j] = _floats(cells)
+
+    keep = np.isfinite(values).all(axis=1)
+    bad: int | None = None
+    dropped = 0
+    for i in np.flatnonzero(~keep):
+        if not any(_is_missing(cells[i]) for cells in value_cells):
+            bad = int(i)
+            break
+        dropped += 1
+    kept = np.flatnonzero(keep[:bad])
+    all_kept = kept.size == len(rows)
+    kept_cells = date_cells if all_kept else [date_cells[i] for i in kept]
+    dates: list[date] = []
+    try:
+        dates.extend(map(parse_date, kept_cells))
+    except ValueError:
+        bad = int(kept[len(dates)])
+    if bad is not None:
+        raise _cell_error(
+            path,
+            ends[bad],
+            date_column,
+            date_cells[bad],
+            value_columns,
+            [cells[bad] for cells in value_cells],
+        )
+    return dates, values if all_kept else values[kept], dropped
 
 
 def load_csv(path: str | Path, date_column: str, value_columns: Sequence[str]) -> tuple[Panel, int]:
     """Read selected columns of a CSV file into a date-sorted Panel.
 
     Rows where any selected value is missing are dropped; the count of
-    dropped rows is returned alongside the panel.
+    dropped rows is returned alongside the panel. The file is read in
+    blocks of _BLOCK_ROWS rows, each converted column by column.
 
     Raises:
         FileNotFoundError: the file does not exist.
@@ -170,7 +332,8 @@ def load_csv(path: str | Path, date_column: str, value_columns: Sequence[str]) -
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"no such file: {path}")
-    rows: list[tuple[date, list[float]]] = []
+    dates: list[date] = []
+    blocks: list[np.ndarray] = []
     dropped = 0
     with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
@@ -186,29 +349,14 @@ def load_csv(path: str | Path, date_column: str, value_columns: Sequence[str]) -
                     raise UnknownColumnError(f"{path}: column {column!r} not in header {header}")
                 positions[column] = header.index(column)
 
-            date_position = positions[date_column]
             value_positions = [positions[c] for c in value_columns]
-            width = max(positions.values()) + 1
-            for line in reader:
-                if not line or all(not cell.strip() for cell in line):
-                    continue
-                if len(line) < width:
-                    line += [""] * (width - len(line))
-                cells = [line[i] for i in value_positions]
-                if any(_is_missing(cell) for cell in cells):
-                    dropped += 1
-                    continue
-                try:
-                    when = parse_date(line[date_position])
-                    values = [float(cell) for cell in cells]
-                    parsed = all(map(math.isfinite, values))
-                except ValueError:
-                    parsed = False
-                if not parsed:
-                    raise _cell_error(
-                        path, reader.line_num, date_column, line[date_position], value_columns, cells
-                    )
-                rows.append((when, values))
+            for rows, ends in _row_blocks(reader):
+                block_dates, block, block_dropped = _parse_block(
+                    path, rows, ends, date_column, value_columns, positions[date_column], value_positions
+                )
+                dates += block_dates
+                blocks.append(block)
+                dropped += block_dropped
         except csv.Error as exc:
             raise MalformedCsvError(f"{path}: row {reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
@@ -216,16 +364,17 @@ def load_csv(path: str | Path, date_column: str, value_columns: Sequence[str]) -
                 f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
             ) from None
 
-    if not rows:
+    if not dates:
         raise NoUsableRowsError(f"{path}: no usable rows (dropped {dropped})")
-    rows.sort(key=lambda item: item[0])
-    for (d1, _), (d2, _) in zip(rows, rows[1:]):
-        if d1 == d2:
-            raise DuplicateDateError(f"{path}: duplicate date {d1.isoformat()}")
-
-    dates = tuple(item[0] for item in rows)
-    matrix = np.array([item[1] for item in rows], dtype=float)
-    return Panel.from_matrix(list(value_columns), dates, matrix), dropped
+    matrix = np.concatenate(blocks)
+    if not all(map(lt, dates, islice(dates, 1, None))):
+        order = sorted(range(len(dates)), key=dates.__getitem__)
+        dates = [dates[i] for i in order]
+        matrix = matrix[order]
+        for d1, d2 in zip(dates, dates[1:]):
+            if d1 == d2:
+                raise DuplicateDateError(f"{path}: duplicate date {d1.isoformat()}")
+    return Panel._on_checked_dates(value_columns, tuple(dates), matrix), dropped
 
 
 def write_csv(panel: Panel, path: str | Path, date_column: str = "date") -> None:
@@ -250,24 +399,24 @@ def align(panels: Iterable[Panel]) -> Panel:
     if not common:
         raise NoOverlapError("panels share no dates")
     keep = tuple(sorted(common))
-    out: list[Series] = []
+    columns = []
     for panel in panels:
         index = {d: i for i, d in enumerate(panel.dates)}
-        rows = [index[d] for d in keep]
-        for s in panel.series:
-            out.append(Series(s.name, keep, s.values[rows].copy()))
-    return Panel(tuple(out))
+        columns.append(panel.matrix[[index[d] for d in keep]])
+    names = tuple(name for panel in panels for name in panel.names)
+    return Panel._on_checked_dates(names, keep, np.concatenate(columns, axis=1))
 
 
 def log_transform(panel: Panel) -> Panel:
     """Replace every value by its natural log; series names get a _log suffix."""
-    out: list[Series] = []
-    for s in panel.series:
-        bad = np.nonzero(s.values <= 0.0)[0]
-        if bad.size:
-            when = s.dates[int(bad[0])]
-            raise NonPositiveValueError(
-                f"series {s.name!r} has non-positive value {s.values[bad[0]]!r} at {when.isoformat()}"
-            )
-        out.append(Series(s.name + "_log", s.dates, np.log(s.values)))
-    return Panel(tuple(out))
+    matrix = panel.matrix
+    bad = matrix <= 0.0
+    if bad.any():
+        j = int(np.argmax(bad.any(axis=0)))
+        i = int(np.argmax(bad[:, j]))
+        raise NonPositiveValueError(
+            f"series {panel.names[j]!r} has non-positive value {matrix[i, j]!r} "
+            f"at {panel.dates[i].isoformat()}"
+        )
+    names = tuple(name + "_log" for name in panel.names)
+    return Panel._on_checked_dates(names, panel.dates, np.log(matrix))

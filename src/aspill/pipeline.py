@@ -12,9 +12,10 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from .atomic import write_atomic
 from .connectedness import build_table, compute_fevd, net_measures
@@ -111,6 +112,24 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+class _StageFailure(Exception):
+    """An AspillError raised inside a named stage of one side's run."""
+
+    def __init__(self, stage: str, cause: AspillError):
+        super().__init__(f"{stage}: {cause}")
+        self.stage = stage
+        self.cause = cause
+
+
+@contextmanager
+def _stage(name: str) -> Iterator[None]:
+    """Run a block as the named stage: an AspillError leaving it names the stage."""
+    try:
+        yield
+    except AspillError as exc:
+        raise _StageFailure(name, exc) from exc
+
+
 def _run_side(
     cfg: RunConfig,
     side: ShockSide,
@@ -118,69 +137,68 @@ def _run_side(
     decomposed: DecomposedPanel | None,
     labels: tuple[str, ...],
     out_dir: Path,
-    stage_box: list[str],
 ) -> dict[str, Any]:
     summary: dict[str, Any] = {}
     files: dict[str, str] = {}
 
-    stage_box[0] = "component"
-    side_panel = panel if side is ShockSide.SYMMETRIC else component_panel(decomposed, panel, side)
+    with _stage("component"):
+        side_panel = panel if side is ShockSide.SYMMETRIC else component_panel(decomposed, panel, side)
 
     with warnings.catch_warnings(record=True) as records:
         warnings.simplefilter("always")
-        stage_box[0] = "lag-select"
-        lag = cfg.lags if cfg.lags is not None else select_lag(side_panel, cfg.max_lags, cfg.lag_select)
-        var_spec = VarSpec(p=lag, ty_extra_lags=1 if cfg.ty_augment else 0)
-        stage_box[0] = "estimate"
-        fit = estimate_var(side_panel, var_spec)
-        stage_box[0] = "fevd"
-        ma = ma_coefficients(fit, cfg.horizon)
-        fevd = compute_fevd(ma, fit.Gamma, cfg.horizon, cfg.sigma_scaling)
-        stage_box[0] = "table"
-        table = build_table(fevd.normalized, labels)
-        net = net_measures(table)
+        with _stage("lag-select"):
+            lag = cfg.lags if cfg.lags is not None else select_lag(side_panel, cfg.max_lags, cfg.lag_select)
+            var_spec = VarSpec(p=lag, ty_extra_lags=1 if cfg.ty_augment else 0)
+        with _stage("estimate"):
+            fit = estimate_var(side_panel, var_spec)
+        with _stage("fevd"):
+            ma = ma_coefficients(fit, cfg.horizon)
+            fevd = compute_fevd(ma, fit.Gamma, cfg.horizon, cfg.sigma_scaling)
+        with _stage("table"):
+            table = build_table(fevd.normalized, labels)
+            net = net_measures(table)
 
         summary["lag"] = lag
         summary["total_spillover"] = table.total_spillover
 
         if cfg.emit_tables:
-            stage_box[0] = "write-tables"
-            for fmt, ext in (("csv", "csv"), ("json", "json"), ("markdown", "md")):
-                name = f"table_{side.value}.{ext}"
-                write_atomic(out_dir / name, render_table(table, fmt))
-                files[f"table_{ext}"] = name
-            net_name = f"net_{side.value}.json"
-            write_atomic(out_dir / net_name, render_net_json(net))
-            files["net_json"] = net_name
+            with _stage("write-tables"):
+                for fmt, ext in (("csv", "csv"), ("json", "json"), ("markdown", "md")):
+                    name = f"table_{side.value}.{ext}"
+                    write_atomic(out_dir / name, render_table(table, fmt))
+                    files[f"table_{ext}"] = name
+                net_name = f"net_{side.value}.json"
+                write_atomic(out_dir / net_name, render_net_json(net))
+                files["net_json"] = net_name
 
         if cfg.window is not None:
-            stage_box[0] = "rolling"
-            rolling_cfg = RollingConfig(
-                window=cfg.window,
-                horizon=cfg.horizon,
-                var_spec=var_spec,
-                trend_spec=cfg.trend,
-                shock_side=side,
-                step=cfg.step,
-                sigma_scaling=cfg.sigma_scaling,
-            )
-            windows = rolling_tables(
-                panel, rolling_cfg, cfg.decompose_per_window, decomposed=decomposed
-            )
-            series = windows.index_series()
-            stage_box[0] = "write-rolling"
-            csv_name = f"rolling_{side.value}.csv"
-            svg_name = f"rolling_{side.value}.svg"
-            write_atomic(out_dir / csv_name, render_rolling_csv(series))
-            render_plot(series, out_dir / svg_name)
-            files["rolling_csv"] = csv_name
-            files["rolling_svg"] = svg_name
-            gaps = {
-                when.isoformat(): reason
-                for when, reason in zip(series.window_end_dates, series.gap_reasons)
-                if reason is not None
-            }
-            summary["rolling"] = {"windows": len(series), "gaps": len(gaps), "gap_reasons": gaps}
+            with _stage("rolling"):
+                rolling_cfg = RollingConfig(
+                    window=cfg.window,
+                    horizon=cfg.horizon,
+                    var_spec=var_spec,
+                    trend_spec=cfg.trend,
+                    shock_side=side,
+                    step=cfg.step,
+                    sigma_scaling=cfg.sigma_scaling,
+                )
+                windows = rolling_tables(
+                    panel, rolling_cfg, cfg.decompose_per_window, decomposed=decomposed
+                )
+                series = windows.index_series()
+            with _stage("write-rolling"):
+                csv_name = f"rolling_{side.value}.csv"
+                svg_name = f"rolling_{side.value}.svg"
+                write_atomic(out_dir / csv_name, render_rolling_csv(series))
+                render_plot(series, out_dir / svg_name)
+                files["rolling_csv"] = csv_name
+                files["rolling_svg"] = svg_name
+                gaps = {
+                    when.isoformat(): reason
+                    for when, reason in zip(series.window_end_dates, series.gap_reasons)
+                    if reason is not None
+                }
+                summary["rolling"] = {"windows": len(series), "gaps": len(gaps), "gap_reasons": gaps}
 
     summary["files"] = files
     summary["warnings"] = sorted({str(r.message) for r in records})
@@ -208,23 +226,20 @@ def run_pipeline(cfg: RunConfig) -> RunManifest:
         decomposed = decompose_panel(panel, cfg.trend)
 
     side_summaries: dict[str, Any] = {}
-    failures: list[tuple[str, str, str]] = []
-    first_error: Exception | None = None
-    first_site: tuple[str, str] | None = None
+    failed: list[tuple[str, _StageFailure]] = []
     for side in cfg.sides:
-        stage_box = ["start"]
         try:
-            side_summaries[side.value] = _run_side(
-                cfg, side, panel, decomposed, labels, out_dir, stage_box
-            )
-        except AspillError as exc:
-            failures.append((side.value, stage_box[0], str(exc)))
-            if first_error is None:
-                first_error = exc
-                first_site = (side.value, stage_box[0])
-    if failures:
-        assert first_error is not None and first_site is not None
-        raise PipelineError(first_site[0], first_site[1], first_error, failures=failures)
+            side_summaries[side.value] = _run_side(cfg, side, panel, decomposed, labels, out_dir)
+        except _StageFailure as failure:
+            failed.append((side.value, failure))
+    if failed:
+        first_side, first = failed[0]
+        raise PipelineError(
+            first_side,
+            first.stage,
+            first.cause,
+            failures=[(side, failure.stage, str(failure.cause)) for side, failure in failed],
+        )
 
     manifest = RunManifest(
         version=__version__,

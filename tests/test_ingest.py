@@ -1,0 +1,204 @@
+"""Row-blocked CSV ingest against the row-at-a-time reference loader.
+
+reference_load_csv is the loader as it was before ingest was blocked:
+one (date, values) tuple per row, a missing check and a parse per cell.
+The blocked loader must return a bit-identical matrix, the same dates and
+the same dropped count, or raise the same exception type with the same
+message, whatever the block size.
+"""
+
+from __future__ import annotations
+
+import csv
+import math
+from contextlib import contextmanager
+from datetime import date
+from pathlib import Path
+from typing import Sequence
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import aspill.panel as panel_module
+from aspill.errors import (
+    DuplicateDateError,
+    MalformedCsvError,
+    NoUsableRowsError,
+    UnknownColumnError,
+)
+from aspill.panel import _cell_error, _is_missing, load_csv, parse_date
+
+BLOCK_SIZES = (1, 2, 3, panel_module._BLOCK_ROWS)
+
+
+def reference_load_csv(
+    path: str | Path, date_column: str, value_columns: Sequence[str]
+) -> tuple[np.ndarray, tuple[date, ...], int]:
+    """(matrix, dates, dropped) read one row at a time."""
+    path = Path(path)
+    if not path.is_file():
+        raise FileNotFoundError(f"no such file: {path}")
+    rows: list[tuple[date, list[float]]] = []
+    dropped = 0
+    with path.open(newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        try:
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise NoUsableRowsError(f"{path}: empty file") from None
+            header = [h.strip() for h in header]
+            positions: dict[str, int] = {}
+            for column in [date_column, *value_columns]:
+                if column not in header:
+                    raise UnknownColumnError(f"{path}: column {column!r} not in header {header}")
+                positions[column] = header.index(column)
+
+            date_position = positions[date_column]
+            value_positions = [positions[c] for c in value_columns]
+            width = max(positions.values()) + 1
+            for line in reader:
+                if not line or all(not cell.strip() for cell in line):
+                    continue
+                if len(line) < width:
+                    line += [""] * (width - len(line))
+                cells = [line[i] for i in value_positions]
+                if any(_is_missing(cell) for cell in cells):
+                    dropped += 1
+                    continue
+                try:
+                    when = parse_date(line[date_position])
+                    values = [float(cell) for cell in cells]
+                    parsed = all(map(math.isfinite, values))
+                except ValueError:
+                    parsed = False
+                if not parsed:
+                    raise _cell_error(
+                        path, reader.line_num, date_column, line[date_position], value_columns, cells
+                    )
+                rows.append((when, values))
+        except csv.Error as exc:
+            raise MalformedCsvError(f"{path}: row {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise MalformedCsvError(
+                f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+            ) from None
+
+    if not rows:
+        raise NoUsableRowsError(f"{path}: no usable rows (dropped {dropped})")
+    rows.sort(key=lambda item: item[0])
+    for (d1, _), (d2, _) in zip(rows, rows[1:]):
+        if d1 == d2:
+            raise DuplicateDateError(f"{path}: duplicate date {d1.isoformat()}")
+    return np.array([item[1] for item in rows], dtype=float), tuple(item[0] for item in rows), dropped
+
+
+def outcome(load, path: Path, columns: Sequence[str]):
+    """What a loader makes of a file: its exact bits, or its exception."""
+    try:
+        result = load(path, "date", columns)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(result[0], panel_module.Panel):
+        panel, dropped = result
+        matrix, dates = panel.matrix, panel.dates
+    else:
+        matrix, dates, dropped = result
+    return matrix.shape, matrix.tobytes(), dates, dropped
+
+
+@contextmanager
+def block_rows(size: int):
+    saved = panel_module._BLOCK_ROWS
+    panel_module._BLOCK_ROWS = size
+    try:
+        yield
+    finally:
+        panel_module._BLOCK_ROWS = saved
+
+
+@contextmanager
+def field_size_limit(limit: int | None):
+    if limit is None:
+        yield
+        return
+    saved = csv.field_size_limit(limit)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(saved)
+
+
+DATES = ["2020-01-01", "2020-01-02", "2020-01-03", "2020-02", "2019-12-31", " 2020-01-04 "]
+CELLS = [
+    *DATES,
+    "2020-13-01", "0-1", "1.5", "-2e3", " 7 ", "-0.0", "1_000", "0x1",
+    "inf", "-Infinity", "1e999", "nan", "-nan",
+    "", ".", " NA ", "Null", "none", "#N/A", " NaN ", "NULL ",
+    "abc", '"1,5"', '"1\n2"', '"2020-01-05\n"', '" \n "', '"4\r\n"',
+]
+cell = st.one_of(
+    st.sampled_from(CELLS),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=4),
+)
+number = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+# Well-formed rows on mostly distinct dates, so that many files load and
+# their matrices are compared.
+clean_row = st.tuples(
+    st.one_of(st.dates(date(1990, 1, 1), date(2030, 12, 31)).map(date.isoformat), st.sampled_from(DATES)),
+    number,
+    number,
+).map(",".join)
+messy_row = st.lists(cell, max_size=4).map(",".join)
+blank_row = st.sampled_from(["", "  ", "\t", " , "])
+line = st.one_of(*[clean_row] * 5, messy_row, blank_row)
+header = st.sampled_from(["date,a,b", "date,a,b", "\ufeffdate,a,b", "date , b,a", "b,a"])
+
+
+@settings(max_examples=150, deadline=None)
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@given(
+    head=header,
+    lines=st.lists(line, min_size=1, max_size=16),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    bad_byte=st.sampled_from([None, None, None, 0, 37, 150]),
+    limit=st.sampled_from([None, None, None, 24]),
+)
+def test_blocked_loader_matches_reference(block, head, lines, newline, bad_byte, limit, tmp_path_factory):
+    data = newline.join([head, *lines]).encode("utf-8")
+    data = data[:bad_byte] + b"\xff" + data[bad_byte:] if bad_byte is not None else data
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_bytes(data)
+    with field_size_limit(limit):
+        expected = outcome(reference_load_csv, path, ["a", "b"])
+        with block_rows(block):
+            assert outcome(load_csv, path, ["a", "b"]) == expected
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+def test_bad_cell_reported_before_later_csv_error(block, tmp_path):
+    broken = "2020-01-03," + "1" * (csv.field_size_limit() + 1)
+    later = tmp_path / "later.csv"
+    later.write_text(f"date,a\n2020-01-01,1\n{broken}\n", encoding="utf-8")
+    path = tmp_path / "data.csv"
+    path.write_text(f"date,a\n2020-01-01,1\n2020-01-02,abc\n{broken}\n", encoding="utf-8")
+    with block_rows(block):
+        with pytest.raises(MalformedCsvError, match=r"row 3: field larger than field limit"):
+            load_csv(later, "date", ["a"])
+        with pytest.raises(MalformedCsvError) as info:
+            load_csv(path, "date", ["a"])
+    assert str(info.value) == f"{path}: row 3, column 'a': cannot read 'abc' as a finite number"
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+def test_row_with_missing_value_and_bad_date_is_dropped(block, tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("date,a,b\n2020-01-01,1,2\nnot-a-date,,3\n2020-01-03,4,5\n", encoding="utf-8")
+    with block_rows(block):
+        panel, dropped = load_csv(path, "date", ["a", "b"])
+    assert dropped == 1
+    assert panel.dates == (date(2020, 1, 1), date(2020, 1, 3))
+    np.testing.assert_array_equal(panel.matrix, [[1.0, 2.0], [4.0, 5.0]])

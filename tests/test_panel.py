@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 from datetime import date
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aspill.decomposition import TrendSpec, _components, _trend_stack, decompose_panel
 from aspill.errors import (
     AspillError,
     DuplicateDateError,
@@ -278,3 +280,84 @@ class TestLogTransform:
         panel = make_panel(np.exp(rng.normal(size=(50, 2))))
         recovered = np.exp(log_transform(panel).matrix)
         np.testing.assert_allclose(recovered, panel.matrix, rtol=1e-12)
+
+
+class TestFlatPanel:
+    def test_matrix_is_one_read_only_array(self):
+        panel = make_panel(np.arange(12.0).reshape(6, 2))
+        assert panel.matrix is panel.matrix
+        assert panel.matrix.flags.c_contiguous
+        with pytest.raises(ValueError):
+            panel.matrix[0, 0] = 9.0
+
+    def test_from_matrix_copies_its_input(self):
+        source = np.arange(12.0).reshape(6, 2)
+        panel = make_panel(source)
+        source[0, 0] = 9.0
+        assert panel.matrix[0, 0] == 0.0
+
+    def test_window_is_a_view_on_the_parent_dates(self):
+        panel = make_panel(np.arange(20.0).reshape(10, 2))
+        piece = panel.window(3, 7)
+        assert np.shares_memory(piece.matrix, panel.matrix)
+        assert piece.dates == panel.dates[3:7]
+        assert piece.names == panel.names
+        with pytest.raises(ValueError):
+            piece.matrix[0, 0] = 9.0
+
+    def test_pickle_round_trip_stays_read_only(self):
+        panel = make_panel(np.arange(12.0).reshape(6, 2), names=["x", "y"])
+        copy = pickle.loads(pickle.dumps(panel))
+        assert (copy.names, copy.dates) == (panel.names, panel.dates)
+        np.testing.assert_array_equal(copy.matrix, panel.matrix)
+        with pytest.raises(ValueError):
+            copy.matrix[0, 0] = 9.0
+
+    def test_empty_window_rejected(self):
+        with pytest.raises(ValueError):
+            make_panel(np.arange(20.0).reshape(10, 2)).window(4, 4)
+
+    def test_series_are_the_columns(self):
+        panel = make_panel(np.arange(12.0).reshape(6, 2), names=["x", "y"])
+        x, y = panel.series
+        assert (x.name, y.name) == ("x", "y")
+        assert x.dates == y.dates == panel.dates
+        np.testing.assert_array_equal(y.values, panel.matrix[:, 1])
+        with pytest.raises(ValueError):
+            y.values[0] = 9.0
+
+    def test_panel_of_series_keeps_them(self):
+        a = Series("a", monthly_dates(3), np.arange(3.0))
+        b = Series("b", monthly_dates(3), np.arange(3.0) * 2)
+        panel = Panel(series=(a, b))
+        assert panel.series[0] is a and panel.series[1] is b
+        np.testing.assert_array_equal(panel.matrix, [[0.0, 0.0], [1.0, 2.0], [2.0, 4.0]])
+
+    def test_from_matrix_checks_dates_and_values(self):
+        with pytest.raises(DuplicateDateError, match="'s0'.*2000-01-01"):
+            make_panel(np.arange(4.0).reshape(2, 2), dates=(date(2000, 1, 1),) * 2)
+        with pytest.raises(ValueError, match="'s1' holds non-finite"):
+            make_panel(np.array([[1.0, 2.0], [3.0, np.inf]]))
+
+    def test_log_transform_series_match_per_series_log(self):
+        rng = np.random.default_rng(7)
+        panel = make_panel(np.exp(rng.normal(size=(30, 3))))
+        logged = log_transform(panel)
+        for before, after in zip(panel.series, logged.series):
+            assert after.name == before.name + "_log"
+            assert after.dates == before.dates
+            assert np.log(before.values).tobytes() == after.values.tobytes()
+
+    @pytest.mark.parametrize("spec", list(TrendSpec))
+    def test_decompose_panel_series_match_series_major_stack(self, spec):
+        rng = np.random.default_rng(8)
+        panel = make_panel(np.cumsum(rng.normal(size=(40, 3)), axis=0))
+        decomposed = decompose_panel(panel, spec)
+        g = np.stack([s.values for s in panel.series])[np.newaxis]
+        plus, minus = _components(g, *_trend_stack(g, spec))
+        sides = (("_pos", decomposed.plus_panel, plus), ("_neg", decomposed.minus_panel, minus))
+        for suffix, side, expected in sides:
+            assert side.names == tuple(name + suffix for name in panel.names)
+            assert side.dates is panel.dates
+            for j, series in enumerate(side.series):
+                assert series.values.tobytes() == expected[0, j].tobytes()

@@ -158,6 +158,25 @@ class TestPartialFailure:
         assert not (out / "table_pos.csv").exists()
         assert not (out / "manifest.json").exists()
 
+    def test_lag_selection_failure_names_its_stage(self, tmp_path):
+        rng = np.random.default_rng(102)
+        walk = random_walk_matrix(rng, 150, 1)[:, 0]
+        csv_path = tmp_path / "twins.csv"
+        # bb is exactly twice aa, so every side's lag design is rank deficient.
+        write_csv(make_panel(np.column_stack([walk, 2.0 * walk]), ["aa", "bb"]), csv_path)
+        out = tmp_path / "out"
+        cfg = base_config(csv_path, out, columns=("aa", "bb"), lags=None, max_lags=3)
+        with pytest.raises(PipelineError) as info:
+            run_pipeline(cfg)
+        assert [(side, stage) for side, stage, _ in info.value.failures] == [
+            ("pos", "lag-select"),
+            ("neg", "lag-select"),
+            ("sym", "lag-select"),
+        ]
+        assert all("rank deficient" in message for _, _, message in info.value.failures)
+        assert (info.value.side, info.value.stage) == ("pos", "lag-select")
+        assert not (out / "manifest.json").exists()
+
 
 class TestManifestReuse:
     def test_round_trip_config(self, tmp_path):

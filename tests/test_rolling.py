@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aspill.connectedness import compute_fevd, build_table
 from aspill.decomposition import ShockSide, TrendSpec, component_panel, decompose_panel
@@ -227,3 +229,49 @@ class TestRandomWalkLevels:
             assert finite
             worst = max(worst, max(finite))
         assert worst < 25.0
+
+
+class TestWindowOutcomes:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        T=st.integers(40, 90),
+        m=st.sampled_from([2, 3]),
+        p=st.sampled_from([1, 2]),
+        extra_rows=st.integers(1, 30),
+        step=st.integers(1, 4),
+        flat=st.tuples(st.integers(0, 89), st.integers(0, 60)),
+        tilt=st.one_of(st.none(), st.sampled_from([0.0, 1e-13, 1e-9, 1e-5])),
+        side=st.sampled_from(list(ShockSide)),
+        trend=st.sampled_from(list(TrendSpec)),
+        per_window=st.booleans(),
+    )
+    def test_every_window_yields_a_table_or_a_gap_reason(
+        self, seed, T, m, p, extra_rows, step, flat, tilt, side, trend, per_window
+    ):
+        rng = np.random.default_rng(seed)
+        values = random_walk_matrix(rng, T, m)
+        start, length = flat
+        start = min(start, T - 1)
+        values[start : start + length, 0] = values[start, 0]
+        if tilt is not None:
+            # The last column is an affine copy of the first, up to a tilt.
+            values[:, -1] = 2.0 * values[:, 0] + 1.0 + tilt * rng.normal(size=T)
+        window = min(T, m * p + 10 + extra_rows)
+        cfg = base_config(
+            window, var_spec=VarSpec(p=p), shock_side=side, trend_spec=trend, step=step
+        )
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UnstableVarWarning)
+                result = rolling_tables(make_panel(values), cfg, decompose_per_window=per_window)
+        except AllWindowsFailedError:
+            return
+        assert len(result.tables) == len(result.gap_reasons) == len(range(0, T - window + 1, step))
+        for table, reason in zip(result.tables, result.gap_reasons):
+            if table is None:
+                assert isinstance(reason, str) and reason
+            else:
+                assert reason is None
+                assert np.all(np.isfinite(table.matrix))
+                assert np.isfinite(table.total_spillover)
