@@ -62,9 +62,9 @@ def main(argv: list[str] | None = None) -> int:
 
     panels = []
     for series_id in args.series:
-        series = fetch_fred(series_id, api_key=args.api_key, date_range=RANGE)
-        print(f"{series_id}: {len(series)} observations")
-        panels.append(Panel((series,)))
+        fetched = fetch_fred(series_id, api_key=args.api_key, date_range=RANGE)
+        print(f"{series_id}: {len(fetched)} observations")
+        panels.append(fetched)
     panel = log_transform(align(panels))
 
     indices = {

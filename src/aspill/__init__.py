@@ -14,29 +14,23 @@ from .connectedness import (
     build_table,
     compute_fevd,
     directional,
-    gfevd,
     net_measures,
-    normalize_rows,
     table_from_percent,
 )
 from .decomposition import (
-    ComponentPair,
     DecomposedPanel,
     ShockSide,
     TrendFit,
     TrendSpec,
-    build_components,
     component_panel,
     decompose_panel,
-    fit_trend,
-    split_shocks,
 )
 from .errors import AspillError
 from .fred import fetch_fred
-from .panel import Panel, Series, align, load_csv, log_transform, write_csv
+from .panel import Panel, align, load_csv, log_transform, write_csv
 from .pipeline import RunConfig, RunManifest, config_from_manifest, run_pipeline
 from .report import parse_table_csv, render_net_json, render_rolling_csv, render_table
-from .rolling import RollingConfig, RollingTables, SpilloverSeries, rolling_index, rolling_tables
+from .rolling import RollingConfig, RollingTables, SpilloverSeries, rolling_tables
 from .svgchart import render_plot, render_svg
 from .var_engine import (
     MaCoefficients,
@@ -50,7 +44,6 @@ from .version import __version__
 
 __all__ = [
     "AspillError",
-    "ComponentPair",
     "ConnectednessTable",
     "DecomposedPanel",
     "FevdResult",
@@ -61,7 +54,6 @@ __all__ = [
     "RollingTables",
     "RunConfig",
     "RunManifest",
-    "Series",
     "ShockSide",
     "SpilloverSeries",
     "TrendFit",
@@ -70,7 +62,6 @@ __all__ = [
     "VarSpec",
     "__version__",
     "align",
-    "build_components",
     "build_table",
     "component_panel",
     "compute_fevd",
@@ -79,24 +70,19 @@ __all__ = [
     "directional",
     "estimate_var",
     "fetch_fred",
-    "fit_trend",
-    "gfevd",
     "load_csv",
     "log_transform",
     "ma_coefficients",
     "net_measures",
-    "normalize_rows",
     "parse_table_csv",
     "render_net_json",
     "render_plot",
     "render_rolling_csv",
     "render_svg",
     "render_table",
-    "rolling_index",
     "rolling_tables",
     "run_pipeline",
     "select_lag",
-    "split_shocks",
     "table_from_percent",
     "write_csv",
 ]

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_atomic
 from .decomposition import ShockSide, TrendSpec, decompose_panel
 from .errors import AspillError, PipelineError
 from .fred import DEFAULT_CACHE_DIR, fetch_fred
@@ -172,7 +173,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     interleaved = np.stack([plus.matrix, minus.matrix], axis=2).reshape(len(panel), -1)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    components = Panel.from_matrix(names, panel.dates, interleaved)
+    components = Panel(names, panel.dates, interleaved)
     write_csv(components, out_path, date_column=args.date_column)
     print(f"wrote {out_path} ({len(panel)} rows, {dropped} dropped)")
     return 0
@@ -183,11 +184,11 @@ def _cmd_fetch(args: argparse.Namespace) -> int:
     date_range = (args.start, args.end)
     panels = []
     for series_id in ids:
-        series = fetch_fred(
+        fetched = fetch_fred(
             series_id, api_key=args.api_key, date_range=date_range, cache_dir=args.cache_dir
         )
-        panels.append(Panel((series,)))
-        print(f"{series_id}: {len(series)} observations")
+        panels.append(fetched)
+        print(f"{series_id}: {len(fetched)} observations")
     panel = panels[0] if len(panels) == 1 else align(panels)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -202,7 +203,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.out:
         out_path = Path(args.out)
         out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(text, encoding="utf-8")
+        write_atomic(out_path, text)
         print(f"wrote {out_path}")
     else:
         print(text, end="")

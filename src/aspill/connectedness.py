@@ -77,7 +77,8 @@ def gfevd_stack(
     """Raw decomposition of every window at horizon n, and why each failed.
 
     K is (c, >n, m, m) and gamma (c, m, m). A failed window's reason is
-    the message gfevd raises for it; its raw matrix is finite filler.
+    the message compute_fevd raises for it on its own; its raw matrix is
+    finite filler.
     """
     if sigma_scaling not in _SIGMA_SCALINGS:
         raise ValueError(f"sigma_scaling must be one of {_SIGMA_SCALINGS}, got {sigma_scaling!r}")
@@ -105,28 +106,6 @@ def gfevd_stack(
     return numerator / denominator[:, :, np.newaxis], reasons
 
 
-def gfevd(ma: MaCoefficients, gamma: np.ndarray, n: int, sigma_scaling: str = "jj") -> np.ndarray:
-    """Raw generalized variance-decomposition matrix at horizon n.
-
-    Entry (i, j) divides the accumulated squared response of variable i
-    to a shock in j, scaled by that shock's variance, by the total
-    forecast-error variance of variable i. sigma_scaling selects which
-    variance scales the numerator: "jj" is the standard generalized
-    form (unit diagonal at n=0); "ii" reproduces a variant that scales
-    by the responding variable's own variance instead.
-    """
-    if n < 0:
-        raise ValueError(f"horizon must be >= 0, got {n}")
-    if n > ma.horizon:
-        raise ValueError(f"horizon {n} exceeds the {ma.horizon} MA terms available")
-    gamma = np.asarray(gamma, dtype=float)
-    K = np.stack(ma.K[: n + 1])[np.newaxis]
-    raw, reasons = gfevd_stack(K, gamma[np.newaxis], n, sigma_scaling)
-    if reasons[0] is not None:
-        raise DegenerateCovarianceError(reasons[0])
-    return raw[0]
-
-
 def normalize_stack(raw: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
     """Scale each row of every (c, a, b) stack entry to sum to one, and say which failed."""
     sums = raw.sum(axis=2)
@@ -135,39 +114,38 @@ def normalize_stack(raw: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
     return normalized, [_ROW_NOT_POSITIVE if flag else None for flag in bad.tolist()]
 
 
-def normalize_rows(raw: np.ndarray) -> np.ndarray:
-    """Scale each row to sum to one."""
-    raw = np.asarray(raw, dtype=float)
-    normalized, reasons = normalize_stack(raw[np.newaxis])
-    if reasons[0] is not None:
-        raise DegenerateCovarianceError(reasons[0])
-    return normalized[0]
-
-
 def compute_fevd(
     ma: MaCoefficients | np.ndarray, gamma: np.ndarray, n: int, sigma_scaling: str = "jj"
 ) -> FevdResult:
-    """Raw and row-normalized decompositions at horizon n.
+    """Raw and row-normalized generalized variance decompositions at horizon n.
+
+    Raw entry (i, j) divides the accumulated squared response of variable
+    i to a shock in j, scaled by that shock's variance, by the total
+    forecast-error variance of variable i. sigma_scaling selects which
+    variance scales the numerator: "jj" is the standard generalized form
+    (unit diagonal at n=0); "ii" reproduces a variant that scales by the
+    responding variable's own variance instead.
 
     ma is one model's MaCoefficients with its (m, m) gamma, and a failure
     raises DegenerateCovarianceError. ma may instead be a (c, >n, m, m)
     stack of K_0.. with a (c, m, m) gamma stack; then raw and normalized
     are stacks too, and gap_reasons says per window why it failed (None
-    where it did not) instead of raising.
+    where it did not) instead of raising. One model runs as a stack of one.
     """
-    if isinstance(ma, MaCoefficients):
-        raw = gfevd(ma, gamma, n, sigma_scaling)
-        return FevdResult(horizon=n, raw=raw, normalized=normalize_rows(raw))
-    if not 0 <= n < ma.shape[1]:
-        raise ValueError(f"horizon {n} is outside the {ma.shape[1] - 1} MA terms available")
-    raw, reasons = gfevd_stack(ma, gamma, n, sigma_scaling)
+    single = isinstance(ma, MaCoefficients)
+    terms = ma.horizon if single else ma.shape[1] - 1
+    if not 0 <= n <= terms:
+        raise ValueError(f"horizon {n} is outside the {terms} MA terms available")
+    K = np.stack(ma.K[: n + 1])[np.newaxis] if single else ma
+    gammas = np.asarray(gamma, dtype=float)[np.newaxis] if single else gamma
+    raw, reasons = gfevd_stack(K, gammas, n, sigma_scaling)
     normalized, row_reasons = normalize_stack(raw)
-    return FevdResult(
-        horizon=n,
-        raw=raw,
-        normalized=normalized,
-        gap_reasons=tuple(a or b for a, b in zip(reasons, row_reasons)),
-    )
+    gap_reasons = tuple(a or b for a, b in zip(reasons, row_reasons))
+    if not single:
+        return FevdResult(horizon=n, raw=raw, normalized=normalized, gap_reasons=gap_reasons)
+    if gap_reasons[0] is not None:
+        raise DegenerateCovarianceError(gap_reasons[0])
+    return FevdResult(horizon=n, raw=raw[0], normalized=normalized[0])
 
 
 def _assemble(matrix_pct: np.ndarray, labels: tuple[str, ...]) -> list[ConnectednessTable]:

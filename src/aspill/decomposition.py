@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import SeriesTooShortError
-from .panel import Panel, Series
+from .panel import Panel
 
 # A trend regression on first differences needs T-1 >= 3 rows so that even
 # the two-regressor variant keeps a residual degree of freedom.
@@ -50,15 +50,6 @@ class TrendFit:
     d: float
     g0: float
     residuals: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class ComponentPair:
-    """Positive and negative cumulative components of one series."""
-
-    plus: Series
-    minus: Series
-    fit: TrendFit
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,29 +117,19 @@ def component_stack(stack: np.ndarray, spec: TrendSpec, side: ShockSide) -> np.n
     return (plus if side is ShockSide.POSITIVE else minus).swapaxes(1, 2)
 
 
-def split_shocks(residuals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Clamp shocks at zero from each side; the two parts sum back exactly."""
-    residuals = np.asarray(residuals, dtype=float)
-    return np.maximum(residuals, 0.0), np.minimum(residuals, 0.0)
-
-
-def _too_short(name: str, length: int) -> str | None:
-    """Why a series of this length cannot be decomposed, or None."""
-    if length < _MIN_LENGTH:
-        return f"series {name!r}: length {length} < {_MIN_LENGTH} needed for trend fit"
-    return None
-
-
-def _trend_fit(c: np.ndarray, d: np.ndarray, g: np.ndarray, shocks: np.ndarray, j: int) -> TrendFit:
-    """TrendFit of series j of the first stack entry."""
-    return TrendFit(c=float(c[0, j]), d=float(d[0, j]), g0=float(g[0, j, 0]), residuals=shocks[0, j])
-
-
 def decompose_panel(panel: Panel, spec: TrendSpec) -> DecomposedPanel:
-    """Split every series of the panel, reporting all failures at once."""
-    failures = [_too_short(name, len(panel)) for name in panel.names]
-    if any(failures):
-        raise SeriesTooShortError("; ".join(failures))
+    """Split every series of the panel into G+ and G-, which sum back to it.
+
+    fits[j] holds the trend fit of series j. A panel too short for the
+    trend fit names every one of its series in the error.
+    """
+    if len(panel) < _MIN_LENGTH:
+        raise SeriesTooShortError(
+            "; ".join(
+                f"series {name!r}: length {len(panel)} < {_MIN_LENGTH} needed for trend fit"
+                for name in panel.names
+            )
+        )
     # Series-major and contiguous: the trend fit's sums are ordered by
     # memory layout, and a transposed view would move their last bits.
     g = np.ascontiguousarray(panel.matrix.T)[np.newaxis]
@@ -161,28 +142,11 @@ def decompose_panel(panel: Panel, spec: TrendSpec) -> DecomposedPanel:
         minus_panel=Panel._on_checked_dates(
             tuple(name + "_neg" for name in panel.names), panel.dates, minus[0].T
         ),
-        fits=tuple(_trend_fit(c, d, g, shocks, j) for j in range(panel.m)),
+        fits=tuple(
+            TrendFit(c=float(c[0, j]), d=float(d[0, j]), g0=float(g[0, j, 0]), residuals=shocks[0, j])
+            for j in range(panel.m)
+        ),
     )
-
-
-def build_components(series: Series, spec: TrendSpec) -> ComponentPair:
-    """Build G+ and G- so that G+[t] + G-[t] reproduces the series."""
-    decomposed = decompose_panel(Panel((series,)), spec)
-    return ComponentPair(
-        plus=decomposed.plus_panel.series[0],
-        minus=decomposed.minus_panel.series[0],
-        fit=decomposed.fits[0],
-    )
-
-
-def fit_trend(series: Series, spec: TrendSpec) -> TrendFit:
-    """Estimate c and d of the walk by least squares on first differences."""
-    failure = _too_short(series.name, len(series))
-    if failure:
-        raise SeriesTooShortError(failure)
-    g = series.values[np.newaxis, np.newaxis]
-    c, d, shocks = _trend_stack(g, spec)
-    return _trend_fit(c, d, g, shocks, 0)
 
 
 def component_panel(decomposed: DecomposedPanel, source: Panel, side: ShockSide) -> Panel:

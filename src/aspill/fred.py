@@ -29,7 +29,7 @@ from .errors import (
     MissingCredentialsError,
     SeriesNotFoundError,
 )
-from .panel import Series, parse_date
+from .panel import Panel, parse_date
 
 logger = logging.getLogger(__name__)
 
@@ -67,7 +67,7 @@ def _cache_path(cache_dir: Path, series_id: str, date_range: tuple[date | None, 
     return cache_dir / f"{safe_id}_{tag}.txt"
 
 
-def _read_cache(path: Path, series_id: str) -> Series | None:
+def _read_cache(path: Path, series_id: str) -> Panel | None:
     if not path.is_file():
         return None
     dates: list[date] = []
@@ -82,17 +82,17 @@ def _read_cache(path: Path, series_id: str) -> Series | None:
     if not dates:
         return None
     logger.debug("cache hit for %s at %s (%d observations)", series_id, path, len(dates))
-    return Series(series_id, tuple(dates), np.asarray(values))
+    return Panel((series_id,), dates, np.asarray(values)[:, np.newaxis])
 
 
-def _write_cache(path: Path, series: Series) -> None:
+def _write_cache(path: Path, panel: Panel) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"# {series.name}"]
-    lines += [f"{d.isoformat()} {float(v)!r}" for d, v in zip(series.dates, series.values)]
+    lines = [f"# {panel.names[0]}"]
+    lines += [f"{d.isoformat()} {float(v)!r}" for d, v in zip(panel.dates, panel.matrix[:, 0])]
     write_atomic(path, "\n".join(lines) + "\n")
 
 
-def _parse_observations(series_id: str, body: bytes) -> Series:
+def _parse_observations(series_id: str, body: bytes) -> Panel:
     try:
         payload = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -112,7 +112,7 @@ def _parse_observations(series_id: str, body: bytes) -> Series:
             raise MalformedResponseError(f"{series_id}: malformed observation {row!r}") from exc
     if not dates:
         raise SeriesNotFoundError(f"{series_id}: no observations returned")
-    return Series(series_id, tuple(dates), np.asarray(values))
+    return Panel((series_id,), dates, np.asarray(values)[:, np.newaxis])
 
 
 def fetch_fred(
@@ -121,12 +121,12 @@ def fetch_fred(
     date_range: tuple[date | None, date | None] = (None, None),
     cache_dir: str | Path = DEFAULT_CACHE_DIR,
     transport: Transport | None = None,
-) -> Series:
-    """Fetch one series, serving from the local cache when possible.
+) -> Panel:
+    """Fetch one series as a one-column Panel named by the series id.
 
-    The API key comes from the argument or the FRED_API_KEY environment
-    variable; it is only required on a cache miss, checked before any
-    network activity.
+    A hit in the local cache is served as is. The API key comes from the
+    argument or the FRED_API_KEY environment variable; it is only
+    required on a cache miss, checked before any network activity.
 
     Raises:
         MissingCredentialsError: cache miss and no API key available.
@@ -164,7 +164,7 @@ def fetch_fred(
             raise HttpFetchError(f"{series_id}: HTTP {status}: {message}", status=status)
         if status != 200:
             raise HttpFetchError(f"{series_id}: HTTP {status}", status=status)
-        series = _parse_observations(series_id, body)
-        _write_cache(path, series)
-        logger.info("fetched %s (%d observations)", series_id, len(series))
-        return series
+        panel = _parse_observations(series_id, body)
+        _write_cache(path, panel)
+        logger.info("fetched %s (%d observations)", series_id, len(panel))
+        return panel

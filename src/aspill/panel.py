@@ -1,10 +1,10 @@
 """Aligned multivariate time-series panels and their CSV ingestion.
 
-A Series is one named, date-indexed column of finite floats; a Panel is a
-set of series sharing one date index, held as one read-only (T, m)
-matrix. Dates are compared as calendar dates, never as raw strings, and
-month-resolution inputs ("2001-07") are normalized to the first of the
-month.
+A Panel is a set of named series of finite floats sharing one date
+index, held as one read-only (T, m) matrix; a single series is a
+one-column panel. Dates are compared as calendar dates, never as raw
+strings, and month-resolution inputs ("2001-07") are normalized to the
+first of the month.
 """
 
 from __future__ import annotations
@@ -12,9 +12,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass
 from datetime import date
-from functools import cached_property
 from itertools import islice
 from operator import itemgetter, lt
 from pathlib import Path
@@ -41,6 +41,10 @@ _MISSING_TOKENS = {"", ".", "na", "nan", "null", "none", "#n/a"}
 # Each block's fixed cost is small next to 512 rows of parsing.
 _BLOCK_ROWS = 512
 
+# The day form parse_date accepts: ASCII digits only, so that no
+# interpreter's wider date.fromisoformat grammar leaks in.
+_ISO_DAY = re.compile(r"\d{4}-\d{2}-\d{2}", re.ASCII)
+
 
 def parse_date(text: str) -> date:
     """Parse an ISO date, accepting YYYY-MM-DD or month-resolution YYYY-MM.
@@ -49,13 +53,15 @@ def parse_date(text: str) -> date:
         ValueError: the text is not such a date.
     """
     raw = text.strip()
-    parts = raw.split("-")
     try:
+        if _ISO_DAY.fullmatch(raw):
+            return date.fromisoformat(raw)
+        parts = raw.split("-")
         if len(parts) == 2:
             return date(int(parts[0]), int(parts[1]), 1)
-        return date.fromisoformat(raw)
     except OverflowError:
         raise ValueError(f"date out of range: {text!r}") from None
+    raise ValueError(f"not a YYYY-MM-DD or YYYY-MM date: {text!r}")
 
 
 def _is_missing(cell: str) -> bool:
@@ -93,47 +99,9 @@ def _check_dates(name: str, dates: Sequence[date]) -> None:
     raise DuplicateDateError(f"series {name!r}: dates not strictly increasing at {cur.isoformat()}")
 
 
-@dataclass(frozen=True, eq=False)
-class Series:
-    """One named series of finite values on strictly increasing dates."""
-
-    name: str
-    dates: tuple[date, ...]
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or values.size == 0:
-            raise ValueError(f"series {self.name!r} must hold a non-empty 1-D value array")
-        if len(self.dates) != values.size:
-            raise ValueError(f"series {self.name!r}: {len(self.dates)} dates vs {values.size} values")
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"series {self.name!r} holds non-finite values")
-        _check_dates(self.name, self.dates)
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    def rename(self, name: str) -> "Series":
-        return Series(name, self.dates, self.values.copy())
-
-
-def _column_series(name: str, dates: tuple[date, ...], column: np.ndarray) -> Series:
-    """A Series of one panel column on the panel's already-checked dates."""
-    values = column.copy()
-    values.flags.writeable = False
-    series = object.__new__(Series)
-    object.__setattr__(series, "name", name)
-    object.__setattr__(series, "dates", dates)
-    object.__setattr__(series, "values", values)
-    return series
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class Panel:
-    """Series sharing one date index; the unit every estimator consumes.
+    """Named series sharing one date index; the unit every estimator consumes.
 
     Column j of the read-only, C-contiguous (T, m) matrix is the series
     names[j], and row i holds the observations dated dates[i]. Dates are
@@ -146,16 +114,24 @@ class Panel:
     dates: tuple[date, ...]
     matrix: np.ndarray
 
-    def __init__(self, series: Sequence[Series]) -> None:
-        series = tuple(series)
-        if not series:
+    def __init__(self, names: Sequence[str], dates: Sequence[date], matrix: np.ndarray) -> None:
+        """Copy a (T, m) matrix as floats: column j is names[j], row i is dated dates[i].
+
+        Raises:
+            DuplicateDateError: the dates do not strictly increase.
+            ValueError: the shape does not match names and dates, or a
+                value is not finite.
+        """
+        names, dates = tuple(names), tuple(dates)
+        if not names:
             raise ValueError("panel needs at least one series")
-        ref = series[0].dates
-        for s in series[1:]:
-            if s.dates != ref:
-                raise ValueError(f"series {s.name!r} is not aligned with {series[0].name!r}")
-        self._assign(tuple(s.name for s in series), ref, np.stack([s.values for s in series], axis=1))
-        self.__dict__["series"] = series
+        matrix = np.array(matrix, dtype=float)
+        if matrix.ndim != 2 or matrix.shape[1] != len(names):
+            raise ValueError(f"matrix shape {matrix.shape} does not match {len(names)} names")
+        if len(dates) != matrix.shape[0]:
+            raise ValueError(f"series {names[0]!r}: {len(dates)} dates vs {matrix.shape[0]} values")
+        _check_dates(names[0], dates)
+        self._assign(names, dates, matrix)
 
     @classmethod
     def _on_checked_dates(
@@ -170,7 +146,7 @@ class Panel:
         if not names:
             raise ValueError("panel needs at least one series")
         if matrix.shape[0] == 0:
-            raise ValueError(f"series {names[0]!r} must hold a non-empty 1-D value array")
+            raise ValueError("panel needs at least one date")
         finite = np.isfinite(matrix).all(axis=0)
         if not finite.all():
             raise ValueError(f"series {names[int(np.argmin(finite))]!r} holds non-finite values")
@@ -184,13 +160,6 @@ class Panel:
         # A pickled array comes back writeable; rebuilding makes it read-only again.
         return (Panel._on_checked_dates, (self.names, self.dates, self.matrix))
 
-    @cached_property
-    def series(self) -> tuple[Series, ...]:
-        """The columns as Series, built on first use."""
-        return tuple(
-            _column_series(name, self.dates, self.matrix[:, j]) for j, name in enumerate(self.names)
-        )
-
     @property
     def m(self) -> int:
         return self.matrix.shape[1]
@@ -201,20 +170,6 @@ class Panel:
     def window(self, start: int, stop: int) -> "Panel":
         """Row slice [start, stop) as a new Panel sharing this panel's matrix."""
         return Panel._on_checked_dates(self.names, self.dates[start:stop], self.matrix[start:stop])
-
-    @classmethod
-    def from_matrix(cls, names: Sequence[str], dates: Sequence[date], matrix: np.ndarray) -> "Panel":
-        """A panel holding a copy of a (T, m) matrix, one column per name."""
-        names, dates = tuple(names), tuple(dates)
-        if not names:
-            raise ValueError("panel needs at least one series")
-        matrix = np.array(matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[1] != len(names):
-            raise ValueError(f"matrix shape {matrix.shape} does not match {len(names)} names")
-        if len(dates) != matrix.shape[0]:
-            raise ValueError(f"series {names[0]!r}: {len(dates)} dates vs {matrix.shape[0]} values")
-        _check_dates(names[0], dates)
-        return cls._on_checked_dates(names, dates, matrix)
 
 
 def _row_blocks(reader: Any) -> Iterator[tuple[list[list[str]], list[int]]]:

@@ -210,7 +210,9 @@ def run_pipeline(cfg: RunConfig) -> RunManifest:
 
     Sides fail independently: outputs of completed sides stay on disk,
     and a PipelineError naming every failed (side, stage) is raised at
-    the end. The manifest is only written when every side succeeded.
+    the end. The manifest is only written when every side succeeded; an
+    earlier run's manifest is removed before the first output is written,
+    so a failed run never leaves one that describes other outputs.
     """
     out_dir = Path(cfg.out_dir)
 
@@ -221,6 +223,7 @@ def run_pipeline(cfg: RunConfig) -> RunManifest:
     labels = tuple(cfg.columns)
 
     out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / MANIFEST_NAME).unlink(missing_ok=True)
     decomposed = None
     if any(side is not ShockSide.SYMMETRIC for side in cfg.sides):
         decomposed = decompose_panel(panel, cfg.trend)

@@ -187,9 +187,3 @@ def rolling_tables(
         gap_reasons=tuple(reasons),
     )
 
-
-def rolling_index(
-    panel: Panel, cfg: RollingConfig, decompose_per_window: bool = False
-) -> SpilloverSeries:
-    """Spillover index per sliding window; gaps are flagged, not dropped."""
-    return rolling_tables(panel, cfg, decompose_per_window).index_series()

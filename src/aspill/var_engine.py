@@ -31,7 +31,6 @@ class VarSpec:
     """Estimation request: propagation lags plus optional augmentation."""
 
     p: int
-    include_intercept: bool = True
     ty_extra_lags: int = 0
 
     def __post_init__(self) -> None:
@@ -121,29 +120,27 @@ class VarStack:
 _BLOCK_ROWS = 2048
 
 
-def _stacked_design(stack: np.ndarray, lags: int, intercept: bool) -> np.ndarray:
+def _stacked_design(stack: np.ndarray, lags: int) -> np.ndarray:
     """Rows t = lags..W-1 of every window as [1, y_{t-1}, .., y_{t-lags}, y_t]."""
     c, W, m = stack.shape
     blocks = [stack[:, lags - s : W - s] for s in (*range(1, lags + 1), 0)]
-    if intercept:
-        blocks.insert(0, np.ones((c, W - lags, 1)))
-    return np.concatenate(blocks, axis=2)
+    return np.concatenate([np.ones((c, W - lags, 1)), *blocks], axis=2)
 
 
-def _design_blocks(stack: np.ndarray, lags: int, intercept: bool) -> Iterator[np.ndarray]:
+def _design_blocks(stack: np.ndarray, lags: int) -> Iterator[np.ndarray]:
     """The augmented design of a (c, W, m) stack, _BLOCK_ROWS usable rows at a time."""
     for lo in range(0, stack.shape[1] - lags, _BLOCK_ROWS):
-        yield _stacked_design(stack[:, lo : lo + _BLOCK_ROWS + lags], lags, intercept)
+        yield _stacked_design(stack[:, lo : lo + _BLOCK_ROWS + lags], lags)
 
 
-def _r_factor(stack: np.ndarray, lags: int, intercept: bool) -> np.ndarray:
+def _r_factor(stack: np.ndarray, lags: int) -> np.ndarray:
     """R of the QR of each window's augmented design, folded over row blocks.
 
     Stacking R on the next block and factoring again leaves the same R,
     up to row signs, as one QR of all rows (TSQR).
     """
     r = None
-    for block in _design_blocks(stack, lags, intercept):
+    for block in _design_blocks(stack, lags):
         r = np.linalg.qr(block if r is None else np.concatenate([r, block], axis=1), mode="r")
     return r
 
@@ -175,7 +172,7 @@ def check_sample(rows: int, m: int, spec: VarSpec) -> None:
     """Raise InsufficientDataError unless rows observations of m series can be fitted."""
     if m < 2:
         raise InsufficientDataError(f"need at least 2 series for a VAR, got {m}")
-    k = m * spec.p_effective + (1 if spec.include_intercept else 0)
+    k = m * spec.p_effective + 1
     T_eff = rows - spec.p_effective
     if T_eff <= k:
         raise InsufficientDataError(
@@ -185,7 +182,7 @@ def check_sample(rows: int, m: int, spec: VarSpec) -> None:
 
 def design_bytes(rows: int, m: int, spec: VarSpec) -> int:
     """Size of the largest design block fit_var_stack builds for one window of rows."""
-    columns = m * (spec.p_effective + 1) + (1 if spec.include_intercept else 0)
+    columns = m * (spec.p_effective + 1) + 1
     return 8 * min(rows - spec.p_effective, _BLOCK_ROWS) * columns
 
 
@@ -201,7 +198,7 @@ def fit_var_stack(stack: np.ndarray, spec: VarSpec) -> VarStack:
     """
     c, W, m = stack.shape
     n = W - spec.p_effective
-    r = _r_factor(stack, spec.p_effective, spec.include_intercept)
+    r = _r_factor(stack, spec.p_effective)
     k = r.shape[2] - m
     r11, r12, r22 = r[:, :k, :k], r[:, :k, k:], r[:, k:, k:]
     sv = np.linalg.svd(r11, compute_uv=False)
@@ -214,8 +211,7 @@ def fit_var_stack(stack: np.ndarray, spec: VarSpec) -> VarStack:
     coef = np.linalg.solve(r11, r12)
     gamma = r22.swapaxes(1, 2) @ r22 / (n - k)
     gamma = (gamma + gamma.swapaxes(1, 2)) / 2.0
-    lags = coef[:, int(spec.include_intercept) :]
-    B = lags.reshape(c, spec.p_effective, m, m).swapaxes(2, 3).copy()
+    B = coef[:, 1:].reshape(c, spec.p_effective, m, m).swapaxes(2, 3).copy()
     return VarStack(
         p=spec.p,
         coef=coef,
@@ -250,14 +246,14 @@ def estimate_var(panel: Panel, spec: VarSpec) -> VarFit:
     residuals = np.concatenate(
         [
             block[0, :, k:] - block[0, :, :k] @ coef
-            for block in _design_blocks(matrix[np.newaxis], spec.p_effective, spec.include_intercept)
+            for block in _design_blocks(matrix[np.newaxis], spec.p_effective)
         ]
     )
     return VarFit(
         names=panel.names,
         p=spec.p,
         p_effective=spec.p_effective,
-        B0=coef[0].copy() if spec.include_intercept else np.zeros(panel.m),
+        B0=coef[0].copy(),
         B=tuple(fits.B[0]),
         residuals=residuals,
         Gamma=fits.Gamma[0],
@@ -303,7 +299,7 @@ def _lag_criteria(panel: Panel, p_max: int, criterion: str) -> list[float]:
         raise InsufficientDataError(
             f"{matrix.shape[0]} rows leave {n} common observations for up to {K} regressors"
         )
-    r = _r_factor(matrix[np.newaxis], p_max, True)[0]
+    r = _r_factor(matrix[np.newaxis], p_max)[0]
     values = []
     for j in range(1, p_max + 1):
         k = m * j + 1

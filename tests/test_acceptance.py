@@ -8,6 +8,7 @@ reported.
 
 from __future__ import annotations
 
+import importlib.util
 import py_compile
 import time
 import warnings
@@ -15,22 +16,23 @@ from pathlib import Path
 
 import numpy as np
 
+import aspill.fred as fred
 from aspill.cli import main as cli_main
 from aspill.connectedness import (
     build_table,
     compute_fevd,
-    gfevd,
     net_measures,
     table_from_percent,
 )
-from aspill.decomposition import ShockSide, TrendSpec, build_components
-from aspill.rolling import RollingConfig, rolling_index
+from aspill.decomposition import ShockSide, TrendSpec, decompose_panel
+from aspill.rolling import RollingConfig, rolling_tables
 from aspill.var_engine import MaCoefficients, VarSpec, estimate_var, ma_coefficients
 from test_connectedness import gfevd_oracle, random_ma, random_table
 from test_pipeline import tree_digest, write_walk_csv
 from test_var_engine import companion_power_block, exact_var1_path
 from varsim import (
     make_panel,
+    monthly_dates,
     random_stable_coefficients,
     random_walk_panel,
     simulate_var,
@@ -52,10 +54,9 @@ def test_criterion_1_reconstruction_identity():
     for i in range(1000):
         T = int(rng.integers(50, 501))
         g = np.cumsum(rng.standard_normal(T) + rng.normal(0.0, 0.2)) + 100.0
-        pair = build_components(
-            make_panel(g).series[0], specs[i % len(specs)]
-        )
-        err = float(np.max(np.abs(pair.plus.values + pair.minus.values - g)))
+        decomposed = decompose_panel(make_panel(g), specs[i % len(specs)])
+        recon = decomposed.plus_panel.matrix + decomposed.minus_panel.matrix
+        err = float(np.max(np.abs(recon[:, 0] - g)))
         worst = max(worst, err)
     elapsed = time.perf_counter() - start
     check(
@@ -97,13 +98,13 @@ def test_criterion_3_share_matrix_matches_scalar_oracle():
         m = int(rng.integers(2, 5))
         n = int(rng.integers(0, 21))
         ma, gamma = random_ma(rng, m, int(rng.integers(1, 3)), n)
-        diff = gfevd(ma, gamma, n) - gfevd_oracle(list(ma.K), gamma, n)
+        diff = compute_fevd(ma, gamma, n).raw - gfevd_oracle(list(ma.K), gamma, n)
         worst = max(worst, float(np.max(np.abs(diff))))
     corr_worst = 0.0
     for _ in range(20):
         m = int(rng.integers(2, 6))
         _, gamma = random_ma(rng, m, 1, 0)
-        raw = gfevd(MaCoefficients(horizon=0, K=(np.eye(m),)), gamma, 0)
+        raw = compute_fevd(MaCoefficients(horizon=0, K=(np.eye(m),)), gamma, 0).raw
         d = np.sqrt(np.diag(gamma))
         rho2 = (gamma / np.outer(d, d)) ** 2
         corr_worst = max(corr_worst, float(np.max(np.abs(raw - rho2))))
@@ -122,9 +123,10 @@ def test_criterion_4_covariance_scale_invariance():
     worst = 0.0
     for _ in range(20):
         ma, gamma = random_ma(rng, 3, 2, 10)
-        base = gfevd(ma, gamma, 10)
+        base = compute_fevd(ma, gamma, 10).raw
         for c in (1e-4, 1.0, 1e4):
-            worst = max(worst, float(np.max(np.abs(gfevd(ma, c * gamma, 10) - base))))
+            scaled = compute_fevd(ma, c * gamma, 10).raw
+            worst = max(worst, float(np.max(np.abs(scaled - base))))
     check(
         4,
         worst < 1e-12,
@@ -234,6 +236,38 @@ def test_criterion_8_asymmetry_demo_script():
     check(8, True, "demonstration script compiles; see the [INFO] line above")
 
 
+def test_asymmetry_demo_script_runs_from_a_warm_cache(tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("asymmetry_demo", SCRIPT)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FRED_API_KEY", raising=False)
+
+    def refuse(url):
+        raise AssertionError("a warm cache must not reach the network")
+
+    monkeypatch.setattr(fred, "_default_transport", refuse)
+    start, end = demo.RANGE
+    dates = monthly_dates((end.year - start.year + 1) * 12, start_year=start.year)
+    rng = np.random.default_rng(2029)
+    ids = ["USIDX", "EUIDX", "CNIDX"]
+    cache_dir = Path(fred.DEFAULT_CACHE_DIR)
+    cache_dir.mkdir()
+    for series_id in ids:
+        levels = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.04, size=len(dates))))
+        lines = [f"# {series_id}"] + [f"{d.isoformat()} {float(v)!r}" for d, v in zip(dates, levels)]
+        fred._cache_path(cache_dir, series_id, demo.RANGE).write_text(
+            "\n".join(lines) + "\n", encoding="utf-8"
+        )
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = demo.main(ids)
+    out = capsys.readouterr().out
+    assert code in (0, 1)
+    assert out.count("total spillover index") == 3
+
+
 def test_criterion_9_rolling_consistency():
     rng = np.random.default_rng(2028)
     cfg = RollingConfig(
@@ -243,19 +277,19 @@ def test_criterion_9_rolling_consistency():
     start = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        dense = rolling_index(panel, cfg)
+        dense = rolling_tables(panel, cfg).index_series()
     elapsed = time.perf_counter() - start
 
     single_cfg = RollingConfig(window=500, horizon=10, var_spec=VarSpec(p=2))
-    single = rolling_index(panel, single_cfg)
+    single = rolling_tables(panel, single_cfg).index_series()
     fit = estimate_var(panel, VarSpec(p=2))
     fevd = compute_fevd(ma_coefficients(fit, 10), fit.Gamma, 10)
     full = build_table(fevd.normalized, panel.names).total_spillover
     single_exact = single.index_values[0] == full
 
-    strided = rolling_index(
+    strided = rolling_tables(
         panel, RollingConfig(window=201, horizon=10, var_spec=VarSpec(p=2), step=25)
-    )
+    ).index_series()
     positions = [dense.window_end_dates.index(d) for d in strided.window_end_dates]
     stride_exact = bool(
         np.array_equal(strided.index_values, dense.index_values[positions])

@@ -15,9 +15,8 @@ from aspill.connectedness import (
     build_table,
     compute_fevd,
     directional,
-    gfevd,
     net_measures,
-    normalize_rows,
+    normalize_stack,
     table_from_percent,
 )
 from aspill.errors import DegenerateCovarianceError
@@ -98,7 +97,7 @@ class TestGfevd:
         rng = np.random.default_rng(40)
         gamma = random_covariance(rng, 4)
         ma = MaCoefficients(horizon=0, K=(np.eye(4),))
-        raw = gfevd(ma, gamma, 0)
+        raw = compute_fevd(ma, gamma, 0).raw
         d = np.sqrt(np.diag(gamma))
         rho2 = (gamma / np.outer(d, d)) ** 2
         np.testing.assert_allclose(raw, rho2, atol=1e-12)
@@ -107,7 +106,7 @@ class TestGfevd:
     def test_diagonal_system_is_identity_patterned(self):
         gamma = np.diag([2.0, 0.5, 1.5])
         K = (np.eye(3), np.diag([0.5, 0.4, 0.3]), np.diag([0.25, 0.16, 0.09]))
-        raw = gfevd(MaCoefficients(horizon=2, K=K), gamma, 2)
+        raw = compute_fevd(MaCoefficients(horizon=2, K=K), gamma, 2).raw
         np.testing.assert_allclose(raw, np.eye(3), atol=1e-12)
         np.testing.assert_allclose(raw.sum(axis=1), 1.0, atol=1e-12)
 
@@ -116,7 +115,7 @@ class TestGfevd:
         gamma = np.array([[1.0, 0.3], [0.3, 1.0]])
         K = [np.linalg.matrix_power(B1, i) for i in range(11)]
         ma = MaCoefficients(horizon=10, K=tuple(K))
-        raw = gfevd(ma, gamma, 10)
+        raw = compute_fevd(ma, gamma, 10).raw
         np.testing.assert_allclose(raw, gfevd_oracle(K, gamma, 10), atol=1e-12)
 
     def test_matches_oracle_on_random_instances(self):
@@ -125,56 +124,60 @@ class TestGfevd:
             m = int(rng.integers(2, 5))
             n = int(rng.integers(0, 21))
             ma, gamma = random_ma(rng, m, int(rng.integers(1, 3)), n)
-            raw = gfevd(ma, gamma, n)
+            raw = compute_fevd(ma, gamma, n).raw
             np.testing.assert_allclose(raw, gfevd_oracle(list(ma.K), gamma, n), atol=1e-12)
 
     def test_sigma_ii_variant_matches_oracle(self):
         rng = np.random.default_rng(42)
         ma, gamma = random_ma(rng, 3, 2, 8)
-        raw = gfevd(ma, gamma, 8, sigma_scaling="ii")
+        raw = compute_fevd(ma, gamma, 8, sigma_scaling="ii").raw
         np.testing.assert_allclose(raw, gfevd_oracle(list(ma.K), gamma, 8, "ii"), atol=1e-12)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(43)
         ma, gamma = random_ma(rng, 3, 2, 10)
-        base = gfevd(ma, gamma, 10)
+        base = compute_fevd(ma, gamma, 10).raw
         for c in (1e-4, 1.0, 1e4):
-            np.testing.assert_allclose(gfevd(ma, c * gamma, 10), base, atol=1e-12)
+            np.testing.assert_allclose(compute_fevd(ma, c * gamma, 10).raw, base, atol=1e-12)
 
     def test_horizon_beyond_available_terms(self):
         ma = MaCoefficients(horizon=2, K=(np.eye(2),) * 3)
         with pytest.raises(ValueError):
-            gfevd(ma, np.eye(2), 3)
+            compute_fevd(ma, np.eye(2), 3)
 
     def test_non_positive_diagonal_rejected(self):
         ma = MaCoefficients(horizon=0, K=(np.eye(2),))
         with pytest.raises(DegenerateCovarianceError):
-            gfevd(ma, np.array([[1.0, 0.0], [0.0, 0.0]]), 0)
+            compute_fevd(ma, np.array([[1.0, 0.0], [0.0, 0.0]]), 0)
 
     def test_unknown_scaling_rejected(self):
         ma = MaCoefficients(horizon=0, K=(np.eye(2),))
         with pytest.raises(ValueError):
-            gfevd(ma, np.eye(2), 0, sigma_scaling="kk")
+            compute_fevd(ma, np.eye(2), 0, sigma_scaling="kk")
 
 
 class TestNormalizeRows:
+    """Row normalization, through normalize_stack on a stack of one."""
+
     def test_identity_unchanged(self):
-        np.testing.assert_array_equal(normalize_rows(np.eye(3)), np.eye(3))
+        normalized, reasons = normalize_stack(np.eye(3)[np.newaxis])
+        np.testing.assert_array_equal(normalized[0], np.eye(3))
+        assert reasons == [None]
 
     def test_simple_row(self):
         np.testing.assert_allclose(
-            normalize_rows(np.array([[2.0, 2.0]])), [[0.5, 0.5]], atol=1e-15
+            normalize_stack(np.array([[[2.0, 2.0]]]))[0][0], [[0.5, 0.5]], atol=1e-15
         )
 
     def test_total_mass_equals_m(self):
         rng = np.random.default_rng(44)
         ma, gamma = random_ma(rng, 4, 2, 10)
-        normalized = normalize_rows(gfevd(ma, gamma, 10))
+        normalized = compute_fevd(ma, gamma, 10).normalized
         assert normalized.sum() == pytest.approx(4.0, abs=1e-9)
 
     def test_zero_row_rejected(self):
-        with pytest.raises(DegenerateCovarianceError):
-            normalize_rows(np.array([[0.0, 0.0], [1.0, 1.0]]))
+        _, reasons = normalize_stack(np.array([[[0.0, 0.0], [1.0, 1.0]]]))
+        assert reasons == ["cannot normalize a row with non-positive sum"]
 
 
 class TestGoldenTables:
@@ -290,7 +293,7 @@ class TestRelabeling:
     def test_permutation_consistency(self):
         rng = np.random.default_rng(49)
         ma, gamma = random_ma(rng, 3, 2, 10)
-        normalized = normalize_rows(gfevd(ma, gamma, 10))
+        normalized = compute_fevd(ma, gamma, 10).normalized
         perm = [2, 0, 1]
         table = build_table(normalized, ("a", "b", "c"))
         table_p = build_table(normalized[np.ix_(perm, perm)], ("c", "a", "b"))

@@ -18,40 +18,44 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aspill.decomposition import (
-    ShockSide,
-    TrendSpec,
-    build_components,
-    component_panel,
-    decompose_panel,
-    fit_trend,
-    split_shocks,
-)
+from aspill.decomposition import ShockSide, TrendSpec, component_panel, decompose_panel
 from aspill.errors import SeriesTooShortError
-from aspill.panel import Panel
-from varsim import make_panel, make_series, random_walk_matrix
+from varsim import make_panel, random_walk_matrix
 
 G_EXAMPLE = np.array([10.0, 12.0, 11.0, 14.0])
 PLUS_EXPECTED = np.array([5.0, 19.0 / 3.0, 7.0, 28.0 / 3.0])
 MINUS_EXPECTED = np.array([5.0, 17.0 / 3.0, 4.0, 14.0 / 3.0])
 
 
+def clamped_shocks(shocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positive and negative parts of shocks, read off their components.
+
+    Series j is (0, v_j, v_j, v_j): without a trend its only shock is v_j,
+    its deterministic half is zero, and row 1 of each component panel is
+    the clamped shock itself, with no rounding on the way.
+    """
+    g = np.zeros((4, shocks.size))
+    g[1:] = shocks
+    decomposed = decompose_panel(make_panel(g), TrendSpec.NONE)
+    return decomposed.plus_panel.matrix[1], decomposed.minus_panel.matrix[1]
+
+
 class TestFitTrend:
     def test_exact_linear_walk(self):
-        fit = fit_trend(make_series([0.0, 1.0, 2.0, 3.0, 4.0]), TrendSpec.DRIFT)
+        fit = decompose_panel(make_panel([0.0, 1.0, 2.0, 3.0, 4.0]), TrendSpec.DRIFT).fits[0]
         assert fit.c == pytest.approx(1.0, abs=1e-12)
         assert fit.d == 0.0
         np.testing.assert_allclose(fit.residuals, 0.0, atol=1e-12)
 
     def test_drift_example(self):
-        fit = fit_trend(make_series(G_EXAMPLE), TrendSpec.DRIFT)
+        fit = decompose_panel(make_panel(G_EXAMPLE), TrendSpec.DRIFT).fits[0]
         assert fit.c == pytest.approx(4.0 / 3.0, abs=1e-12)
         assert fit.d == 0.0
         assert fit.g0 == 10.0
         np.testing.assert_allclose(fit.residuals, [2.0 / 3.0, -7.0 / 3.0, 5.0 / 3.0], atol=1e-12)
 
     def test_none_passes_differences_through(self):
-        fit = fit_trend(make_series(G_EXAMPLE), TrendSpec.NONE)
+        fit = decompose_panel(make_panel(G_EXAMPLE), TrendSpec.NONE).fits[0]
         assert fit.c == 0.0 and fit.d == 0.0
         np.testing.assert_array_equal(fit.residuals, np.diff(G_EXAMPLE))
 
@@ -59,85 +63,85 @@ class TestFitTrend:
         c, d, g0 = 0.7, 0.25, 3.0
         t = np.arange(12)
         g = g0 + c * t + d * t * (t + 1) / 2.0
-        fit = fit_trend(make_series(g), TrendSpec.DRIFT_AND_TREND)
+        fit = decompose_panel(make_panel(g), TrendSpec.DRIFT_AND_TREND).fits[0]
         assert fit.c == pytest.approx(c, abs=1e-10)
         assert fit.d == pytest.approx(d, abs=1e-10)
         np.testing.assert_allclose(fit.residuals, 0.0, atol=1e-10)
 
     def test_too_short(self):
         with pytest.raises(SeriesTooShortError):
-            fit_trend(make_series([1.0, 2.0, 3.0]), TrendSpec.DRIFT)
+            decompose_panel(make_panel([1.0, 2.0, 3.0]), TrendSpec.DRIFT)
 
 
 class TestSplitShocks:
     def test_example_continuation(self):
-        plus, minus = split_shocks(np.array([2.0 / 3.0, -7.0 / 3.0, 5.0 / 3.0]))
+        plus, minus = clamped_shocks(np.array([2.0 / 3.0, -7.0 / 3.0, 5.0 / 3.0]))
         np.testing.assert_array_equal(plus, [2.0 / 3.0, 0.0, 5.0 / 3.0])
         np.testing.assert_array_equal(minus, [0.0, -7.0 / 3.0, 0.0])
 
     def test_all_zero(self):
-        plus, minus = split_shocks(np.zeros(4))
+        plus, minus = clamped_shocks(np.zeros(4))
         np.testing.assert_array_equal(plus, 0.0)
         np.testing.assert_array_equal(minus, 0.0)
 
     def test_all_negative(self):
-        plus, minus = split_shocks(np.array([-1.0, -2.0]))
+        plus, minus = clamped_shocks(np.array([-1.0, -2.0]))
         np.testing.assert_array_equal(plus, 0.0)
         np.testing.assert_array_equal(minus, [-1.0, -2.0])
 
     def test_parts_sum_back_exactly(self):
         rng = np.random.default_rng(3)
         v = rng.normal(size=200)
-        plus, minus = split_shocks(v)
+        plus, minus = clamped_shocks(v)
         np.testing.assert_array_equal(plus + minus, v)
 
 
 class TestBuildComponents:
     def test_drift_example_matches_hand_derivation(self):
-        pair = build_components(make_series(G_EXAMPLE, name="g"), TrendSpec.DRIFT)
-        np.testing.assert_allclose(pair.plus.values, PLUS_EXPECTED, atol=1e-12)
-        np.testing.assert_allclose(pair.minus.values, MINUS_EXPECTED, atol=1e-12)
-        np.testing.assert_allclose(pair.plus.values + pair.minus.values, G_EXAMPLE, atol=1e-12)
+        decomposed = decompose_panel(make_panel(G_EXAMPLE, names=["g"]), TrendSpec.DRIFT)
+        plus, minus = decomposed.plus_panel.matrix[:, 0], decomposed.minus_panel.matrix[:, 0]
+        np.testing.assert_allclose(plus, PLUS_EXPECTED, atol=1e-12)
+        np.testing.assert_allclose(minus, MINUS_EXPECTED, atol=1e-12)
+        np.testing.assert_allclose(plus + minus, G_EXAMPLE, atol=1e-12)
 
     def test_component_names_and_dates(self):
-        pair = build_components(make_series(G_EXAMPLE, name="g"), TrendSpec.DRIFT)
-        assert pair.plus.name == "g_pos"
-        assert pair.minus.name == "g_neg"
-        assert pair.plus.dates == pair.minus.dates
+        decomposed = decompose_panel(make_panel(G_EXAMPLE, names=["g"]), TrendSpec.DRIFT)
+        assert decomposed.plus_panel.names == ("g_pos",)
+        assert decomposed.minus_panel.names == ("g_neg",)
+        assert decomposed.plus_panel.dates == decomposed.minus_panel.dates
 
     def test_initial_observation_split_in_half(self):
-        pair = build_components(make_series(G_EXAMPLE), TrendSpec.DRIFT)
-        assert pair.plus.values[0] == 5.0
-        assert pair.minus.values[0] == 5.0
+        decomposed = decompose_panel(make_panel(G_EXAMPLE), TrendSpec.DRIFT)
+        assert decomposed.plus_panel.matrix[0, 0] == 5.0
+        assert decomposed.minus_panel.matrix[0, 0] == 5.0
 
     def test_exact_linear_walk_gives_deterministic_halves(self):
         g = 2.0 + 1.5 * np.arange(6)
-        pair = build_components(make_series(g), TrendSpec.DRIFT)
+        decomposed = decompose_panel(make_panel(g), TrendSpec.DRIFT)
         expected = (1.5 * np.arange(6) + 2.0) / 2.0
-        np.testing.assert_allclose(pair.plus.values, expected, atol=1e-12)
-        np.testing.assert_allclose(pair.minus.values, expected, atol=1e-12)
+        np.testing.assert_allclose(decomposed.plus_panel.matrix[:, 0], expected, atol=1e-12)
+        np.testing.assert_allclose(decomposed.minus_panel.matrix[:, 0], expected, atol=1e-12)
 
     def test_shock_parts_are_monotone(self):
         rng = np.random.default_rng(8)
         g = np.cumsum(rng.normal(size=80)) + 10.0
         for spec in TrendSpec:
-            pair = build_components(make_series(g), spec)
-            fit = pair.fit
+            decomposed = decompose_panel(make_panel(g), spec)
+            fit = decomposed.fits[0]
             t = np.arange(g.size)
             deterministic = (fit.c * t + fit.d * t * (t + 1) / 2.0 + fit.g0) / 2.0
-            plus_shocks = pair.plus.values - deterministic
-            minus_shocks = pair.minus.values - deterministic
+            plus_shocks = decomposed.plus_panel.matrix[:, 0] - deterministic
+            minus_shocks = decomposed.minus_panel.matrix[:, 0] - deterministic
             assert np.all(np.diff(plus_shocks) >= -1e-12)
             assert np.all(np.diff(minus_shocks) <= 1e-12)
 
     def test_resplitting_cumulative_shocks_leaves_one_side_zero(self):
         rng = np.random.default_rng(9)
         g = np.cumsum(rng.normal(size=50))
-        pair = build_components(make_series(g), TrendSpec.NONE)
         cumulative_plus = np.concatenate([[0.0], np.cumsum(np.maximum(np.diff(g), 0.0))])
-        again = build_components(make_series(cumulative_plus), TrendSpec.NONE)
-        np.testing.assert_array_equal(again.minus.values, 0.0)
-        np.testing.assert_allclose(again.plus.values, cumulative_plus, atol=1e-12)
+        again = decompose_panel(make_panel(cumulative_plus), TrendSpec.NONE)
+        np.testing.assert_array_equal(again.minus_panel.matrix[:, 0], 0.0)
+        np.testing.assert_allclose(again.plus_panel.matrix[:, 0], cumulative_plus, atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -150,9 +154,10 @@ class TestBuildComponents:
     )
     def test_reconstruction_property(self, values, spec):
         g = np.array(values)
-        pair = build_components(make_series(g), spec)
+        decomposed = decompose_panel(make_panel(g), spec)
+        recon = decomposed.plus_panel.matrix[:, 0] + decomposed.minus_panel.matrix[:, 0]
         scale = max(1.0, float(np.max(np.abs(g))))
-        np.testing.assert_allclose(pair.plus.values + pair.minus.values, g, atol=1e-9 * scale)
+        np.testing.assert_allclose(recon, g, atol=1e-9 * scale)
 
 
 class TestDecomposePanel:
@@ -165,12 +170,15 @@ class TestDecomposePanel:
         assert len(decomposed.plus_panel) == 50
         assert decomposed.plus_panel.names == ("s0_pos", "s1_pos", "s2_pos")
 
-    def test_single_series_panel_matches_build_components(self):
-        g = make_series(G_EXAMPLE)
-        decomposed = decompose_panel(Panel((g,)), TrendSpec.DRIFT)
-        pair = build_components(g, TrendSpec.DRIFT)
-        np.testing.assert_array_equal(decomposed.plus_panel.matrix[:, 0], pair.plus.values)
-        np.testing.assert_array_equal(decomposed.minus_panel.matrix[:, 0], pair.minus.values)
+    def test_single_series_panel_matches_its_column_in_a_wider_panel(self):
+        rng = np.random.default_rng(13)
+        panel = make_panel(random_walk_matrix(rng, 40, 3))
+        wide = decompose_panel(panel, TrendSpec.DRIFT)
+        for j in range(panel.m):
+            alone = decompose_panel(make_panel(panel.matrix[:, j]), TrendSpec.DRIFT)
+            np.testing.assert_array_equal(alone.plus_panel.matrix[:, 0], wide.plus_panel.matrix[:, j])
+            np.testing.assert_array_equal(alone.minus_panel.matrix[:, 0], wide.minus_panel.matrix[:, j])
+            assert alone.fits[0].c == wide.fits[j].c
 
     def test_randomized_reconstruction(self):
         rng = np.random.default_rng(11)

@@ -52,10 +52,10 @@ def refusing_transport(url: str) -> tuple[int, bytes]:
 
 class TestFetch:
     def test_parses_and_skips_missing_markers(self, tmp_path):
-        series = fetch_fred("VXO", api_key="k", cache_dir=tmp_path, transport=RecordingTransport())
-        assert series.name == "VXO"
-        assert series.dates == (date(2020, 1, 1), date(2020, 1, 3))
-        np.testing.assert_array_equal(series.values, [1.5, 2.25])
+        panel = fetch_fred("VXO", api_key="k", cache_dir=tmp_path, transport=RecordingTransport())
+        assert panel.names == ("VXO",)
+        assert panel.dates == (date(2020, 1, 1), date(2020, 1, 3))
+        np.testing.assert_array_equal(panel.matrix, [[1.5], [2.25]])
 
     def test_url_carries_key_and_range(self, tmp_path):
         transport = RecordingTransport()
@@ -78,7 +78,7 @@ class TestFetch:
         first = fetch_fred("VXO", api_key="k", cache_dir=tmp_path, transport=RecordingTransport())
         second = fetch_fred("VXO", cache_dir=tmp_path, transport=refusing_transport)
         assert second.dates == first.dates
-        np.testing.assert_array_equal(second.values, first.values)
+        np.testing.assert_array_equal(second.matrix, first.matrix)
 
     def test_missing_key_fails_before_network(self, tmp_path, monkeypatch):
         monkeypatch.delenv("FRED_API_KEY", raising=False)
@@ -207,5 +207,5 @@ class TestConcurrency:
             t.join()
         assert errors == []
         assert len(transport.urls) == 1
-        for series in results:
-            np.testing.assert_array_equal(series.values, results[0].values)
+        for panel in results:
+            np.testing.assert_array_equal(panel.matrix, results[0].matrix)

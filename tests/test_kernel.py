@@ -18,7 +18,7 @@ import pytest
 
 import aspill.rolling as rolling
 import test_rolling
-from aspill.connectedness import compute_fevd, gfevd, gfevd_stack
+from aspill.connectedness import compute_fevd, gfevd_stack
 from aspill.decomposition import ShockSide, TrendSpec
 from aspill.rolling import RollingConfig, rolling_tables
 from aspill.var_engine import (
@@ -62,15 +62,12 @@ def oracle_window(window: np.ndarray, cfg: RollingConfig) -> tuple[float | None,
     T, m = window.shape
     p, p_eff = spec.p, spec.p_effective
     blocks = [window[p_eff - s : T - s] for s in range(1, p_eff + 1)]
-    if spec.include_intercept:
-        blocks.insert(0, np.ones((T - p_eff, 1)))
-    x, y = np.hstack(blocks), window[p_eff:]
+    x, y = np.hstack([np.ones((T - p_eff, 1)), *blocks]), window[p_eff:]
     k = x.shape[1]
     coef, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
     if rank < k:
         return None, f"regressor matrix is rank deficient ({rank} < {k})", False
-    offset = 1 if spec.include_intercept else 0
-    B = [coef[offset + s * m : offset + (s + 1) * m].T for s in range(p_eff)]
+    B = [coef[1 + s * m : 1 + (s + 1) * m].T for s in range(p_eff)]
     residuals = y - x @ coef
     gamma = residuals.T @ residuals / (T - p_eff - k)
     gamma = (gamma + gamma.T) / 2.0
@@ -243,7 +240,7 @@ def test_degenerate_window_leaves_the_rest_of_its_stack_intact():
     assert reasons == [None, "covariance diagonal must be strictly positive", None]
     assert np.all(np.isfinite(raw))
     for i in (0, 2):
-        alone = gfevd(MaCoefficients(horizon=h, K=tuple(K[i])), gamma[i], h)
+        alone = compute_fevd(MaCoefficients(horizon=h, K=tuple(K[i])), gamma[i], h).raw
         assert np.array_equal(raw[i], alone)
 
 

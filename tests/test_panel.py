@@ -20,7 +20,7 @@ from aspill.errors import (
     NoUsableRowsError,
     UnknownColumnError,
 )
-from aspill.panel import Panel, Series, align, load_csv, log_transform, parse_date, write_csv
+from aspill.panel import Panel, align, load_csv, log_transform, parse_date, write_csv
 from varsim import make_panel, monthly_dates
 
 
@@ -39,44 +39,51 @@ class TestParseDate:
     def test_whitespace_tolerated(self):
         assert parse_date(" 2001-07-01 ") == date(2001, 7, 1)
 
+    @pytest.mark.parametrize("text", ["20200101", "2020-W01-1"])
+    def test_only_dashed_digit_days_parse(self, text):
+        with pytest.raises(ValueError):
+            parse_date(text)
+
 
 class TestSeriesInvariants:
+    """The checks on one series, as a one-column panel."""
+
     def test_dates_must_increase(self):
         with pytest.raises(DuplicateDateError):
-            Series("x", (date(2000, 1, 1), date(2000, 1, 1)), np.array([1.0, 2.0]))
+            Panel(("x",), (date(2000, 1, 1), date(2000, 1, 1)), np.array([[1.0], [2.0]]))
 
     def test_values_must_be_finite(self):
         with pytest.raises(ValueError):
-            Series("x", monthly_dates(2), np.array([1.0, np.nan]))
+            Panel(("x",), monthly_dates(2), np.array([[1.0], [np.nan]]))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            Series("x", monthly_dates(3), np.array([1.0, 2.0]))
+            Panel(("x",), monthly_dates(3), np.array([[1.0], [2.0]]))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            Series("x", (), np.array([]))
+            Panel(("x",), (), np.empty((0, 1)))
 
     def test_values_read_only(self):
-        s = Series("x", monthly_dates(2), np.array([1.0, 2.0]))
+        panel = Panel(("x",), monthly_dates(2), np.array([[1.0], [2.0]]))
         with pytest.raises(ValueError):
-            s.values[0] = 9.0
+            panel.matrix[0, 0] = 9.0
 
 
 class TestPanelInvariants:
     def test_series_must_share_dates(self):
-        a = Series("a", monthly_dates(3), np.arange(3.0))
-        b = Series("b", monthly_dates(3, start_year=2010), np.arange(3.0))
         with pytest.raises(ValueError):
-            Panel((a, b))
+            Panel(("a", "b"), monthly_dates(3), np.arange(3.0)[:, np.newaxis])
+        with pytest.raises(ValueError):
+            Panel(("a", "b"), monthly_dates(4), np.arange(6.0).reshape(3, 2))
 
     def test_single_series_panel_allowed(self):
-        panel = Panel((Series("a", monthly_dates(3), np.arange(3.0)),))
+        panel = Panel(("a",), monthly_dates(3), np.arange(3.0)[:, np.newaxis])
         assert panel.m == 1
 
     def test_empty_panel_rejected(self):
         with pytest.raises(ValueError):
-            Panel(())
+            Panel((), (), np.empty((0, 0)))
 
     def test_matrix_and_window(self):
         panel = make_panel(np.arange(12.0).reshape(6, 2))
@@ -153,6 +160,8 @@ class TestMalformedCsv:
             ("2020-01-02,2,inf", "b", "inf", "a finite number"),
             ("2020-13-01,2,3", "date", "2020-13-01", "a date"),
             ("99999999999-01,2,3", "date", "99999999999-01", "a date"),
+            ("20200102,2,3", "date", "20200102", "a date"),
+            ("2020-W01-4,2,3", "date", "2020-W01-4", "a date"),
         ],
     )
     def test_bad_cell_names_file_row_and_column(self, tmp_path, row, column, cell, kind):
@@ -234,9 +243,7 @@ class TestRoundTrip:
 class TestAlign:
     def test_partial_overlap(self):
         a = make_panel(np.arange(300.0))
-        b = Panel(
-            (Series("t", a.dates[50:], np.arange(250.0)),)
-        )
+        b = make_panel(np.arange(250.0), names=["t"], dates=a.dates[50:])
         joined = align([a, b])
         assert len(joined) == 250
         assert joined.m == 2
@@ -251,7 +258,7 @@ class TestAlign:
 
     def test_disjoint_ranges(self):
         a = make_panel(np.arange(5.0))
-        b = Panel((Series("t", monthly_dates(5, start_year=1950), np.arange(5.0)),))
+        b = make_panel(np.arange(5.0), names=["t"], dates=monthly_dates(5, start_year=1950))
         with pytest.raises(NoOverlapError):
             align([a, b])
 
@@ -290,9 +297,9 @@ class TestFlatPanel:
         with pytest.raises(ValueError):
             panel.matrix[0, 0] = 9.0
 
-    def test_from_matrix_copies_its_input(self):
+    def test_constructor_copies_its_input(self):
         source = np.arange(12.0).reshape(6, 2)
-        panel = make_panel(source)
+        panel = Panel(("x", "y"), monthly_dates(6), source)
         source[0, 0] = 9.0
         assert panel.matrix[0, 0] == 0.0
 
@@ -318,22 +325,21 @@ class TestFlatPanel:
             make_panel(np.arange(20.0).reshape(10, 2)).window(4, 4)
 
     def test_series_are_the_columns(self):
-        panel = make_panel(np.arange(12.0).reshape(6, 2), names=["x", "y"])
-        x, y = panel.series
-        assert (x.name, y.name) == ("x", "y")
-        assert x.dates == y.dates == panel.dates
-        np.testing.assert_array_equal(y.values, panel.matrix[:, 1])
+        source = np.arange(12.0).reshape(6, 2)
+        panel = make_panel(source, names=["x", "y"])
+        assert panel.names == ("x", "y")
+        y = panel.matrix[:, panel.names.index("y")]
+        np.testing.assert_array_equal(y, source[:, 1])
         with pytest.raises(ValueError):
-            y.values[0] = 9.0
+            y[0] = 9.0
 
     def test_panel_of_series_keeps_them(self):
-        a = Series("a", monthly_dates(3), np.arange(3.0))
-        b = Series("b", monthly_dates(3), np.arange(3.0) * 2)
-        panel = Panel(series=(a, b))
-        assert panel.series[0] is a and panel.series[1] is b
+        a, b = np.arange(3.0), np.arange(3.0) * 2
+        panel = Panel(("a", "b"), monthly_dates(3), np.column_stack([a, b]))
+        assert panel.names == ("a", "b")
         np.testing.assert_array_equal(panel.matrix, [[0.0, 0.0], [1.0, 2.0], [2.0, 4.0]])
 
-    def test_from_matrix_checks_dates_and_values(self):
+    def test_constructor_checks_dates_and_values(self):
         with pytest.raises(DuplicateDateError, match="'s0'.*2000-01-01"):
             make_panel(np.arange(4.0).reshape(2, 2), dates=(date(2000, 1, 1),) * 2)
         with pytest.raises(ValueError, match="'s1' holds non-finite"):
@@ -343,21 +349,21 @@ class TestFlatPanel:
         rng = np.random.default_rng(7)
         panel = make_panel(np.exp(rng.normal(size=(30, 3))))
         logged = log_transform(panel)
-        for before, after in zip(panel.series, logged.series):
-            assert after.name == before.name + "_log"
-            assert after.dates == before.dates
-            assert np.log(before.values).tobytes() == after.values.tobytes()
+        assert logged.names == tuple(name + "_log" for name in panel.names)
+        assert logged.dates == panel.dates
+        for j in range(panel.m):
+            assert np.log(panel.matrix[:, j]).tobytes() == logged.matrix[:, j].tobytes()
 
     @pytest.mark.parametrize("spec", list(TrendSpec))
     def test_decompose_panel_series_match_series_major_stack(self, spec):
         rng = np.random.default_rng(8)
         panel = make_panel(np.cumsum(rng.normal(size=(40, 3)), axis=0))
         decomposed = decompose_panel(panel, spec)
-        g = np.stack([s.values for s in panel.series])[np.newaxis]
+        g = np.stack([panel.matrix[:, j] for j in range(panel.m)])[np.newaxis]
         plus, minus = _components(g, *_trend_stack(g, spec))
         sides = (("_pos", decomposed.plus_panel, plus), ("_neg", decomposed.minus_panel, minus))
         for suffix, side, expected in sides:
             assert side.names == tuple(name + suffix for name in panel.names)
             assert side.dates is panel.dates
-            for j, series in enumerate(side.series):
-                assert series.values.tobytes() == expected[0, j].tobytes()
+            for j in range(side.m):
+                assert side.matrix[:, j].tobytes() == expected[0, j].tobytes()

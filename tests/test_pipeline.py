@@ -158,6 +158,20 @@ class TestPartialFailure:
         assert not (out / "table_pos.csv").exists()
         assert not (out / "manifest.json").exists()
 
+    def test_failed_rerun_leaves_no_earlier_manifest(self, tmp_path):
+        csv_path = tmp_path / "walk.csv"
+        write_walk_csv(csv_path)
+        out = tmp_path / "out"
+        run_pipeline(base_config(csv_path, out, window=220))
+        assert (out / "manifest.json").is_file()
+        # The re-run writes its tables, then fails every side at the rolling
+        # stage: a window of 12 is too small for m=3 and p=2.
+        with pytest.raises(PipelineError) as info:
+            run_pipeline(base_config(csv_path, out, horizon=5, window=12))
+        assert {stage for _, stage, _ in info.value.failures} == {"rolling"}
+        assert len(info.value.failures) == 3
+        assert not (out / "manifest.json").exists()
+
     def test_lag_selection_failure_names_its_stage(self, tmp_path):
         rng = np.random.default_rng(102)
         walk = random_walk_matrix(rng, 150, 1)[:, 0]

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from aspill.connectedness import compute_fevd, build_table
 from aspill.decomposition import ShockSide, TrendSpec, component_panel, decompose_panel
 from aspill.errors import AllWindowsFailedError, InsufficientDataError
-from aspill.panel import Panel, Series
-from aspill.rolling import RollingConfig, rolling_index, rolling_tables
+from aspill.panel import Panel
+from aspill.rolling import RollingConfig, rolling_tables
 from aspill.var_engine import _BLOCK_ROWS, UnstableVarWarning, VarSpec, estimate_var, ma_coefficients
 from varsim import make_panel, random_walk_matrix, random_walk_panel
 
@@ -51,7 +51,7 @@ class TestWindowArithmetic:
     @staticmethod
     def check_single_window_equals_full_sample(panel):
         cfg = base_config(window=len(panel))
-        series = rolling_index(panel, cfg)
+        series = rolling_tables(panel, cfg).index_series()
         assert len(series.index_values) == 1
         assert series.index_values[0] == full_sample_index(panel, cfg)
         assert series.window_end_dates[0] == panel.dates[-1]
@@ -68,7 +68,7 @@ class TestWindowArithmetic:
     def test_step_one_count(self):
         rng = np.random.default_rng(61)
         panel = random_walk_panel(rng, T=155, m=2)
-        series = rolling_index(panel, base_config(window=150))
+        series = rolling_tables(panel, base_config(window=150)).index_series()
         assert len(series.index_values) == 6
         assert series.window_end_dates == panel.dates[149:]
 
@@ -82,8 +82,8 @@ class TestWindowArithmetic:
     def test_stride_subsamples_stride_one(self):
         rng = np.random.default_rng(63)
         panel = random_walk_panel(rng, T=200, m=2)
-        dense = rolling_index(panel, base_config(window=160, step=1))
-        sparse = rolling_index(panel, base_config(window=160, step=7))
+        dense = rolling_tables(panel, base_config(window=160, step=1)).index_series()
+        sparse = rolling_tables(panel, base_config(window=160, step=7)).index_series()
         for k, date in enumerate(sparse.window_end_dates):
             j = dense.window_end_dates.index(date)
             assert sparse.index_values[k] == dense.index_values[j]
@@ -93,7 +93,7 @@ class TestWindowArithmetic:
         panel = random_walk_panel(rng, T=170, m=2)
         cfg = base_config(window=160, step=2)
         from_tables = quiet_tables(panel, cfg).index_series()
-        direct = rolling_index(panel, cfg)
+        direct = rolling_tables(panel, cfg).index_series()
         assert from_tables.window_end_dates == direct.window_end_dates
         np.testing.assert_array_equal(from_tables.index_values, direct.index_values)
         assert from_tables.side is ShockSide.SYMMETRIC
@@ -107,8 +107,8 @@ class TestInvariance:
         dates = tuple(dt.date(2001, 1, 1) + dt.timedelta(days=i) for i in range(160))
         shifted = tuple(d + dt.timedelta(days=700) for d in dates)
         cfg = base_config(window=150)
-        a = rolling_index(make_panel(values, dates=dates), cfg)
-        b = rolling_index(make_panel(values, dates=shifted), cfg)
+        a = rolling_tables(make_panel(values, dates=dates), cfg).index_series()
+        b = rolling_tables(make_panel(values, dates=shifted), cfg).index_series()
         np.testing.assert_array_equal(a.index_values, b.index_values)
         assert b.window_end_dates == tuple(
             d + dt.timedelta(days=700) for d in a.window_end_dates
@@ -119,8 +119,8 @@ class TestInvariance:
         values = random_walk_matrix(rng, T=200, m=2)
         dates = tuple(dt.date(2001, 1, 1) + dt.timedelta(days=i) for i in range(200))
         cfg = base_config(window=170)
-        short = rolling_index(make_panel(values[:185], dates=dates[:185]), cfg)
-        long = rolling_index(make_panel(values, dates=dates), cfg)
+        short = rolling_tables(make_panel(values[:185], dates=dates[:185]), cfg).index_series()
+        long = rolling_tables(make_panel(values, dates=dates), cfg).index_series()
         assert long.window_end_dates[: len(short.window_end_dates)] == short.window_end_dates
         np.testing.assert_array_equal(
             long.index_values[: len(short.index_values)], short.index_values
@@ -135,9 +135,7 @@ class TestGaps:
         dates = tuple(dt.date(2005, 1, 3) + dt.timedelta(days=i) for i in range(T))
         a = random_walk_matrix(rng, T, 1)[:, 0]
         b = np.concatenate([np.full(140, 50.0), 50.0 + np.cumsum(rng.normal(size=T - 140))])
-        return Panel(
-            series=(Series("a", dates, a), Series("b", dates, b)),
-        )
+        return make_panel(np.column_stack([a, b]), names=["a", "b"], dates=dates)
 
     def test_failed_windows_become_nan_with_reason(self):
         panel = self.flat_start_panel()
@@ -159,7 +157,7 @@ class TestGaps:
         T = 140
         dates = tuple(dt.date(2005, 1, 3) + dt.timedelta(days=i) for i in range(T))
         flat = np.full(T, 10.0)
-        panel = Panel(series=(Series("a", dates, flat), Series("b", dates, flat + 1.0)))
+        panel = make_panel(np.column_stack([flat, flat + 1.0]), names=["a", "b"], dates=dates)
         with pytest.raises(AllWindowsFailedError):
             quiet_tables(panel, base_config(window=120, trend_spec=TrendSpec.NONE))
 
@@ -187,8 +185,8 @@ class TestDecompositionScope:
         rng = np.random.default_rng(70)
         panel = random_walk_panel(rng, T=200, m=2, drift=0.05)
         cfg = base_config(window=160, shock_side=ShockSide.POSITIVE)
-        full = rolling_index(panel, cfg)
-        per_window = rolling_index(panel, cfg, decompose_per_window=True)
+        full = rolling_tables(panel, cfg).index_series()
+        per_window = rolling_tables(panel, cfg, decompose_per_window=True).index_series()
         assert full.window_end_dates == per_window.window_end_dates
         assert not np.array_equal(full.index_values, per_window.index_values)
 
@@ -196,8 +194,8 @@ class TestDecompositionScope:
         rng = np.random.default_rng(71)
         panel = random_walk_panel(rng, T=180, m=2)
         cfg = base_config(window=160)
-        a = rolling_index(panel, cfg)
-        b = rolling_index(panel, cfg, decompose_per_window=True)
+        a = rolling_tables(panel, cfg).index_series()
+        b = rolling_tables(panel, cfg, decompose_per_window=True).index_series()
         np.testing.assert_array_equal(a.index_values, b.index_values)
 
 
@@ -208,7 +206,7 @@ class TestWarningDiscipline:
         dates = tuple(dt.date(2010, 1, 4) + dt.timedelta(days=i) for i in range(T))
         drifting = np.cumsum(rng.normal(0.2, 0.05, size=T)) ** 2 + 50.0
         other = random_walk_matrix(rng, T, 1)[:, 0]
-        panel = Panel(series=(Series("a", dates, drifting), Series("b", dates, other)))
+        panel = make_panel(np.column_stack([drifting, other]), names=["a", "b"], dates=dates)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rolling_tables(panel, base_config(window=150))
@@ -224,7 +222,7 @@ class TestRandomWalkLevels:
         for rep in range(10):
             rng = np.random.default_rng(3000 + rep)
             panel = random_walk_panel(rng, T=500, m=3)
-            series = rolling_index(panel, base_config(window=200, step=25))
+            series = rolling_tables(panel, base_config(window=200, step=25)).index_series()
             finite = [v for v in series.index_values if not np.isnan(v)]
             assert finite
             worst = max(worst, max(finite))

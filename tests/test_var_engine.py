@@ -155,12 +155,6 @@ class TestEstimateVar:
         assert fit.p_effective == 2
         assert len(fit.B) == 2
 
-    def test_no_intercept_mode(self):
-        rng = np.random.default_rng(9)
-        y = simulate_var(rng, random_stable_coefficients(rng, 2, 1), 300)
-        fit = estimate_var(make_panel(y), VarSpec(p=1, include_intercept=False))
-        np.testing.assert_array_equal(fit.B0, np.zeros(2))
-
 
 def lstsq_var(y: np.ndarray, p: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
     """(coef, residuals) of the last rows of y on [1, y_{t-1}..y_{t-p}] by plain lstsq."""

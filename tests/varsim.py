@@ -10,7 +10,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from aspill.panel import Panel, Series
+from aspill.panel import Panel
 
 
 def monthly_dates(T: int, start_year: int = 2000) -> tuple[date, ...]:
@@ -33,12 +33,7 @@ def make_panel(
     names = names or [f"s{j}" for j in range(m)]
     if dates is None:
         dates = monthly_dates(T)
-    return Panel.from_matrix(names, dates, matrix)
-
-
-def make_series(values, name: str = "s0") -> Series:
-    values = np.asarray(values, dtype=float)
-    return Series(name, monthly_dates(values.size), values)
+    return Panel(names, dates, matrix)
 
 
 def random_stable_coefficients(
