@@ -94,7 +94,9 @@ def _add_model_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ty-augment", action="store_true",
                         help="estimate one extra unrestricted lag kept out of the propagation")
     parser.add_argument("--sigma-scaling", default="jj", choices=("jj", "ii"),
-                        help="variance scaling the shares: jj is the standard generalized form")
+                        help="variance scaling the shares: jj is the standard generalized form; "
+                             "ii depends on the units of the input: rescaling a series "
+                             "moves the shares")
     parser.add_argument("--horizon", type=int, default=10, help="forecast horizon n")
     parser.add_argument("--sides", type=_sides_arg, default=(
         ShockSide.POSITIVE, ShockSide.NEGATIVE, ShockSide.SYMMETRIC),

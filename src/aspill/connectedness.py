@@ -148,52 +148,49 @@ def compute_fevd(
     return FevdResult(horizon=n, raw=raw[0], normalized=normalized[0])
 
 
-def _assemble(matrix_pct: np.ndarray, labels: tuple[str, ...]) -> list[ConnectednessTable]:
-    """One table per entry of a (c, m, m) stack of percent-scaled matrices."""
+def _off_diagonal(matrix_pct: np.ndarray) -> np.ndarray:
+    """A (c, m, m) stack with every diagonal entry zeroed."""
     m = matrix_pct.shape[1]
     diagonal = np.zeros_like(matrix_pct)
     index = np.arange(m)
     diagonal[:, index, index] = matrix_pct[:, index, index]
-    off_diagonal = matrix_pct - diagonal
-    from_others = off_diagonal.sum(axis=2)
-    to_others = off_diagonal.sum(axis=1)
-    including_own = matrix_pct.sum(axis=1)
-    totals = (off_diagonal.sum(axis=(1, 2)) / m).tolist()
-    aggregates_from = matrix_pct.sum(axis=2) / m
-    aggregates_to = including_own / m
-    return [
-        ConnectednessTable(
-            labels=labels,
-            matrix=matrix_pct[i],
-            from_others=from_others[i],
-            to_others=to_others[i],
-            including_own=including_own[i],
-            total_spillover=totals[i],
-            aggregates_from=aggregates_from[i],
-            aggregates_to=aggregates_to[i],
-        )
-        for i in range(matrix_pct.shape[0])
-    ]
+    return matrix_pct - diagonal
 
 
-def build_tables(
-    normalized: np.ndarray, labels: Sequence[str], row_sum_tol: float = 1e-6
-) -> list[ConnectednessTable]:
-    """Assemble one spillover table per entry of a (c, m, m) stack of row-normalized shares."""
-    normalized = np.asarray(normalized, dtype=float)
-    labels = tuple(labels)
-    if normalized.shape[1:] != (len(labels), len(labels)):
-        raise ValueError(f"matrix shape {normalized.shape[1:]} does not match {len(labels)} labels")
-    if np.any(np.max(np.abs(normalized.sum(axis=2) - 1.0), axis=1) > row_sum_tol):
-        raise ValueError("rows of the normalized matrix must sum to 1")
-    return _assemble(normalized * 100.0, labels)
+def total_spillovers(matrix_pct: np.ndarray) -> np.ndarray:
+    """Total spillover index of every entry of a (c, m, m) stack of percent-scaled matrices."""
+    return _off_diagonal(matrix_pct).sum(axis=(1, 2)) / matrix_pct.shape[1]
+
+
+def _assemble(matrix_pct: np.ndarray, labels: tuple[str, ...]) -> ConnectednessTable:
+    """The table of one (m, m) percent-scaled matrix."""
+    m = matrix_pct.shape[0]
+    stack = matrix_pct[np.newaxis]
+    off_diagonal = _off_diagonal(stack)[0]
+    including_own = matrix_pct.sum(axis=0)
+    return ConnectednessTable(
+        labels=labels,
+        matrix=matrix_pct,
+        from_others=off_diagonal.sum(axis=1),
+        to_others=off_diagonal.sum(axis=0),
+        including_own=including_own,
+        total_spillover=float(total_spillovers(stack)[0]),
+        aggregates_from=matrix_pct.sum(axis=1) / m,
+        aggregates_to=including_own / m,
+    )
 
 
 def build_table(
     normalized: np.ndarray, labels: Sequence[str], row_sum_tol: float = 1e-6
 ) -> ConnectednessTable:
     """Assemble the spillover table from row-normalized fractional shares."""
-    return build_tables(np.asarray(normalized, dtype=float)[np.newaxis], labels, row_sum_tol)[0]
+    normalized = np.asarray(normalized, dtype=float)
+    labels = tuple(labels)
+    if normalized.shape != (len(labels), len(labels)):
+        raise ValueError(f"matrix shape {normalized.shape} does not match {len(labels)} labels")
+    if np.max(np.abs(normalized.sum(axis=1) - 1.0)) > row_sum_tol:
+        raise ValueError("rows of the normalized matrix must sum to 1")
+    return _assemble(normalized * 100.0, labels)
 
 
 def table_from_percent(
@@ -211,7 +208,7 @@ def table_from_percent(
         raise ValueError(f"matrix shape {matrix_pct.shape} does not match {len(labels)} labels")
     if np.max(np.abs(matrix_pct.sum(axis=1) - 100.0)) > row_sum_tol:
         raise ValueError("rows of a percent matrix must sum to 100")
-    return _assemble(matrix_pct[np.newaxis], labels)[0]
+    return _assemble(matrix_pct, labels)
 
 
 def net_measures(table: ConnectednessTable) -> NetMeasures:

@@ -59,6 +59,10 @@ class MalformedResponseError(AspillError):
     """The remote service answered with a payload we cannot interpret."""
 
 
+class MalformedCacheError(AspillError):
+    """A cache file holds a line that is not a date and a finite value."""
+
+
 # -- estimation -------------------------------------------------------------
 
 class SeriesTooShortError(AspillError):

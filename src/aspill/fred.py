@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import re
 import threading
@@ -25,6 +26,7 @@ import numpy as np
 from .atomic import write_atomic
 from .errors import (
     HttpFetchError,
+    MalformedCacheError,
     MalformedResponseError,
     MissingCredentialsError,
     SeriesNotFoundError,
@@ -72,13 +74,21 @@ def _read_cache(path: Path, series_id: str) -> Panel | None:
         return None
     dates: list[date] = []
     values: list[float] = []
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        when, value = line.split()
-        dates.append(parse_date(when))
-        values.append(float(value))
+        try:
+            when, text = line.split()
+            day, value = parse_date(when), float(text)
+            if not math.isfinite(value):
+                raise ValueError(text)
+        except ValueError:
+            raise MalformedCacheError(
+                f"{path}: line {number}: expected a date and a finite value, got {line!r}"
+            ) from None
+        dates.append(day)
+        values.append(value)
     if not dates:
         return None
     logger.debug("cache hit for %s at %s (%d observations)", series_id, path, len(dates))

@@ -41,9 +41,11 @@ _MISSING_TOKENS = {"", ".", "na", "nan", "null", "none", "#n/a"}
 # Each block's fixed cost is small next to 512 rows of parsing.
 _BLOCK_ROWS = 512
 
-# The day form parse_date accepts: ASCII digits only, so that no
-# interpreter's wider date.fromisoformat grammar leaks in.
+# The day and month forms parse_date accepts: ASCII digits only, so that
+# neither an interpreter's wider date.fromisoformat grammar nor int()'s
+# signs, underscores and non-ASCII digits leak in.
 _ISO_DAY = re.compile(r"\d{4}-\d{2}-\d{2}", re.ASCII)
+_ISO_MONTH = re.compile(r"(\d{4})-(\d{2})", re.ASCII)
 
 
 def parse_date(text: str) -> date:
@@ -56,9 +58,9 @@ def parse_date(text: str) -> date:
     try:
         if _ISO_DAY.fullmatch(raw):
             return date.fromisoformat(raw)
-        parts = raw.split("-")
-        if len(parts) == 2:
-            return date(int(parts[0]), int(parts[1]), 1)
+        month = _ISO_MONTH.fullmatch(raw)
+        if month:
+            return date(int(month[1]), int(month[2]), 1)
     except OverflowError:
         raise ValueError(f"date out of range: {text!r}") from None
     raise ValueError(f"not a YYYY-MM-DD or YYYY-MM date: {text!r}")

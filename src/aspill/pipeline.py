@@ -108,6 +108,19 @@ class RunManifest:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def _side_outputs(side: ShockSide) -> dict[str, str]:
+    """Manifest key -> file name of every output a side can write."""
+    name = side.value
+    return {
+        "table_csv": f"table_{name}.csv",
+        "table_json": f"table_{name}.json",
+        "table_md": f"table_{name}.md",
+        "net_json": f"net_{name}.json",
+        "rolling_csv": f"rolling_{name}.csv",
+        "rolling_svg": f"rolling_{name}.svg",
+    }
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -140,6 +153,7 @@ def _run_side(
 ) -> dict[str, Any]:
     summary: dict[str, Any] = {}
     files: dict[str, str] = {}
+    names = _side_outputs(side)
 
     with _stage("component"):
         side_panel = panel if side is ShockSide.SYMMETRIC else component_panel(decomposed, panel, side)
@@ -163,13 +177,11 @@ def _run_side(
 
         if cfg.emit_tables:
             with _stage("write-tables"):
-                for fmt, ext in (("csv", "csv"), ("json", "json"), ("markdown", "md")):
-                    name = f"table_{side.value}.{ext}"
-                    write_atomic(out_dir / name, render_table(table, fmt))
-                    files[f"table_{ext}"] = name
-                net_name = f"net_{side.value}.json"
-                write_atomic(out_dir / net_name, render_net_json(net))
-                files["net_json"] = net_name
+                for fmt, key in (("csv", "table_csv"), ("json", "table_json"), ("markdown", "table_md")):
+                    write_atomic(out_dir / names[key], render_table(table, fmt))
+                    files[key] = names[key]
+                write_atomic(out_dir / names["net_json"], render_net_json(net))
+                files["net_json"] = names["net_json"]
 
         if cfg.window is not None:
             with _stage("rolling"):
@@ -187,12 +199,10 @@ def _run_side(
                 )
                 series = windows.index_series()
             with _stage("write-rolling"):
-                csv_name = f"rolling_{side.value}.csv"
-                svg_name = f"rolling_{side.value}.svg"
-                write_atomic(out_dir / csv_name, render_rolling_csv(series))
-                render_plot(series, out_dir / svg_name)
-                files["rolling_csv"] = csv_name
-                files["rolling_svg"] = svg_name
+                write_atomic(out_dir / names["rolling_csv"], render_rolling_csv(series))
+                render_plot(series, out_dir / names["rolling_svg"])
+                files["rolling_csv"] = names["rolling_csv"]
+                files["rolling_svg"] = names["rolling_svg"]
                 gaps = {
                     when.isoformat(): reason
                     for when, reason in zip(series.window_end_dates, series.gap_reasons)
@@ -210,9 +220,11 @@ def run_pipeline(cfg: RunConfig) -> RunManifest:
 
     Sides fail independently: outputs of completed sides stay on disk,
     and a PipelineError naming every failed (side, stage) is raised at
-    the end. The manifest is only written when every side succeeded; an
-    earlier run's manifest is removed before the first output is written,
-    so a failed run never leaves one that describes other outputs.
+    the end. The manifest is only written when every side succeeded. An
+    earlier run's manifest and every output file any side can write are
+    removed before the first output is written, so a failed run never
+    leaves a manifest that describes other outputs, and a run with fewer
+    sides or no --window leaves no files of the sides or stages it skips.
     """
     out_dir = Path(cfg.out_dir)
 
@@ -224,6 +236,9 @@ def run_pipeline(cfg: RunConfig) -> RunManifest:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / MANIFEST_NAME).unlink(missing_ok=True)
+    for side in _ALL_SIDES:
+        for name in _side_outputs(side).values():
+            (out_dir / name).unlink(missing_ok=True)
     decomposed = None
     if any(side is not ShockSide.SYMMETRIC for side in cfg.sides):
         decomposed = decompose_panel(panel, cfg.trend)

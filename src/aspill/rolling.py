@@ -16,7 +16,7 @@ from datetime import date
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .connectedness import ConnectednessTable, build_tables, compute_fevd
+from .connectedness import ConnectednessTable, compute_fevd, table_from_percent, total_spillovers
 from .decomposition import (
     DecomposedPanel,
     ShockSide,
@@ -32,7 +32,9 @@ from .var_engine import (
     VarSpec,
     check_sample,
     design_bytes,
+    design_row_bytes,
     fit_var_stack,
+    fit_var_windows,
     ma_stack,
 )
 
@@ -83,21 +85,37 @@ class SpilloverSeries:
 
 @dataclass(frozen=True, eq=False)
 class RollingTables:
-    """Full connectedness table per window; None where a window failed."""
+    """Connectedness of every window, as arrays over the windows.
+
+    percent is the (n, m, m) stack of percent-scaled shares, NaN where a
+    window failed; gap_reasons says why. radius is each fit's companion
+    spectral radius and singular_values the singular values of its
+    regressor matrix (R11), largest first; a rank-deficient window's
+    radius is NaN, since it has no coefficients.
+    """
 
     side: ShockSide
+    labels: tuple[str, ...]
     window_end_dates: tuple[date, ...]
-    tables: tuple[ConnectednessTable | None, ...]
+    percent: np.ndarray
     gap_reasons: tuple[str | None, ...]
+    radius: np.ndarray
+    singular_values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.window_end_dates)
+
+    def table(self, i: int) -> ConnectednessTable | None:
+        """The connectedness table of window i, or None where it failed."""
+        if self.gap_reasons[i] is not None:
+            return None
+        return table_from_percent(self.percent[i], self.labels)
 
     def index_series(self) -> SpilloverSeries:
-        values = np.array(
-            [t.total_spillover if t is not None else np.nan for t in self.tables], dtype=float
-        )
         return SpilloverSeries(
             side=self.side,
             window_end_dates=self.window_end_dates,
-            index_values=values,
+            index_values=total_spillovers(self.percent),
             gap_reasons=self.gap_reasons,
         )
 
@@ -117,8 +135,11 @@ def rolling_tables(
     decomposition of panel under cfg.trend_spec, so it is not redone.
 
     Windows go through the stacked kernels in chunks of about
-    _CHUNK_BYTES of design; each window's numbers depend only on its own
-    rows, so the chunk size never changes a result.
+    _CHUNK_BYTES of design. Without decompose_per_window the windows of a
+    chunk are views of design blocks built once over the rows they span;
+    with it, each window's components, and so its design, are its own. Each
+    window's numbers depend only on its own rows, so the chunk size never
+    changes a result.
 
     Raises:
         InsufficientDataError: the panel is shorter than one window, or
@@ -129,7 +150,8 @@ def rolling_tables(
     if T < cfg.window:
         raise InsufficientDataError(f"{T} rows cannot fill a window of {cfg.window}")
     m = panel.m
-    p_eff = cfg.var_spec.p_effective
+    spec = cfg.var_spec
+    p_eff = spec.p_effective
     min_window = m * p_eff + 10
     if cfg.window <= min_window:
         raise InsufficientDataError(
@@ -137,53 +159,62 @@ def rolling_tables(
         )
     starts = range(0, T - cfg.window + 1, cfg.step)
     try:
-        check_sample(cfg.window, m, cfg.var_spec)
+        check_sample(cfg.window, m, spec)
     except InsufficientDataError as exc:
         raise AllWindowsFailedError(
             f"all {len(starts)} windows failed; last reason: {exc}"
         ) from exc
 
-    if decompose_per_window or cfg.shock_side is ShockSide.SYMMETRIC:
+    per_window = decompose_per_window and cfg.shock_side is not ShockSide.SYMMETRIC
+    if per_window or cfg.shock_side is ShockSide.SYMMETRIC:
         source = panel.matrix
     else:
         if decomposed is None:
             decomposed = decompose_panel(panel, cfg.trend_spec)
         source = component_panel(decomposed, panel, cfg.shock_side).matrix
-    windows = sliding_window_view(source, cfg.window, axis=0)[:: cfg.step].swapaxes(1, 2)
-    chunk = max(1, _CHUNK_BYTES // design_bytes(cfg.window, m, cfg.var_spec))
+    count = len(starts)
+    # A window adds its rows to the QR's copy of the design views, or its
+    # step of new rows to the design segment the views share.
+    window_bytes = max(design_bytes(cfg.window, m, spec), cfg.step * design_row_bytes(m, spec))
+    chunk = max(1, _CHUNK_BYTES // window_bytes)
 
-    labels = panel.names
-    tables: list[ConnectednessTable | None] = []
+    percent = np.empty((count, m, m))
+    radius = np.empty(count)
+    singular_values = np.empty((count, m * p_eff + 1))
     reasons: list[str | None] = []
     unstable = 0
-    for lo in range(0, len(windows), chunk):
-        stack = windows[lo : lo + chunk]
-        if decompose_per_window:
-            stack = component_stack(stack, cfg.trend_spec, cfg.shock_side)
-        fit = fit_var_stack(stack, cfg.var_spec)
+    for lo in range(0, count, chunk):
+        hi = min(lo + chunk, count)
+        rows = source[lo * cfg.step : (hi - 1) * cfg.step + cfg.window]
+        if per_window:
+            stack = sliding_window_view(rows, cfg.window, axis=0)[:: cfg.step].swapaxes(1, 2)
+            fit = fit_var_stack(component_stack(stack, cfg.trend_spec, cfg.shock_side), spec)
+        else:
+            fit = fit_var_windows(rows, cfg.window, cfg.step, spec)
         ma = ma_stack(fit.B[:, : fit.p], cfg.horizon)
         fevd = compute_fevd(ma, fit.Gamma, cfg.horizon, cfg.sigma_scaling)
         unstable += int(np.count_nonzero(fit.unstable))
-        chunk_reasons = [fit.failure(i) or fevd.gap_reasons[i] for i in range(len(stack))]
-        ok = [i for i, reason in enumerate(chunk_reasons) if reason is None]
-        built = iter(build_tables(fevd.normalized[ok], labels))
-        tables.extend(None if reason else next(built) for reason in chunk_reasons)
+        chunk_reasons = [fit.failure(i) or fevd.gap_reasons[i] for i in range(hi - lo)]
+        failed = np.array([reason is not None for reason in chunk_reasons])
+        percent[lo:hi] = np.where(failed[:, np.newaxis, np.newaxis], np.nan, fevd.normalized * 100.0)
+        radius[lo:hi] = np.where(fit.rank < fit.k, np.nan, fit.radius)
+        singular_values[lo:hi] = fit.singular_values
         reasons.extend(chunk_reasons)
     if unstable:
         # One summary instead of a per-window flood.
         warnings.warn(
-            f"{unstable} of {len(tables)} windows fitted with companion spectral radius above 1",
+            f"{unstable} of {count} windows fitted with companion spectral radius above 1",
             UnstableVarWarning,
             stacklevel=2,
         )
-    if all(t is None for t in tables):
-        raise AllWindowsFailedError(
-            f"all {len(tables)} windows failed; last reason: {reasons[-1]}"
-        )
+    if all(reasons):
+        raise AllWindowsFailedError(f"all {count} windows failed; last reason: {reasons[-1]}")
     return RollingTables(
         side=cfg.shock_side,
+        labels=panel.names,
         window_end_dates=tuple(panel.dates[s + cfg.window - 1] for s in starts),
-        tables=tuple(tables),
+        percent=percent,
         gap_reasons=tuple(reasons),
+        radius=radius,
+        singular_values=singular_values,
     )
-

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateCovarianceError, InsufficientDataError, SingularDesignError
 from .panel import Panel
@@ -133,14 +134,29 @@ def _design_blocks(stack: np.ndarray, lags: int) -> Iterator[np.ndarray]:
         yield _stacked_design(stack[:, lo : lo + _BLOCK_ROWS + lags], lags)
 
 
-def _r_factor(stack: np.ndarray, lags: int) -> np.ndarray:
-    """R of the QR of each window's augmented design, folded over row blocks.
+def _window_blocks(matrix: np.ndarray, window: int, step: int, lags: int) -> Iterator[np.ndarray]:
+    """The augmented designs of the windows [s, s + window) of a (T, m) matrix, s = 0, step, ..
+
+    Block by block, as _design_blocks yields them for a stack of those
+    windows; but each block's design is built once over the rows the
+    windows span, and every window gets a strided view of it.
+    """
+    last = (matrix.shape[0] - window) // step * step
+    n = window - lags
+    for lo in range(0, n, _BLOCK_ROWS):
+        rows = min(_BLOCK_ROWS, n - lo)
+        design = _stacked_design(matrix[np.newaxis, lo : lo + last + rows + lags], lags)[0]
+        yield sliding_window_view(design, rows, axis=0)[::step].swapaxes(1, 2)
+
+
+def _r_factor(blocks: Iterable[np.ndarray]) -> np.ndarray:
+    """R of the QR of each window's augmented design, folded over (c, rows, k + m) row blocks.
 
     Stacking R on the next block and factoring again leaves the same R,
     up to row signs, as one QR of all rows (TSQR).
     """
     r = None
-    for block in _design_blocks(stack, lags):
+    for block in blocks:
         r = np.linalg.qr(block if r is None else np.concatenate([r, block], axis=1), mode="r")
     return r
 
@@ -180,26 +196,27 @@ def check_sample(rows: int, m: int, spec: VarSpec) -> None:
         )
 
 
+def design_row_bytes(m: int, spec: VarSpec) -> int:
+    """Bytes of one row [1, y_{t-1}, .., y_{t-p_effective}, y_t] of the augmented design."""
+    return 8 * (m * (spec.p_effective + 1) + 1)
+
+
 def design_bytes(rows: int, m: int, spec: VarSpec) -> int:
-    """Size of the largest design block fit_var_stack builds for one window of rows."""
-    columns = m * (spec.p_effective + 1) + 1
-    return 8 * min(rows - spec.p_effective, _BLOCK_ROWS) * columns
+    """Size of the largest design block the kernel factors for one window of rows."""
+    return min(rows - spec.p_effective, _BLOCK_ROWS) * design_row_bytes(m, spec)
 
 
-def fit_var_stack(stack: np.ndarray, spec: VarSpec) -> VarStack:
-    """Fit every window of a (c, W, m) stack by a batched, row-blocked QR.
+def _fit_r(r: np.ndarray, n: int, spec: VarSpec) -> VarStack:
+    """Fits from the (c, k + m, k + m) R factors of windows of n usable rows each.
 
-    The augmented design [X, Y] of each window factors as
     R = [[R11, R12], [0, R22]]: the coefficients solve R11 coef = R12 and
     R22'R22 is the residual cross product. The rank follows lstsq's rule,
     counting singular values of R11 (those of X) above eps * max(n, k)
-    times the largest. Each window's result depends on its own rows only,
-    so any split of a stack into chunks gives identical bits.
+    times the largest.
     """
-    c, W, m = stack.shape
-    n = W - spec.p_effective
-    r = _r_factor(stack, spec.p_effective)
-    k = r.shape[2] - m
+    c, columns = r.shape[0], r.shape[2]
+    m = (columns - 1) // (spec.p_effective + 1)
+    k = columns - m
     r11, r12, r22 = r[:, :k, :k], r[:, :k, k:], r[:, k:, k:]
     sv = np.linalg.svd(r11, compute_uv=False)
     rank = _lstsq_rank(sv, n)
@@ -221,6 +238,28 @@ def fit_var_stack(stack: np.ndarray, spec: VarSpec) -> VarStack:
         rank=rank,
         radius=_companion_radius(B),
     )
+
+
+def fit_var_stack(stack: np.ndarray, spec: VarSpec) -> VarStack:
+    """Fit every window of a (c, W, m) stack by a batched, row-blocked QR.
+
+    Each window's design is built from its own rows, so each window's
+    result depends on its own rows only and any split of a stack into
+    chunks gives identical bits.
+    """
+    lags = spec.p_effective
+    return _fit_r(_r_factor(_design_blocks(stack, lags)), stack.shape[1] - lags, spec)
+
+
+def fit_var_windows(matrix: np.ndarray, window: int, step: int, spec: VarSpec) -> VarStack:
+    """Fit the windows of rows [s, s + window) of a (T, m) matrix, s = 0, step, 2 step, ...
+
+    The windows' designs are views of one design per row block, so each
+    window folds the same numbers as fit_var_stack on its own rows, and
+    every fit equals that one bit for bit.
+    """
+    lags = spec.p_effective
+    return _fit_r(_r_factor(_window_blocks(matrix, window, step, lags)), window - lags, spec)
 
 
 def estimate_var(panel: Panel, spec: VarSpec) -> VarFit:
@@ -299,7 +338,7 @@ def _lag_criteria(panel: Panel, p_max: int, criterion: str) -> list[float]:
         raise InsufficientDataError(
             f"{matrix.shape[0]} rows leave {n} common observations for up to {K} regressors"
         )
-    r = _r_factor(matrix[np.newaxis], p_max)[0]
+    r = _r_factor(_design_blocks(matrix[np.newaxis], p_max))[0]
     values = []
     for j in range(1, p_max + 1):
         k = m * j + 1

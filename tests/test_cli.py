@@ -192,6 +192,25 @@ class TestFetch:
         assert len(panel) == 3
         np.testing.assert_array_equal(panel.matrix[:, 1], [4.0, 5.0, 6.0])
 
+    def test_malformed_cache_line_is_clean_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("FRED_API_KEY", raising=False)
+        cache = tmp_path / "cache"
+        self.warm_cache(cache, "AAA", [1.0, 2.0, 3.0])
+        (path,) = cache.glob("*.txt")
+        lines = path.read_text().splitlines()
+        lines[2] = "2020-01-02"
+        path.write_text("\n".join(lines) + "\n")
+        code = main([
+            "fetch",
+            "--series", "AAA",
+            "--cache-dir", str(cache),
+            "--out", str(tmp_path / "fetched.csv"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}: line 3:" in err
+        assert not (tmp_path / "fetched.csv").exists()
+
     def test_fetch_without_key_or_cache_fails(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("FRED_API_KEY", raising=False)
         code = main([

@@ -311,3 +311,32 @@ class TestRandomFitProperties:
             np.testing.assert_allclose(table.matrix.sum(axis=1), 100.0, atol=1e-7)
             assert 0.0 <= table.total_spillover <= 100.0
             assert np.all(table.matrix >= 0.0)
+
+
+class TestSigmaScalingUnits:
+    """jj shares do not depend on the units of the series; ii shares do."""
+
+    SCALE = np.array([2.0, 0.25, 8.0])
+
+    @staticmethod
+    def fevd_pair(y: np.ndarray, scaling: str):
+        fit = estimate_var(make_panel(y), VarSpec(p=2))
+        return compute_fevd(ma_coefficients(fit, 10), fit.Gamma, 10, scaling)
+
+    def test_rescaling_columns_moves_ii_shares_only(self):
+        rng = np.random.default_rng(48)
+        B = random_stable_coefficients(rng, 3, 2)
+        y = simulate_var(rng, B, 400, gamma=random_covariance(rng, 3))
+        scaled = y * self.SCALE
+        # Power-of-two factors rescale every intermediate exactly.
+        jj, jj_scaled = self.fevd_pair(y, "jj"), self.fevd_pair(scaled, "jj")
+        assert np.array_equal(jj_scaled.raw, jj.raw)
+        assert np.array_equal(jj_scaled.normalized, jj.normalized)
+        # Under y -> y D, ii divides share (i, j) by d_i^2 sigma_ii
+        # instead of d_j^2 sigma_jj: raw entries move by (d_j / d_i)^2.
+        ii, ii_scaled = self.fevd_pair(y, "ii"), self.fevd_pair(scaled, "ii")
+        ratio = (self.SCALE[np.newaxis, :] / self.SCALE[:, np.newaxis]) ** 2
+        np.testing.assert_allclose(ii_scaled.raw, ii.raw * ratio, rtol=1e-10, atol=0.0)
+        # After row normalization that is a large move in percentage points.
+        moved = np.max(np.abs(ii_scaled.normalized - ii.normalized)) * 100.0
+        assert moved > 10.0

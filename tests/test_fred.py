@@ -12,6 +12,7 @@ import pytest
 
 from aspill.errors import (
     HttpFetchError,
+    MalformedCacheError,
     MalformedResponseError,
     MissingCredentialsError,
     SeriesNotFoundError,
@@ -184,6 +185,24 @@ class TestFailureModes:
                 transport=RecordingTransport(status=500, body=b"boom"),
             )
         assert list(tmp_path.glob("*.txt")) == []
+
+
+class TestMalformedCache:
+    @pytest.mark.parametrize(
+        "line",
+        ["2020-01-02", "2020-01-02 1.5 2.5", "2020-13-02 1.5", "2020-01-02 abc", "2020-01-02 nan"],
+    )
+    def test_bad_line_names_file_and_line(self, tmp_path, line):
+        fetch_fred("VXO", api_key="k", cache_dir=tmp_path, transport=RecordingTransport())
+        (path,) = tmp_path.glob("*.txt")
+        lines = path.read_text().splitlines()
+        assert lines[1:] == ["2020-01-01 1.5", "2020-01-03 2.25"]
+        path.write_text("\n".join([lines[0], lines[1], line, lines[2]]) + "\n")
+        with pytest.raises(MalformedCacheError) as caught:
+            fetch_fred("VXO", cache_dir=tmp_path, transport=refusing_transport)
+        assert str(path) in str(caught.value)
+        assert "line 3" in str(caught.value)
+        assert repr(line) in str(caught.value)
 
 
 class TestConcurrency:

@@ -44,6 +44,25 @@ class TestParseDate:
         with pytest.raises(ValueError):
             parse_date(text)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "2020-0_1",
+            "2020-+1",
+            "2020- 1",
+            "\uff12\uff10\uff12\uff10-01",  # fullwidth digits
+            "2020-\u0660\u0661",  # Arabic-Indic digits
+            "2020-1",
+            "202-01",
+            "+2020-01",
+            "2020-13",
+            "2020-00",
+        ],
+    )
+    def test_only_padded_ascii_months_parse(self, text):
+        with pytest.raises(ValueError):
+            parse_date(text)
+
 
 class TestSeriesInvariants:
     """The checks on one series, as a one-column panel."""

@@ -192,6 +192,24 @@ class TestPartialFailure:
         assert not (out / "manifest.json").exists()
 
 
+class TestStaleOutputs:
+    @pytest.mark.parametrize("window", [220, None])
+    def test_rerun_with_fewer_sides_leaves_only_its_own_files(self, tmp_path, window):
+        csv_path = tmp_path / "walk.csv"
+        write_walk_csv(csv_path)
+        out = tmp_path / "out"
+        run_pipeline(base_config(csv_path, out, window=220))
+        assert len(list(out.iterdir())) == 3 * 6 + 1
+        manifest = run_pipeline(
+            base_config(csv_path, out, window=window, sides=(ShockSide.POSITIVE,))
+        )
+        expected = {"table_pos.csv", "table_pos.json", "table_pos.md", "net_pos.json"}
+        if window is not None:
+            expected |= {"rolling_pos.csv", "rolling_pos.svg"}
+        assert {p.name for p in out.iterdir()} == expected | {"manifest.json"}
+        assert set(manifest.sides["pos"]["files"].values()) == expected
+
+
 class TestManifestReuse:
     def test_round_trip_config(self, tmp_path):
         csv_path = tmp_path / "walk.csv"

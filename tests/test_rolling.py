@@ -4,16 +4,18 @@ from __future__ import annotations
 
 import datetime as dt
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aspill.connectedness import compute_fevd, build_table
+from aspill.connectedness import ConnectednessTable, build_table, compute_fevd
 from aspill.decomposition import ShockSide, TrendSpec, component_panel, decompose_panel
 from aspill.errors import AllWindowsFailedError, InsufficientDataError
 from aspill.panel import Panel
+import aspill.rolling as rolling
 from aspill.rolling import RollingConfig, rolling_tables
 from aspill.var_engine import _BLOCK_ROWS, UnstableVarWarning, VarSpec, estimate_var, ma_coefficients
 from varsim import make_panel, random_walk_matrix, random_walk_panel
@@ -37,14 +39,24 @@ def base_config(window: int, **kw) -> RollingConfig:
     return RollingConfig(**defaults)
 
 
-def full_sample_index(panel, cfg: RollingConfig) -> float:
-    decomposed = decompose_panel(panel, cfg.trend_spec)
-    component = component_panel(decomposed, panel, cfg.shock_side)
-    fit = estimate_var(component, cfg.var_spec)
+def fitted_table(panel, cfg: RollingConfig) -> ConnectednessTable:
+    """The table of a full-sample fit of panel as it is, with cfg's model."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnstableVarWarning)
+        fit = estimate_var(panel, cfg.var_spec)
     fevd = compute_fevd(
         ma_coefficients(fit, cfg.horizon), fit.Gamma, cfg.horizon, cfg.sigma_scaling
     )
-    return build_table(fevd.normalized, component.names).total_spillover
+    return build_table(fevd.normalized, panel.names)
+
+
+def full_sample_table(panel, cfg: RollingConfig) -> ConnectednessTable:
+    decomposed = decompose_panel(panel, cfg.trend_spec)
+    return fitted_table(component_panel(decomposed, panel, cfg.shock_side), cfg)
+
+
+def full_sample_index(panel, cfg: RollingConfig) -> float:
+    return full_sample_table(panel, cfg).total_spillover
 
 
 class TestWindowArithmetic:
@@ -76,7 +88,7 @@ class TestWindowArithmetic:
         rng = np.random.default_rng(62)
         panel = random_walk_panel(rng, T=250, m=2)
         result = quiet_tables(panel, base_config(window=150, step=10))
-        assert len(result.tables) == 11
+        assert len(result) == len(result.percent) == 11
         assert result.window_end_dates == panel.dates[149::10]
 
     def test_stride_subsamples_stride_one(self):
@@ -98,6 +110,76 @@ class TestWindowArithmetic:
         np.testing.assert_array_equal(from_tables.index_values, direct.index_values)
         assert from_tables.side is ShockSide.SYMMETRIC
         assert direct.side is ShockSide.SYMMETRIC
+
+
+class TestDesignViews:
+    """Windows fitted as views of one design, in the geometries that stress it.
+
+    "long": each window has more usable rows than one QR block, so its
+    view is folded block by block. "wide-step": the step exceeds a
+    window's usable rows, so a chunk's design has rows no window uses.
+    """
+
+    GEOMETRIES = {
+        "long": dict(T=_BLOCK_ROWS + 300, window=_BLOCK_ROWS + 250, step=13),
+        "wide-step": dict(T=600, window=150, step=200),
+    }
+
+    @staticmethod
+    def setup(name):
+        geometry = TestDesignViews.GEOMETRIES[name]
+        rng = np.random.default_rng(74)
+        panel = random_walk_panel(rng, T=geometry["T"], m=3, drift=0.05)
+        cfg = base_config(
+            window=geometry["window"], step=geometry["step"], shock_side=ShockSide.POSITIVE
+        )
+        assert cfg.step > 1 and (name == "long") == (cfg.window - 2 > _BLOCK_ROWS)
+        assert (name == "wide-step") == (cfg.step > cfg.window - 2)
+        return panel, cfg
+
+    @pytest.mark.parametrize("name", sorted(GEOMETRIES))
+    def test_every_window_equals_the_full_sample_fit_of_its_rows(self, name):
+        panel, cfg = self.setup(name)
+        component = component_panel(decompose_panel(panel, cfg.trend_spec), panel, cfg.shock_side)
+        result = quiet_tables(panel, cfg)
+        values = result.index_series().index_values
+        assert len(result) == len(range(0, len(panel) - cfg.window + 1, cfg.step)) >= 3
+        for i, start in enumerate(range(0, len(panel) - cfg.window + 1, cfg.step)):
+            alone = fitted_table(component.window(start, start + cfg.window), cfg)
+            assert np.array_equal(result.percent[i], alone.matrix)
+            assert values[i] == alone.total_spillover
+            assert result.table(i).total_spillover == alone.total_spillover
+
+    @pytest.mark.parametrize("name", sorted(GEOMETRIES))
+    def test_single_window_equals_full_sample(self, name):
+        panel, cfg = self.setup(name)
+        single = replace(cfg, window=len(panel))
+        (value,) = quiet_tables(panel, single).index_series().index_values
+        assert value == full_sample_index(panel, single)
+
+    @pytest.mark.parametrize("name", sorted(GEOMETRIES))
+    def test_strided_run_equals_dense_run_subsampled(self, name):
+        panel, cfg = self.setup(name)
+        dense = quiet_tables(panel, replace(cfg, step=1))
+        strided = quiet_tables(panel, cfg)
+        assert np.array_equal(strided.percent, dense.percent[:: cfg.step], equal_nan=True)
+        assert strided.window_end_dates == dense.window_end_dates[:: cfg.step]
+        assert np.array_equal(
+            strided.index_series().index_values, dense.index_series().index_values[:: cfg.step]
+        )
+
+    @pytest.mark.parametrize("name", sorted(GEOMETRIES))
+    def test_chunk_size_never_changes_a_bit(self, name, monkeypatch):
+        panel, cfg = self.setup(name)
+        runs = []
+        for chunk_bytes in (1, rolling._CHUNK_BYTES, 1 << 40):
+            monkeypatch.setattr(rolling, "_CHUNK_BYTES", chunk_bytes)
+            runs.append(quiet_tables(panel, cfg))
+        for run in runs[1:]:
+            assert np.array_equal(run.percent, runs[0].percent, equal_nan=True)
+            assert np.array_equal(run.radius, runs[0].radius, equal_nan=True)
+            assert np.array_equal(run.singular_values, runs[0].singular_values)
+            assert run.gap_reasons == runs[0].gap_reasons
 
 
 class TestInvariance:
@@ -141,17 +223,20 @@ class TestGaps:
         panel = self.flat_start_panel()
         cfg = base_config(window=120, trend_spec=TrendSpec.NONE)
         result = quiet_tables(panel, cfg)
-        assert len(result.tables) == 101
+        assert len(result) == 101
         values = np.asarray(result.index_series().index_values)
         bad = np.isnan(values)
         assert bad.any() and not bad.all()
-        for flag, reason, table in zip(bad, result.gap_reasons, result.tables):
+        for i, (flag, reason) in enumerate(zip(bad, result.gap_reasons)):
+            table = result.table(i)
             if flag:
                 assert table is None
                 assert reason
+                assert np.all(np.isnan(result.percent[i]))
             else:
                 assert table is not None
                 assert reason is None
+                assert table.total_spillover == values[i]
 
     def test_all_windows_failed(self):
         T = 140
@@ -229,6 +314,41 @@ class TestRandomWalkLevels:
         assert worst < 25.0
 
 
+class TestMirror:
+    """The positive side of y is the negative side of -y, bit for bit."""
+
+    @staticmethod
+    def mirrored_panels() -> tuple[Panel, Panel]:
+        rng = np.random.default_rng(73)
+        values = random_walk_matrix(rng, T=600, m=3)
+        # A stale stretch longer than a window, so some windows are gaps.
+        values[200:400, 0] = values[200, 0]
+        return make_panel(values), make_panel(-values)
+
+    @pytest.mark.parametrize("sigma_scaling", ["jj", "ii"])
+    @pytest.mark.parametrize("trend", list(TrendSpec))
+    def test_positive_side_equals_negative_side_of_negated_series(self, trend, sigma_scaling):
+        y, minus_y = self.mirrored_panels()
+        kw = dict(var_spec=VarSpec(p=2), trend_spec=trend, sigma_scaling=sigma_scaling)
+        pos_cfg = base_config(window=len(y), shock_side=ShockSide.POSITIVE, **kw)
+        neg_cfg = base_config(window=len(y), shock_side=ShockSide.NEGATIVE, **kw)
+        pos_table = full_sample_table(y, pos_cfg)
+        neg_table = full_sample_table(minus_y, neg_cfg)
+        assert np.array_equal(pos_table.matrix, neg_table.matrix)
+        assert pos_table.total_spillover == neg_table.total_spillover
+
+        pos = quiet_tables(y, replace(pos_cfg, window=150, step=7))
+        neg = quiet_tables(minus_y, replace(neg_cfg, window=150, step=7))
+        assert pos.gap_reasons == neg.gap_reasons
+        # The stale stretch leaves a linear component, collinear with the
+        # intercept and its own lags, unless a fitted time trend bends it.
+        assert any(pos.gap_reasons) == (trend is not TrendSpec.DRIFT_AND_TREND)
+        assert np.array_equal(pos.percent, neg.percent, equal_nan=True)
+        assert np.array_equal(
+            pos.index_series().index_values, neg.index_series().index_values, equal_nan=True
+        )
+
+
 class TestWindowOutcomes:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -265,8 +385,9 @@ class TestWindowOutcomes:
                 result = rolling_tables(make_panel(values), cfg, decompose_per_window=per_window)
         except AllWindowsFailedError:
             return
-        assert len(result.tables) == len(result.gap_reasons) == len(range(0, T - window + 1, step))
-        for table, reason in zip(result.tables, result.gap_reasons):
+        assert len(result) == len(result.gap_reasons) == len(range(0, T - window + 1, step))
+        for i, reason in enumerate(result.gap_reasons):
+            table = result.table(i)
             if table is None:
                 assert isinstance(reason, str) and reason
             else:
