@@ -60,7 +60,7 @@ class MalformedResponseError(AspillError):
 
 
 class MalformedCacheError(AspillError):
-    """A cache file holds a line that is not a date and a finite value."""
+    """A cache file holds a line that is not a date and a finite value, or a date out of order."""
 
 
 # -- estimation -------------------------------------------------------------

@@ -14,9 +14,7 @@ import math
 import os
 import re
 import threading
-import urllib.error
 import urllib.parse
-import urllib.request
 from datetime import date
 from pathlib import Path
 from typing import Callable
@@ -53,6 +51,11 @@ def _entry_lock(key: str) -> threading.Lock:
 
 
 def _default_transport(url: str) -> tuple[int, bytes]:
+    # Imported here: urllib.request pulls in http.client, ssl and email,
+    # which no run that is served from the cache needs.
+    import urllib.error
+    import urllib.request
+
     try:
         with urllib.request.urlopen(url, timeout=60) as response:
             return response.status, response.read()
@@ -87,6 +90,10 @@ def _read_cache(path: Path, series_id: str) -> Panel | None:
             raise MalformedCacheError(
                 f"{path}: line {number}: expected a date and a finite value, got {line!r}"
             ) from None
+        if dates and day <= dates[-1]:
+            raise MalformedCacheError(
+                f"{path}: line {number}: date not after {dates[-1].isoformat()}, got {line!r}"
+            )
         dates.append(day)
         values.append(value)
     if not dates:

@@ -25,7 +25,7 @@ from .panel import Panel, load_csv, log_transform
 from .report import render_net_json, render_rolling_csv, render_table
 from .rolling import RollingConfig, rolling_tables
 from .svgchart import render_plot
-from .var_engine import VarSpec, estimate_var, ma_coefficients, select_lag
+from .var_engine import VarSpec, estimate_var, factor_sample, ma_coefficients
 from .version import __version__
 
 MANIFEST_NAME = "manifest.json"
@@ -161,10 +161,14 @@ def _run_side(
     with warnings.catch_warnings(record=True) as records:
         warnings.simplefilter("always")
         with _stage("lag-select"):
-            lag = cfg.lags if cfg.lags is not None else select_lag(side_panel, cfg.max_lags, cfg.lag_select)
+            # The factor that ranks the candidate lags also fits the chosen one.
+            factor, lag = None, cfg.lags
+            if lag is None:
+                factor = factor_sample(side_panel, cfg.max_lags)
+                lag = factor.select(cfg.lag_select)
             var_spec = VarSpec(p=lag, ty_extra_lags=1 if cfg.ty_augment else 0)
         with _stage("estimate"):
-            fit = estimate_var(side_panel, var_spec)
+            fit = estimate_var(side_panel, var_spec) if factor is None else factor.fit(var_spec)
         with _stage("fevd"):
             ma = ma_coefficients(fit, cfg.horizon)
             fevd = compute_fevd(ma, fit.Gamma, cfg.horizon, cfg.sigma_scaling)

@@ -51,7 +51,8 @@ class VarFit:
 
     B holds p_effective matrices; only the first p enter the MA
     recursion. Gamma is degrees-of-freedom corrected and stored exactly
-    symmetric.
+    symmetric. The residuals are y_t - B0 - sum_s B_s y_{t-s} over the
+    T_effective = T - p_effective usable rows; they are not stored.
     """
 
     names: tuple[str, ...]
@@ -59,7 +60,6 @@ class VarFit:
     p_effective: int
     B0: np.ndarray
     B: tuple[np.ndarray, ...]
-    residuals: np.ndarray
     Gamma: np.ndarray
     T_effective: int
 
@@ -118,7 +118,7 @@ class VarStack:
 # Usable rows of augmented design per QR step. A window with no more
 # usable rows than this factors in one QR; a longer one folds block after
 # block into its R factor, so memory stays flat in the sample length.
-_BLOCK_ROWS = 2048
+_BLOCK_ROWS = 512
 
 
 def _stacked_design(stack: np.ndarray, lags: int) -> np.ndarray:
@@ -262,6 +262,142 @@ def fit_var_windows(matrix: np.ndarray, window: int, step: int, spec: VarSpec) -
     return _fit_r(_r_factor(_window_blocks(matrix, window, step, lags)), window - lags, spec)
 
 
+@dataclass(frozen=True, eq=False)
+class SampleFactor:
+    """R factor of a panel's augmented design with `lags` lags.
+
+    r is the (K + m, K + m) R of [1, y_{t-1}, .., y_{t-lags}, y_t] over
+    rows t = lags..T-1, K = 1 + m lags. The regressors of a model with
+    q <= lags lags are the first 1 + m q columns, so this one factor
+    serves lag selection over the candidates 1..lags and the fit of the
+    chosen model.
+    """
+
+    panel: Panel
+    lags: int
+    r: np.ndarray
+
+    def derived_r(self, q: int) -> np.ndarray:
+        """R of the augmented design with q <= lags lags over rows t = q..T-1.
+
+        The columns [0, 1 + m q) and the targets of r factor that design
+        over rows lags..T-1; the rows t = q..lags-1 it lacks are appended
+        in the same QR. With q == lags, r is that R already.
+        """
+        if not 1 <= q <= self.lags:
+            raise ValueError(f"a factor with {self.lags} lags cannot give a model with {q}")
+        if q == self.lags:
+            return self.r
+        m = self.panel.m
+        K = 1 + m * self.lags
+        columns = np.r_[: 1 + m * q, K : K + m]
+        head = _stacked_design(self.panel.matrix[np.newaxis, : self.lags], q)[0]
+        return np.linalg.qr(np.concatenate([self.r[:, columns], head]), mode="r")
+
+    def criteria(self, criterion: str = "hjc") -> list[float]:
+        """Information criterion of each candidate lag 1..lags, on rows lags..T-1.
+
+        All candidates are fitted on the same rows so their likelihood
+        terms are comparable. Candidate j regresses on the first
+        k_j = 1 + m j columns, and r[k_j:, K:] holds the targets' part
+        orthogonal to them, so its cross product is candidate j's
+        residual cross product.
+        """
+        criterion = criterion.lower()
+        if criterion not in _CRITERIA:
+            raise ValueError(f"unknown criterion {criterion!r}; expected one of {_CRITERIA}")
+        m, r = self.panel.m, self.r
+        n = len(self.panel) - self.lags
+        K = m * self.lags + 1
+        values = []
+        for j in range(1, self.lags + 1):
+            k = m * j + 1
+            sv = np.linalg.svd(r[:k, :k], compute_uv=False)
+            rank = int(_lstsq_rank(sv, n))
+            if rank < k:
+                raise _rank_deficient(rank, sv)
+            orthogonal = r[k:, K:]
+            gamma_ml = orthogonal.T @ orthogonal / n
+            sign, logdet = np.linalg.slogdet(gamma_ml)
+            if sign <= 0:
+                raise DegenerateCovarianceError(
+                    f"residual covariance at lag {j} is not positive definite"
+                )
+            if criterion == "aic":
+                penalty = 2.0 * j * m * m / n
+            elif criterion == "sic":
+                penalty = j * m * m * math.log(n) / n
+            elif criterion == "hqc":
+                penalty = 2.0 * j * m * m * math.log(math.log(n)) / n
+            else:
+                penalty = j * (m * m * math.log(n) + 2.0 * m * m * math.log(math.log(n))) / (2.0 * n)
+            values.append(logdet + penalty)
+        return values
+
+    def select(self, criterion: str = "hjc") -> int:
+        """The candidate lag minimizing the criterion; ties resolve to the smallest."""
+        best_j = 1
+        best_value = math.inf
+        for j, value in enumerate(self.criteria(criterion), start=1):
+            if value < best_value - 1e-12:
+                best_value = value
+                best_j = j
+        return best_j
+
+    def fit(self, spec: VarSpec, stacklevel: int = 2) -> VarFit:
+        """Fit the model by least squares over the panel's common sample.
+
+        A model with more lags than were factored is factored afresh. An
+        unstable fit warns with UnstableVarWarning at the given stacklevel.
+
+        Raises:
+            InsufficientDataError: fewer usable rows than regressors plus one.
+            SingularDesignError: collinear regressors.
+        """
+        panel, lags = self.panel, spec.p_effective
+        n = len(panel) - lags
+        check_sample(len(panel), panel.m, spec)
+        r = self.derived_r(lags) if lags <= self.lags else factor_sample(panel, lags).r
+        fits = _fit_r(r[np.newaxis], n, spec)
+        if fits.rank[0] < fits.k:
+            raise _rank_deficient(fits.rank[0], fits.singular_values[0])
+        if fits.unstable[0]:
+            warnings.warn(
+                f"companion spectral radius {fits.radius[0]:.4f} exceeds 1; "
+                "impulse responses may diverge",
+                UnstableVarWarning,
+                stacklevel=stacklevel,
+            )
+        coef = fits.coef[0]
+        return VarFit(
+            names=panel.names,
+            p=spec.p,
+            p_effective=lags,
+            B0=coef[0].copy(),
+            B=tuple(fits.B[0]),
+            Gamma=fits.Gamma[0],
+            T_effective=n,
+        )
+
+
+def factor_sample(panel: Panel, lags: int) -> SampleFactor:
+    """Fold the panel's augmented design with `lags` lags into one R factor, row block by row block.
+
+    Raises:
+        InsufficientDataError: no more usable rows than regressors.
+    """
+    if lags < 1:
+        raise ValueError(f"lag order must be >= 1, got {lags}")
+    matrix = panel.matrix
+    n = matrix.shape[0] - lags
+    K = panel.m * lags + 1
+    if n <= K:
+        raise InsufficientDataError(
+            f"{matrix.shape[0]} rows leave {n} common observations for up to {K} regressors"
+        )
+    return SampleFactor(panel, lags, _r_factor(_design_blocks(matrix[np.newaxis], lags))[0])
+
+
 def estimate_var(panel: Panel, spec: VarSpec) -> VarFit:
     """Fit the model by least squares over the panel's common sample.
 
@@ -269,100 +405,17 @@ def estimate_var(panel: Panel, spec: VarSpec) -> VarFit:
         InsufficientDataError: fewer usable rows than regressors plus one.
         SingularDesignError: collinear regressors.
     """
-    matrix = panel.matrix
-    check_sample(matrix.shape[0], panel.m, spec)
-    fits = fit_var_stack(matrix[np.newaxis], spec)
-    if fits.rank[0] < fits.k:
-        raise _rank_deficient(fits.rank[0], fits.singular_values[0])
-    if fits.unstable[0]:
-        warnings.warn(
-            f"companion spectral radius {fits.radius[0]:.4f} exceeds 1; "
-            "impulse responses may diverge",
-            UnstableVarWarning,
-            stacklevel=2,
-        )
-    k, coef = fits.k, fits.coef[0]
-    residuals = np.concatenate(
-        [
-            block[0, :, k:] - block[0, :, :k] @ coef
-            for block in _design_blocks(matrix[np.newaxis], spec.p_effective)
-        ]
-    )
-    return VarFit(
-        names=panel.names,
-        p=spec.p,
-        p_effective=spec.p_effective,
-        B0=coef[0].copy(),
-        B=tuple(fits.B[0]),
-        residuals=residuals,
-        Gamma=fits.Gamma[0],
-        T_effective=residuals.shape[0],
-    )
+    check_sample(len(panel), panel.m, spec)
+    return factor_sample(panel, spec.p_effective).fit(spec, stacklevel=3)
 
 
 def select_lag(panel: Panel, p_max: int, criterion: str = "hjc") -> int:
-    """Pick the lag order minimizing an information criterion.
+    """Pick the lag order 1..p_max minimizing an information criterion.
 
-    All candidates j = 1..p_max are fitted on the same rows (those left
-    after dropping p_max initial observations) so their likelihood terms
-    are comparable. Ties resolve to the smallest order.
+    All candidates are fitted on the rows left after dropping p_max
+    initial observations. Ties resolve to the smallest order.
     """
-    best_j = 1
-    best_value = math.inf
-    for j, value in enumerate(_lag_criteria(panel, p_max, criterion), start=1):
-        if value < best_value - 1e-12:
-            best_value = value
-            best_j = j
-    return best_j
-
-
-def _lag_criteria(panel: Panel, p_max: int, criterion: str) -> list[float]:
-    """Information criterion of each candidate lag 1..p_max, for select_lag.
-
-    The candidate designs are nested: lag j regresses on the first
-    k_j = 1 + m j columns of the p_max design. One R factor of the
-    augmented p_max design therefore serves them all; R[k_j:, K:] holds
-    the targets' part orthogonal to those columns, so its cross product
-    is candidate j's residual cross product.
-    """
-    criterion = criterion.lower()
-    if criterion not in _CRITERIA:
-        raise ValueError(f"unknown criterion {criterion!r}; expected one of {_CRITERIA}")
-    if p_max < 1:
-        raise ValueError(f"p_max must be >= 1, got {p_max}")
-    matrix = panel.matrix
-    m = panel.m
-    n = matrix.shape[0] - p_max
-    K = m * p_max + 1
-    if n <= K:
-        raise InsufficientDataError(
-            f"{matrix.shape[0]} rows leave {n} common observations for up to {K} regressors"
-        )
-    r = _r_factor(_design_blocks(matrix[np.newaxis], p_max))[0]
-    values = []
-    for j in range(1, p_max + 1):
-        k = m * j + 1
-        sv = np.linalg.svd(r[:k, :k], compute_uv=False)
-        rank = int(_lstsq_rank(sv, n))
-        if rank < k:
-            raise _rank_deficient(rank, sv)
-        orthogonal = r[k:, K:]
-        gamma_ml = orthogonal.T @ orthogonal / n
-        sign, logdet = np.linalg.slogdet(gamma_ml)
-        if sign <= 0:
-            raise DegenerateCovarianceError(
-                f"residual covariance at lag {j} is not positive definite"
-            )
-        if criterion == "aic":
-            penalty = 2.0 * j * m * m / n
-        elif criterion == "sic":
-            penalty = j * m * m * math.log(n) / n
-        elif criterion == "hqc":
-            penalty = 2.0 * j * m * m * math.log(math.log(n)) / n
-        else:
-            penalty = j * (m * m * math.log(n) + 2.0 * m * m * math.log(math.log(n))) / (2.0 * n)
-        values.append(logdet + penalty)
-    return values
+    return factor_sample(panel, p_max).select(criterion)
 
 
 def ma_stack(B: np.ndarray, horizon: int) -> np.ndarray:

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aspill
 from aspill.cli import main
 from aspill.fred import fetch_fred
 from aspill.panel import load_csv, write_csv
@@ -211,6 +215,26 @@ class TestFetch:
         assert f"error: {path}: line 3:" in err
         assert not (tmp_path / "fetched.csv").exists()
 
+    def test_out_of_order_cache_date_is_clean_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("FRED_API_KEY", raising=False)
+        cache = tmp_path / "cache"
+        self.warm_cache(cache, "AAA", [1.0, 2.0, 3.0])
+        (path,) = cache.glob("*.txt")
+        lines = path.read_text().splitlines()
+        lines[2], lines[3] = lines[3], lines[2]
+        path.write_text("\n".join(lines) + "\n")
+        code = main([
+            "fetch",
+            "--series", "AAA",
+            "--cache-dir", str(cache),
+            "--out", str(tmp_path / "fetched.csv"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}: line 4:" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "fetched.csv").exists()
+
     def test_fetch_without_key_or_cache_fails(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("FRED_API_KEY", raising=False)
         code = main([
@@ -274,3 +298,17 @@ class TestParser:
         text = capsys.readouterr().out
         assert "received/transmitted" in text
         assert "identically" in text
+
+
+class TestImport:
+    def test_cli_import_leaves_the_http_stack_unloaded(self):
+        src = str(Path(aspill.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        probe = (
+            "import sys, aspill.cli; "
+            "print(sorted(m for m in ('urllib.request', 'http.client', 'ssl') if m in sys.modules))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "[]"

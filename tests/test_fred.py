@@ -204,6 +204,18 @@ class TestMalformedCache:
         assert "line 3" in str(caught.value)
         assert repr(line) in str(caught.value)
 
+    @pytest.mark.parametrize("line", ["2019-12-31 0.5", "2020-01-01 0.5"], ids=["out-of-order", "repeated"])
+    def test_date_not_after_the_previous_names_file_and_line(self, tmp_path, line):
+        fetch_fred("VXO", api_key="k", cache_dir=tmp_path, transport=RecordingTransport())
+        (path,) = tmp_path.glob("*.txt")
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([lines[0], lines[1], line, lines[2]]) + "\n")
+        with pytest.raises(MalformedCacheError) as caught:
+            fetch_fred("VXO", cache_dir=tmp_path, transport=refusing_transport)
+        assert str(path) in str(caught.value)
+        assert "line 3" in str(caught.value)
+        assert repr(line) in str(caught.value)
+
 
 class TestConcurrency:
     def test_parallel_fetches_share_one_download(self, tmp_path):

@@ -12,12 +12,13 @@ import pytest
 import aspill.pipeline as pipeline
 import aspill.rolling as rolling
 from aspill.connectedness import build_table, compute_fevd
-from aspill.decomposition import ShockSide, TrendSpec
+from aspill.decomposition import ShockSide, TrendSpec, component_panel, decompose_panel
 from aspill.errors import ManifestMismatchError, PipelineError
 from aspill.panel import load_csv, write_csv
 from aspill.pipeline import RunConfig, config_from_manifest, run_pipeline
 from aspill.report import parse_table_csv
-from aspill.var_engine import VarSpec, estimate_var, ma_coefficients
+import aspill.var_engine as var_engine
+from aspill.var_engine import VarSpec, estimate_var, ma_coefficients, select_lag
 from varsim import make_panel, random_walk_matrix
 
 
@@ -117,6 +118,49 @@ class TestFullRun:
         cfg = base_config(csv_path, out, lags=None, max_lags=4, sides=(ShockSide.SYMMETRIC,))
         manifest = run_pipeline(cfg)
         assert 1 <= manifest.sides["sym"]["lag"] <= 4
+
+
+class TestOneFactorPerSide:
+    """With lags=None, one R factor per side selects the lag and fits the model."""
+
+    def run_and_recompute(self, tmp_path, monkeypatch, **kw) -> list[int]:
+        """Run the pipeline, compare each side with select_lag + estimate_var; return factored lags."""
+        factored: list[int] = []
+        factor_sample = var_engine.factor_sample
+
+        def counting(panel, lags):
+            factored.append(lags)
+            return factor_sample(panel, lags)
+
+        monkeypatch.setattr(var_engine, "factor_sample", counting)
+        monkeypatch.setattr(pipeline, "factor_sample", counting)
+        csv_path = tmp_path / "walk.csv"
+        write_walk_csv(csv_path, T=700)
+        out = tmp_path / "out"
+        cfg = base_config(csv_path, out, lags=None, **kw)
+        manifest = run_pipeline(cfg)
+        monkeypatch.undo()
+
+        panel, _ = load_csv(csv_path, "date", cfg.columns)
+        decomposed = decompose_panel(panel, cfg.trend)
+        for side in cfg.sides:
+            side_panel = panel if side is ShockSide.SYMMETRIC else component_panel(decomposed, panel, side)
+            lag = select_lag(side_panel, cfg.max_lags, cfg.lag_select)
+            assert manifest.sides[side.value]["lag"] == lag
+            fit = estimate_var(side_panel, VarSpec(p=lag, ty_extra_lags=1 if cfg.ty_augment else 0))
+            fevd = compute_fevd(ma_coefficients(fit, cfg.horizon), fit.Gamma, cfg.horizon)
+            expected = build_table(fevd.normalized, panel.names)
+            parsed = parse_table_csv((out / f"table_{side.value}.csv").read_text())
+            np.testing.assert_allclose(parsed.matrix, expected.matrix, rtol=0, atol=1e-10)
+        return factored
+
+    def test_selected_lag_table_matches_separate_calls(self, tmp_path, monkeypatch):
+        factored = self.run_and_recompute(tmp_path, monkeypatch, max_lags=4)
+        assert factored == [4, 4, 4]
+
+    def test_augmented_model_beyond_the_factor_is_refactored(self, tmp_path, monkeypatch):
+        factored = self.run_and_recompute(tmp_path, monkeypatch, max_lags=1, ty_augment=True)
+        assert factored == [1, 2, 1, 2, 1, 2]
 
 
 class TestFailFast:

@@ -6,14 +6,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aspill.errors import InsufficientDataError, SingularDesignError
 from aspill.var_engine import (
     _BLOCK_ROWS,
     UnstableVarWarning,
+    VarFit,
     VarSpec,
-    _lag_criteria,
     estimate_var,
+    factor_sample,
     ma_coefficients,
     select_lag,
 )
@@ -42,6 +45,34 @@ def exact_var1_path(B1: np.ndarray, intercept: np.ndarray, y0: np.ndarray, T: in
     for t in range(1, T):
         y[t] = intercept + B1 @ y[t - 1]
     return y
+
+
+def lagged_regressors(y: np.ndarray, p: int, rows: int) -> np.ndarray:
+    """[1, y_{t-1}..y_{t-p}] for the last rows of y."""
+    T = y.shape[0]
+    return np.hstack([np.ones((rows, 1))] + [y[T - rows - s : T - s] for s in range(1, p + 1)])
+
+
+def lstsq_var(y: np.ndarray, p: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """(coef, residuals) of the last rows of y on [1, y_{t-1}..y_{t-p}] by plain lstsq."""
+    x = lagged_regressors(y, p, rows)
+    coef = np.linalg.lstsq(x, y[-rows:], rcond=None)[0]
+    return coef, y[-rows:] - x @ coef
+
+
+def fit_residuals(fit: VarFit, y: np.ndarray) -> np.ndarray:
+    """y_t - B0 - sum_s B_s y_{t-s} over the fit's usable rows."""
+    coef = np.vstack([fit.B0, np.hstack(fit.B).T])
+    return y[-fit.T_effective :] - lagged_regressors(y, fit.p_effective, fit.T_effective) @ coef
+
+
+def assert_matches_lstsq(fit: VarFit, y: np.ndarray, atol: float) -> None:
+    """The fit's coefficients and Gamma against a plain lstsq fit of the same rows."""
+    coef, residuals = lstsq_var(y, fit.p_effective, fit.T_effective)
+    np.testing.assert_allclose(fit.B0, coef[0], rtol=0, atol=atol)
+    np.testing.assert_allclose(np.hstack(fit.B), coef[1:].T, rtol=0, atol=atol)
+    gamma = residuals.T @ residuals / (residuals.shape[0] - coef.shape[0])
+    np.testing.assert_allclose(fit.Gamma, gamma, rtol=0, atol=atol)
 
 
 class TestVarSpec:
@@ -100,17 +131,16 @@ class TestEstimateVar:
         y = simulate_var(rng, random_stable_coefficients(rng, 3, 2), 400)
         fit = estimate_var(make_panel(y), VarSpec(p=2))
         T_eff = fit.T_effective
-        x = np.hstack(
-            [np.ones((T_eff, 1))]
-            + [y[2 - s : y.shape[0] - s] for s in range(1, 3)]
-        )
-        assert np.max(np.abs(x.T @ fit.residuals)) / T_eff < 1e-8
+        x = lagged_regressors(y, 2, T_eff)
+        assert np.max(np.abs(x.T @ fit_residuals(fit, y))) / T_eff < 1e-8
+        assert_matches_lstsq(fit, y, atol=1e-8)
 
     def test_residual_means_near_zero_with_intercept(self):
         rng = np.random.default_rng(4)
         y = simulate_var(rng, random_stable_coefficients(rng, 2, 1), 300)
         fit = estimate_var(make_panel(y), VarSpec(p=1))
-        assert np.max(np.abs(fit.residuals.mean(axis=0))) < 1e-8
+        assert np.max(np.abs(fit_residuals(fit, y).mean(axis=0))) < 1e-8
+        assert_matches_lstsq(fit, y, atol=1e-8)
 
     def test_gamma_exactly_symmetric_and_psd(self):
         rng = np.random.default_rng(5)
@@ -154,14 +184,6 @@ class TestEstimateVar:
         assert fit.p == 1
         assert fit.p_effective == 2
         assert len(fit.B) == 2
-
-
-def lstsq_var(y: np.ndarray, p: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """(coef, residuals) of the last rows of y on [1, y_{t-1}..y_{t-p}] by plain lstsq."""
-    T = y.shape[0]
-    x = np.hstack([np.ones((rows, 1))] + [y[T - rows - s : T - s] for s in range(1, p + 1)])
-    coef = np.linalg.lstsq(x, y[T - rows :], rcond=None)[0]
-    return coef, y[T - rows :] - x @ coef
 
 
 def lstsq_hjc(y: np.ndarray, p_max: int) -> list[float]:
@@ -235,7 +257,7 @@ class TestSamplesLongerThanOneRowBlock:
         rng = np.random.default_rng(25)
         y = simulate_var(rng, random_stable_coefficients(rng, 3, 2), 3 * _BLOCK_ROWS)
         expected = lstsq_hjc(y, 4)
-        got = _lag_criteria(make_panel(y), 4, "hjc")
+        got = factor_sample(make_panel(y), 4).criteria("hjc")
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
         assert select_lag(make_panel(y), 4) == int(np.argmin(expected)) + 1
 
@@ -246,10 +268,83 @@ class TestSamplesLongerThanOneRowBlock:
         coef, residuals = lstsq_var(y, 2, y.shape[0] - 2)
         np.testing.assert_allclose(fit.B0, coef[0], rtol=0, atol=1e-10)
         np.testing.assert_allclose(np.hstack(fit.B), coef[1:].T, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(fit.residuals, residuals, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(fit_residuals(fit, y), residuals, rtol=0, atol=1e-10)
         gamma = residuals.T @ residuals / (residuals.shape[0] - coef.shape[0])
         np.testing.assert_allclose(fit.Gamma, gamma, rtol=0, atol=1e-10)
         assert fit.T_effective == y.shape[0] - 2
+
+
+def assert_close_normwise(got: np.ndarray, want: np.ndarray, rtol: float = 1e-10) -> None:
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.max(np.abs(want)))
+
+
+class TestDerivedFactor:
+    """A model with q <= L lags fitted from the R factor of the L-lag design."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 4),
+        L=st.integers(1, 4),
+        extra=st.integers(0, 1),
+        T=st.integers(40, 160),
+    )
+    def test_every_smaller_model_matches_a_fresh_fit(self, seed, m, L, extra, T):
+        rng = np.random.default_rng(seed)
+        y = simulate_var(rng, random_stable_coefficients(rng, m, 1), T)
+        panel = make_panel(y)
+        factor = factor_sample(panel, L)
+        for q in range(1, L + 1 - extra):
+            spec = VarSpec(p=q, ty_extra_lags=extra)
+            derived, fresh = factor.fit(spec), estimate_var(panel, spec)
+            assert_close_normwise(derived.B0, fresh.B0)
+            assert_close_normwise(np.stack(derived.B), np.stack(fresh.B))
+            assert_close_normwise(derived.Gamma, fresh.Gamma)
+            assert derived.T_effective == fresh.T_effective == T - q - extra
+            k = 1 + m * spec.p_effective
+            r11 = factor.derived_r(spec.p_effective)[:k, :k]
+            fresh_r11 = factor_sample(panel, spec.p_effective).r[:k, :k]
+            assert_close_normwise(
+                np.linalg.svd(r11, compute_uv=False), np.linalg.svd(fresh_r11, compute_uv=False)
+            )
+
+    def test_model_with_the_factored_lags_is_the_fresh_fit(self):
+        rng = np.random.default_rng(40)
+        panel = make_panel(simulate_var(rng, random_stable_coefficients(rng, 3, 2), 2 * _BLOCK_ROWS + 7))
+        for spec in (VarSpec(p=3), VarSpec(p=2, ty_extra_lags=1)):
+            derived, fresh = factor_sample(panel, 3).fit(spec), estimate_var(panel, spec)
+            assert np.array_equal(derived.B0, fresh.B0)
+            assert np.array_equal(np.stack(derived.B), np.stack(fresh.B))
+            assert np.array_equal(derived.Gamma, fresh.Gamma)
+
+    def test_model_with_more_lags_is_factored_afresh(self):
+        rng = np.random.default_rng(41)
+        panel = make_panel(simulate_var(rng, random_stable_coefficients(rng, 2, 1), 300))
+        spec = VarSpec(p=1, ty_extra_lags=1)
+        derived, fresh = factor_sample(panel, 1).fit(spec), estimate_var(panel, spec)
+        assert np.array_equal(np.stack(derived.B), np.stack(fresh.B))
+        assert np.array_equal(derived.Gamma, fresh.Gamma)
+
+    def test_constant_column_is_singular_on_both_paths(self):
+        rng = np.random.default_rng(42)
+        y = rng.normal(size=(200, 3))
+        y[:, 1] = 4.0
+        panel = make_panel(y)
+        factor = factor_sample(panel, 3)
+        for q in (1, 2, 3):
+            with pytest.raises(SingularDesignError, match="rank deficient"):
+                factor.fit(VarSpec(p=q))
+            with pytest.raises(SingularDesignError, match="rank deficient"):
+                estimate_var(panel, VarSpec(p=q))
+        with pytest.raises(SingularDesignError, match="rank deficient"):
+            factor.select()
+
+    def test_rejects_orders_outside_the_factor(self):
+        rng = np.random.default_rng(43)
+        factor = factor_sample(make_panel(rng.normal(size=(100, 2))), 2)
+        for q in (0, 3):
+            with pytest.raises(ValueError):
+                factor.derived_r(q)
 
 
 class TestMaCoefficients:
