@@ -33,7 +33,6 @@ from .report import parse_table_csv, render_net_json, render_rolling_csv, render
 from .rolling import RollingConfig, RollingTables, SpilloverSeries, rolling_tables
 from .svgchart import render_plot, render_svg
 from .var_engine import (
-    MaCoefficients,
     VarFit,
     VarSpec,
     estimate_var,
@@ -47,7 +46,6 @@ __all__ = [
     "ConnectednessTable",
     "DecomposedPanel",
     "FevdResult",
-    "MaCoefficients",
     "NetMeasures",
     "Panel",
     "RollingConfig",

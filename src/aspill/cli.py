@@ -16,12 +16,14 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import write_atomic
+from .connectedness import SIGMA_SCALINGS
 from .decomposition import ShockSide, TrendSpec, decompose_panel
-from .errors import AspillError, PipelineError
+from .errors import AspillError, MalformedCsvError, PipelineError
 from .fred import DEFAULT_CACHE_DIR, fetch_fred
 from .panel import Panel, align, load_csv, log_transform, parse_date, write_csv
 from .pipeline import RunConfig, config_from_manifest, run_pipeline
 from .report import parse_table_csv, render_table
+from .var_engine import CRITERIA
 from .version import __version__
 
 _DIRECTIONAL_NOTE = (
@@ -87,13 +89,13 @@ def _add_model_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trend", type=_trend_arg, default=TrendSpec.DRIFT,
                         help="deterministic part of the walk: none, drift, or trend")
     parser.add_argument("--lags", type=int, help="fixed lag order; omit to select by criterion")
-    parser.add_argument("--lag-select", default="hjc", choices=("hjc", "aic", "sic", "hqc"),
+    parser.add_argument("--lag-select", default="hjc", choices=CRITERIA,
                         help="criterion used when --lags is omitted")
     parser.add_argument("--max-lags", type=int, default=8,
                         help="largest candidate order for lag selection")
     parser.add_argument("--ty-augment", action="store_true",
                         help="estimate one extra unrestricted lag kept out of the propagation")
-    parser.add_argument("--sigma-scaling", default="jj", choices=("jj", "ii"),
+    parser.add_argument("--sigma-scaling", default="jj", choices=SIGMA_SCALINGS,
                         help="variance scaling the shares: jj is the standard generalized form; "
                              "ii depends on the units of the input: rescaling a series "
                              "moves the shares")
@@ -200,7 +202,10 @@ def _cmd_fetch(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    table = parse_table_csv(Path(args.table).read_text(encoding="utf-8"))
+    try:
+        table = parse_table_csv(Path(args.table).read_text(encoding="utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError is one too
+        raise MalformedCsvError(f"{args.table}: {exc}") from exc
     text = render_table(table, args.format)
     if args.out:
         out_path = Path(args.out)

@@ -15,9 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateCovarianceError
-from .var_engine import MaCoefficients
 
-_SIGMA_SCALINGS = ("jj", "ii")
+SIGMA_SCALINGS = ("jj", "ii")
 
 _DIAGONAL_NOT_POSITIVE = "covariance diagonal must be strictly positive"
 _ZERO_FEV = "zero forecast-error variance in at least one equation"
@@ -80,8 +79,8 @@ def gfevd_stack(
     the message compute_fevd raises for it on its own; its raw matrix is
     finite filler.
     """
-    if sigma_scaling not in _SIGMA_SCALINGS:
-        raise ValueError(f"sigma_scaling must be one of {_SIGMA_SCALINGS}, got {sigma_scaling!r}")
+    if sigma_scaling not in SIGMA_SCALINGS:
+        raise ValueError(f"sigma_scaling must be one of {SIGMA_SCALINGS}, got {sigma_scaling!r}")
     sigma_diag = np.diagonal(gamma, axis1=1, axis2=2)
     c, m = sigma_diag.shape
     numerator = np.zeros((c, m, m))
@@ -115,7 +114,7 @@ def normalize_stack(raw: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
 
 
 def compute_fevd(
-    ma: MaCoefficients | np.ndarray, gamma: np.ndarray, n: int, sigma_scaling: str = "jj"
+    ma: np.ndarray, gamma: np.ndarray, n: int, sigma_scaling: str = "jj"
 ) -> FevdResult:
     """Raw and row-normalized generalized variance decompositions at horizon n.
 
@@ -126,18 +125,21 @@ def compute_fevd(
     (unit diagonal at n=0); "ii" reproduces a variant that scales by the
     responding variable's own variance instead.
 
-    ma is one model's MaCoefficients with its (m, m) gamma, and a failure
-    raises DegenerateCovarianceError. ma may instead be a (c, >n, m, m)
-    stack of K_0.. with a (c, m, m) gamma stack; then raw and normalized
-    are stacks too, and gap_reasons says per window why it failed (None
-    where it did not) instead of raising. One model runs as a stack of one.
+    ma is a (c, >n, m, m) stack of K_0.. with a (c, m, m) gamma stack;
+    raw and normalized are then stacks too, and gap_reasons says per
+    window why it failed (None where it did not). One model's (>n, m, m)
+    ma with its (m, m) gamma runs as a stack of one, and a failure raises
+    DegenerateCovarianceError with the reason the stack would give.
     """
-    single = isinstance(ma, MaCoefficients)
-    terms = ma.horizon if single else ma.shape[1] - 1
+    K, gammas = np.asarray(ma, dtype=float), np.asarray(gamma, dtype=float)
+    single = gammas.ndim == 2
+    if K.ndim != gammas.ndim + 1:
+        raise ValueError(f"{K.ndim}-d MA terms do not match a {gammas.ndim}-d covariance")
+    if single:
+        K, gammas = K[np.newaxis], gammas[np.newaxis]
+    terms = K.shape[1] - 1
     if not 0 <= n <= terms:
         raise ValueError(f"horizon {n} is outside the {terms} MA terms available")
-    K = np.stack(ma.K[: n + 1])[np.newaxis] if single else ma
-    gammas = np.asarray(gamma, dtype=float)[np.newaxis] if single else gamma
     raw, reasons = gfevd_stack(K, gammas, n, sigma_scaling)
     normalized, row_reasons = normalize_stack(raw)
     gap_reasons = tuple(a or b for a, b in zip(reasons, row_reasons))
@@ -162,35 +164,12 @@ def total_spillovers(matrix_pct: np.ndarray) -> np.ndarray:
     return _off_diagonal(matrix_pct).sum(axis=(1, 2)) / matrix_pct.shape[1]
 
 
-def _assemble(matrix_pct: np.ndarray, labels: tuple[str, ...]) -> ConnectednessTable:
-    """The table of one (m, m) percent-scaled matrix."""
-    m = matrix_pct.shape[0]
-    stack = matrix_pct[np.newaxis]
-    off_diagonal = _off_diagonal(stack)[0]
-    including_own = matrix_pct.sum(axis=0)
-    return ConnectednessTable(
-        labels=labels,
-        matrix=matrix_pct,
-        from_others=off_diagonal.sum(axis=1),
-        to_others=off_diagonal.sum(axis=0),
-        including_own=including_own,
-        total_spillover=float(total_spillovers(stack)[0]),
-        aggregates_from=matrix_pct.sum(axis=1) / m,
-        aggregates_to=including_own / m,
-    )
-
-
 def build_table(
     normalized: np.ndarray, labels: Sequence[str], row_sum_tol: float = 1e-6
 ) -> ConnectednessTable:
     """Assemble the spillover table from row-normalized fractional shares."""
-    normalized = np.asarray(normalized, dtype=float)
-    labels = tuple(labels)
-    if normalized.shape != (len(labels), len(labels)):
-        raise ValueError(f"matrix shape {normalized.shape} does not match {len(labels)} labels")
-    if np.max(np.abs(normalized.sum(axis=1) - 1.0)) > row_sum_tol:
-        raise ValueError("rows of the normalized matrix must sum to 1")
-    return _assemble(normalized * 100.0, labels)
+    percent = np.asarray(normalized, dtype=float) * 100.0
+    return table_from_percent(percent, labels, row_sum_tol * 100.0)
 
 
 def table_from_percent(
@@ -204,11 +183,24 @@ def table_from_percent(
     """
     matrix_pct = np.asarray(matrix_pct, dtype=float)
     labels = tuple(labels)
-    if matrix_pct.shape != (len(labels), len(labels)):
-        raise ValueError(f"matrix shape {matrix_pct.shape} does not match {len(labels)} labels")
+    m = len(labels)
+    if matrix_pct.shape != (m, m):
+        raise ValueError(f"matrix shape {matrix_pct.shape} does not match {m} labels")
     if np.max(np.abs(matrix_pct.sum(axis=1) - 100.0)) > row_sum_tol:
         raise ValueError("rows of a percent matrix must sum to 100")
-    return _assemble(matrix_pct, labels)
+    stack = matrix_pct[np.newaxis]
+    off_diagonal = _off_diagonal(stack)[0]
+    including_own = matrix_pct.sum(axis=0)
+    return ConnectednessTable(
+        labels=labels,
+        matrix=matrix_pct,
+        from_others=off_diagonal.sum(axis=1),
+        to_others=off_diagonal.sum(axis=0),
+        including_own=including_own,
+        total_spillover=float(total_spillovers(stack)[0]),
+        aggregates_from=matrix_pct.sum(axis=1) / m,
+        aggregates_to=including_own / m,
+    )
 
 
 def net_measures(table: ConnectednessTable) -> NetMeasures:

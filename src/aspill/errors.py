@@ -91,6 +91,10 @@ class AllWindowsFailedError(AspillError):
 
 # -- pipeline ---------------------------------------------------------------
 
+class ConfigError(AspillError, ValueError):
+    """A run setting is out of range, such as a zero horizon or an unknown criterion."""
+
+
 class PipelineError(AspillError):
     """A pipeline stage failed; carries every (side, stage, message) triple."""
 

@@ -18,14 +18,14 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from .atomic import write_atomic
-from .connectedness import build_table, compute_fevd, net_measures
+from .connectedness import SIGMA_SCALINGS, build_table, compute_fevd, net_measures
 from .decomposition import DecomposedPanel, ShockSide, TrendSpec, component_panel, decompose_panel
-from .errors import AspillError, ManifestMismatchError, PipelineError
+from .errors import AspillError, ConfigError, ManifestMismatchError, PipelineError
 from .panel import Panel, load_csv, log_transform
 from .report import render_net_json, render_rolling_csv, render_table
 from .rolling import RollingConfig, rolling_tables
 from .svgchart import render_plot
-from .var_engine import VarSpec, estimate_var, factor_sample, ma_coefficients
+from .var_engine import CRITERIA, VarSpec, estimate_var, factor_sample, ma_coefficients
 from .version import __version__
 
 MANIFEST_NAME = "manifest.json"
@@ -57,13 +57,17 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if not self.sides:
-            raise ValueError("at least one shock side must be requested")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+            raise ConfigError("at least one shock side must be requested")
         if not self.columns:
-            raise ValueError("at least one value column must be named")
-        if self.lags is not None and self.lags < 1:
-            raise ValueError(f"lag order must be >= 1, got {self.lags}")
+            raise ConfigError("at least one value column must be named")
+        for name in ("horizon", "lags", "max_lags", "window", "step"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
+        if self.lag_select.lower() not in CRITERIA:
+            raise ConfigError(f"lag_select {self.lag_select!r} is not in {CRITERIA}")
+        if self.sigma_scaling not in SIGMA_SCALINGS:
+            raise ConfigError(f"sigma_scaling {self.sigma_scaling!r} is not in {SIGMA_SCALINGS}")
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {}

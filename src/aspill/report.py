@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from datetime import date
 
 import numpy as np
@@ -89,7 +90,8 @@ def parse_table_csv(text: str) -> ConnectednessTable:
     """Rebuild a table from its CSV rendering.
 
     Only labels and the share matrix are read; margins are recomputed, so
-    they agree bit-for-bit with what rendering would emit again.
+    they agree bit-for-bit with what rendering would emit again. A cell
+    that is not a finite number is named by its 1-based row and column.
     """
     rows = list(csv.reader(io.StringIO(text)))
     if len(rows) < 4:
@@ -100,11 +102,21 @@ def parse_table_csv(text: str) -> ConnectednessTable:
     if len(rows) != m + 3:
         raise ValueError(f"expected {m + 3} rows for {m} labels, got {len(rows)}")
     matrix = np.empty((m, m))
-    for i in range(m):
-        row = rows[1 + i]
+    for i, row in enumerate(rows[1 : m + 1]):
+        if len(row) <= m:
+            raise ValueError(f"row {i + 2} has {len(row)} cells, expected {m + 2}")
         if row[0] != labels[i]:
             raise ValueError(f"row label {row[0]!r} does not match header label {labels[i]!r}")
-        matrix[i] = [float(cell) for cell in row[1 : m + 1]]
+        for j, cell in enumerate(row[1 : m + 1]):
+            try:
+                value = float(cell)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"row {i + 2}, column {j + 2} ({labels[j]}): {cell!r} is not a finite number"
+                )
+            matrix[i, j] = value
     return table_from_percent(matrix, labels)
 
 

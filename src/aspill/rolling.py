@@ -25,7 +25,7 @@ from .decomposition import (
     component_stack,
     decompose_panel,
 )
-from .errors import AllWindowsFailedError, InsufficientDataError
+from .errors import AllWindowsFailedError, ConfigError, InsufficientDataError
 from .panel import Panel
 from .var_engine import (
     UnstableVarWarning,
@@ -33,7 +33,6 @@ from .var_engine import (
     check_sample,
     design_bytes,
     design_row_bytes,
-    fit_var_stack,
     fit_var_windows,
     ma_stack,
 )
@@ -56,12 +55,9 @@ class RollingConfig:
     sigma_scaling: str = "jj"
 
     def __post_init__(self) -> None:
-        if self.step < 1:
-            raise ValueError(f"step must be >= 1, got {self.step}")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
+        for name in ("step", "horizon", "window"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,9 +184,10 @@ def rolling_tables(
         rows = source[lo * cfg.step : (hi - 1) * cfg.step + cfg.window]
         if per_window:
             stack = sliding_window_view(rows, cfg.window, axis=0)[:: cfg.step].swapaxes(1, 2)
-            fit = fit_var_stack(component_stack(stack, cfg.trend_spec, cfg.shock_side), spec)
+            windows, stride = component_stack(stack, cfg.trend_spec, cfg.shock_side), 1
         else:
-            fit = fit_var_windows(rows, cfg.window, cfg.step, spec)
+            windows, stride = rows[np.newaxis], cfg.step
+        fit = fit_var_windows(windows, cfg.window, stride, spec)
         ma = ma_stack(fit.B[:, : fit.p], cfg.horizon)
         fevd = compute_fevd(ma, fit.Gamma, cfg.horizon, cfg.sigma_scaling)
         unstable += int(np.count_nonzero(fit.unstable))

@@ -20,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import DegenerateCovarianceError, InsufficientDataError, SingularDesignError
 from .panel import Panel
 
-_CRITERIA = ("hjc", "aic", "sic", "hqc")
+CRITERIA = ("hjc", "aic", "sic", "hqc")
 
 
 class UnstableVarWarning(UserWarning):
@@ -66,14 +66,6 @@ class VarFit:
     @property
     def m(self) -> int:
         return len(self.names)
-
-
-@dataclass(frozen=True, eq=False)
-class MaCoefficients:
-    """Impulse-response matrices K_0..K_n of the fitted model."""
-
-    horizon: int
-    K: tuple[np.ndarray, ...]
 
 
 # The fit warns when the companion spectral radius exceeds this.
@@ -128,25 +120,22 @@ def _stacked_design(stack: np.ndarray, lags: int) -> np.ndarray:
     return np.concatenate([np.ones((c, W - lags, 1)), *blocks], axis=2)
 
 
-def _design_blocks(stack: np.ndarray, lags: int) -> Iterator[np.ndarray]:
-    """The augmented design of a (c, W, m) stack, _BLOCK_ROWS usable rows at a time."""
-    for lo in range(0, stack.shape[1] - lags, _BLOCK_ROWS):
-        yield _stacked_design(stack[:, lo : lo + _BLOCK_ROWS + lags], lags)
+def _window_blocks(source: np.ndarray, window: int, step: int, lags: int) -> Iterator[np.ndarray]:
+    """Augmented designs of the windows [s, s + window), s = 0, step, .., of a (c, T, m) source.
 
-
-def _window_blocks(matrix: np.ndarray, window: int, step: int, lags: int) -> Iterator[np.ndarray]:
-    """The augmented designs of the windows [s, s + window) of a (T, m) matrix, s = 0, step, ..
-
-    Block by block, as _design_blocks yields them for a stack of those
-    windows; but each block's design is built once over the rows the
-    windows span, and every window gets a strided view of it.
+    Yields (c n, rows, k + m) row blocks of at most _BLOCK_ROWS usable
+    rows, n windows per entry, entry by entry. Each block's design is
+    built once over the rows its windows span, and every window gets a
+    strided view of it. A full sample is the one window of length T;
+    windows with their own rows are a stack of entries, one window each.
     """
-    last = (matrix.shape[0] - window) // step * step
+    last = (source.shape[1] - window) // step * step
     n = window - lags
     for lo in range(0, n, _BLOCK_ROWS):
         rows = min(_BLOCK_ROWS, n - lo)
-        design = _stacked_design(matrix[np.newaxis, lo : lo + last + rows + lags], lags)[0]
-        yield sliding_window_view(design, rows, axis=0)[::step].swapaxes(1, 2)
+        design = _stacked_design(source[:, lo : lo + last + rows + lags], lags)
+        views = sliding_window_view(design, rows, axis=1)[:, ::step].swapaxes(2, 3)
+        yield views.reshape(-1, rows, design.shape[2])
 
 
 def _r_factor(blocks: Iterable[np.ndarray]) -> np.ndarray:
@@ -240,26 +229,16 @@ def _fit_r(r: np.ndarray, n: int, spec: VarSpec) -> VarStack:
     )
 
 
-def fit_var_stack(stack: np.ndarray, spec: VarSpec) -> VarStack:
-    """Fit every window of a (c, W, m) stack by a batched, row-blocked QR.
+def fit_var_windows(source: np.ndarray, window: int, step: int, spec: VarSpec) -> VarStack:
+    """Fit the windows [s, s + window), s = 0, step, 2 step, .., of a (c, T, m) source.
 
-    Each window's design is built from its own rows, so each window's
-    result depends on its own rows only and any split of a stack into
-    chunks gives identical bits.
+    Every fit folds its own window's rows in the same blocks, whether
+    the window is a view of a shared design or an entry of its own, so
+    its result depends on those rows only and any split of the windows
+    into chunks gives identical bits.
     """
     lags = spec.p_effective
-    return _fit_r(_r_factor(_design_blocks(stack, lags)), stack.shape[1] - lags, spec)
-
-
-def fit_var_windows(matrix: np.ndarray, window: int, step: int, spec: VarSpec) -> VarStack:
-    """Fit the windows of rows [s, s + window) of a (T, m) matrix, s = 0, step, 2 step, ...
-
-    The windows' designs are views of one design per row block, so each
-    window folds the same numbers as fit_var_stack on its own rows, and
-    every fit equals that one bit for bit.
-    """
-    lags = spec.p_effective
-    return _fit_r(_r_factor(_window_blocks(matrix, window, step, lags)), window - lags, spec)
+    return _fit_r(_r_factor(_window_blocks(source, window, step, lags)), window - lags, spec)
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,8 +283,8 @@ class SampleFactor:
         residual cross product.
         """
         criterion = criterion.lower()
-        if criterion not in _CRITERIA:
-            raise ValueError(f"unknown criterion {criterion!r}; expected one of {_CRITERIA}")
+        if criterion not in CRITERIA:
+            raise ValueError(f"unknown criterion {criterion!r}; expected one of {CRITERIA}")
         m, r = self.panel.m, self.r
         n = len(self.panel) - self.lags
         K = m * self.lags + 1
@@ -388,14 +367,14 @@ def factor_sample(panel: Panel, lags: int) -> SampleFactor:
     """
     if lags < 1:
         raise ValueError(f"lag order must be >= 1, got {lags}")
-    matrix = panel.matrix
-    n = matrix.shape[0] - lags
+    T = len(panel)
     K = panel.m * lags + 1
-    if n <= K:
+    if T - lags <= K:
         raise InsufficientDataError(
-            f"{matrix.shape[0]} rows leave {n} common observations for up to {K} regressors"
+            f"{T} rows leave {T - lags} common observations for up to {K} regressors"
         )
-    return SampleFactor(panel, lags, _r_factor(_design_blocks(matrix[np.newaxis], lags))[0])
+    r = _r_factor(_window_blocks(panel.matrix[np.newaxis], T, 1, lags))[0]
+    return SampleFactor(panel, lags, r)
 
 
 def estimate_var(panel: Panel, spec: VarSpec) -> VarFit:
@@ -431,13 +410,12 @@ def ma_stack(B: np.ndarray, horizon: int) -> np.ndarray:
     return K
 
 
-def ma_coefficients(fit: VarFit, horizon: int) -> MaCoefficients:
-    """Run the recursion K_i = sum_s B_s K_{i-s} up to the horizon.
+def ma_coefficients(fit: VarFit, horizon: int) -> np.ndarray:
+    """K_0..K_horizon of the recursion K_i = sum_s B_s K_{i-s}, as (horizon + 1, m, m).
 
     Only the first p coefficient matrices propagate; an augmentation lag
     is excluded by construction.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    K = ma_stack(np.stack(fit.B[: fit.p])[np.newaxis], horizon)[0]
-    return MaCoefficients(horizon=horizon, K=tuple(K))
+    return ma_stack(np.stack(fit.B[: fit.p])[np.newaxis], horizon)[0]

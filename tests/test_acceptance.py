@@ -26,7 +26,7 @@ from aspill.connectedness import (
 )
 from aspill.decomposition import ShockSide, TrendSpec, decompose_panel
 from aspill.rolling import RollingConfig, rolling_tables
-from aspill.var_engine import MaCoefficients, VarSpec, estimate_var, ma_coefficients
+from aspill.var_engine import VarSpec, estimate_var, ma_coefficients
 from test_connectedness import gfevd_oracle, random_ma, random_table
 from test_pipeline import tree_digest, write_walk_csv
 from test_var_engine import companion_power_block, exact_var1_path
@@ -80,7 +80,7 @@ def test_criterion_2_ma_recursion_matches_companion_powers():
         ma = ma_coefficients(fit, horizon)
         for i in range(horizon + 1):
             oracle = companion_power_block(list(fit.B), i)
-            worst = max(worst, float(np.max(np.abs(ma.K[i] - oracle))))
+            worst = max(worst, float(np.max(np.abs(ma[i] - oracle))))
     elapsed = time.perf_counter() - start
     check(
         2,
@@ -98,13 +98,13 @@ def test_criterion_3_share_matrix_matches_scalar_oracle():
         m = int(rng.integers(2, 5))
         n = int(rng.integers(0, 21))
         ma, gamma = random_ma(rng, m, int(rng.integers(1, 3)), n)
-        diff = compute_fevd(ma, gamma, n).raw - gfevd_oracle(list(ma.K), gamma, n)
+        diff = compute_fevd(ma, gamma, n).raw - gfevd_oracle(list(ma), gamma, n)
         worst = max(worst, float(np.max(np.abs(diff))))
     corr_worst = 0.0
     for _ in range(20):
         m = int(rng.integers(2, 6))
         _, gamma = random_ma(rng, m, 1, 0)
-        raw = compute_fevd(MaCoefficients(horizon=0, K=(np.eye(m),)), gamma, 0).raw
+        raw = compute_fevd(np.eye(m)[np.newaxis], gamma, 0).raw
         d = np.sqrt(np.diag(gamma))
         rho2 = (gamma / np.outer(d, d)) ** 2
         corr_worst = max(corr_worst, float(np.max(np.abs(raw - rho2))))

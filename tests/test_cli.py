@@ -117,6 +117,45 @@ class TestAnalyze:
         assert code == 1
         assert "required" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ("--horizon", "0"),
+            ("--max-lags", "0"),
+            ("--lags", "0"),
+            ("--window", "0"),
+            ("--step", "0", "--window", "100"),
+        ],
+    )
+    def test_out_of_range_setting_keeps_earlier_outputs(self, tmp_path, capsys, extra):
+        csv_path = tmp_path / "walk.csv"
+        write_walk_csv(csv_path)
+        out = tmp_path / "out"
+        assert main(analyze_args(csv_path, out)) == 0
+        first = tree_digest(out)
+        capsys.readouterr()
+        code = main(analyze_args(csv_path, out, *extra))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "must be >= 1" in err
+        assert "Traceback" not in err
+        assert tree_digest(out) == first
+
+    def test_hand_edited_manifest_with_bad_setting_is_clean_error(self, tmp_path, capsys):
+        csv_path = tmp_path / "walk.csv"
+        write_walk_csv(csv_path)
+        out = tmp_path / "out"
+        assert main(analyze_args(csv_path, out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["config"]["lag_select"] = "bic"
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        code = main(["analyze", "--from-manifest", str(edited)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: lag_select 'bic' is not in")
+        assert (out / "manifest.json").is_file()
+
 
 class TestRoll:
     def test_rolling_only_outputs(self, tmp_path, capsys):
@@ -273,6 +312,31 @@ class TestReport:
         ])
         assert code == 0
         assert target.read_bytes() == (out / "table_sym.csv").read_bytes()
+
+    def test_non_number_cell_names_file_row_and_column(self, tmp_path, capsys):
+        csv_path = tmp_path / "walk.csv"
+        write_walk_csv(csv_path)
+        out = tmp_path / "out"
+        main(analyze_args(csv_path, out, "--sides", "sym"))
+        lines = (out / "table_sym.csv").read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[2] = "abc"
+        lines[2] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["report", "--table", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: {bad}: row 3, column 3 (bb): 'abc' is not a finite number\n"
+
+    def test_undecodable_table_is_clean_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b",aa,bb,from_others\n\xff\xfe,1,2,3\n")
+        code = main(["report", "--table", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
 
 
 class TestParser:

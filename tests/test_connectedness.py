@@ -20,7 +20,7 @@ from aspill.connectedness import (
     table_from_percent,
 )
 from aspill.errors import DegenerateCovarianceError
-from aspill.var_engine import MaCoefficients, VarSpec, estimate_var, ma_coefficients
+from aspill.var_engine import VarSpec, estimate_var, ma_coefficients
 from varsim import (
     make_panel,
     random_covariance,
@@ -73,7 +73,7 @@ def gfevd_oracle(K: list[np.ndarray], gamma: np.ndarray, n: int, scaling: str = 
     return out
 
 
-def random_ma(rng, m: int, p: int, horizon: int) -> tuple[MaCoefficients, np.ndarray]:
+def random_ma(rng, m: int, p: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     B = random_stable_coefficients(rng, m, p)
     K = [np.eye(m)]
     for i in range(1, horizon + 1):
@@ -81,7 +81,7 @@ def random_ma(rng, m: int, p: int, horizon: int) -> tuple[MaCoefficients, np.nda
         for s in range(1, min(i, p) + 1):
             acc += B[s - 1] @ K[i - s]
         K.append(acc)
-    return MaCoefficients(horizon=horizon, K=tuple(K)), random_covariance(rng, m)
+    return np.stack(K), random_covariance(rng, m)
 
 
 def random_table(rng, m: int = 3, T: int = 300):
@@ -96,7 +96,7 @@ class TestGfevd:
     def test_horizon_zero_is_squared_correlation(self):
         rng = np.random.default_rng(40)
         gamma = random_covariance(rng, 4)
-        ma = MaCoefficients(horizon=0, K=(np.eye(4),))
+        ma = np.eye(4)[np.newaxis]
         raw = compute_fevd(ma, gamma, 0).raw
         d = np.sqrt(np.diag(gamma))
         rho2 = (gamma / np.outer(d, d)) ** 2
@@ -105,8 +105,8 @@ class TestGfevd:
 
     def test_diagonal_system_is_identity_patterned(self):
         gamma = np.diag([2.0, 0.5, 1.5])
-        K = (np.eye(3), np.diag([0.5, 0.4, 0.3]), np.diag([0.25, 0.16, 0.09]))
-        raw = compute_fevd(MaCoefficients(horizon=2, K=K), gamma, 2).raw
+        K = np.stack([np.eye(3), np.diag([0.5, 0.4, 0.3]), np.diag([0.25, 0.16, 0.09])])
+        raw = compute_fevd(K, gamma, 2).raw
         np.testing.assert_allclose(raw, np.eye(3), atol=1e-12)
         np.testing.assert_allclose(raw.sum(axis=1), 1.0, atol=1e-12)
 
@@ -114,7 +114,7 @@ class TestGfevd:
         B1 = np.array([[0.5, 0.2], [0.1, 0.4]])
         gamma = np.array([[1.0, 0.3], [0.3, 1.0]])
         K = [np.linalg.matrix_power(B1, i) for i in range(11)]
-        ma = MaCoefficients(horizon=10, K=tuple(K))
+        ma = np.stack(K)
         raw = compute_fevd(ma, gamma, 10).raw
         np.testing.assert_allclose(raw, gfevd_oracle(K, gamma, 10), atol=1e-12)
 
@@ -125,13 +125,13 @@ class TestGfevd:
             n = int(rng.integers(0, 21))
             ma, gamma = random_ma(rng, m, int(rng.integers(1, 3)), n)
             raw = compute_fevd(ma, gamma, n).raw
-            np.testing.assert_allclose(raw, gfevd_oracle(list(ma.K), gamma, n), atol=1e-12)
+            np.testing.assert_allclose(raw, gfevd_oracle(list(ma), gamma, n), atol=1e-12)
 
     def test_sigma_ii_variant_matches_oracle(self):
         rng = np.random.default_rng(42)
         ma, gamma = random_ma(rng, 3, 2, 8)
         raw = compute_fevd(ma, gamma, 8, sigma_scaling="ii").raw
-        np.testing.assert_allclose(raw, gfevd_oracle(list(ma.K), gamma, 8, "ii"), atol=1e-12)
+        np.testing.assert_allclose(raw, gfevd_oracle(list(ma), gamma, 8, "ii"), atol=1e-12)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(43)
@@ -141,17 +141,17 @@ class TestGfevd:
             np.testing.assert_allclose(compute_fevd(ma, c * gamma, 10).raw, base, atol=1e-12)
 
     def test_horizon_beyond_available_terms(self):
-        ma = MaCoefficients(horizon=2, K=(np.eye(2),) * 3)
+        ma = np.stack([np.eye(2)] * 3)
         with pytest.raises(ValueError):
             compute_fevd(ma, np.eye(2), 3)
 
     def test_non_positive_diagonal_rejected(self):
-        ma = MaCoefficients(horizon=0, K=(np.eye(2),))
+        ma = np.eye(2)[np.newaxis]
         with pytest.raises(DegenerateCovarianceError):
             compute_fevd(ma, np.array([[1.0, 0.0], [0.0, 0.0]]), 0)
 
     def test_unknown_scaling_rejected(self):
-        ma = MaCoefficients(horizon=0, K=(np.eye(2),))
+        ma = np.eye(2)[np.newaxis]
         with pytest.raises(ValueError):
             compute_fevd(ma, np.eye(2), 0, sigma_scaling="kk")
 

@@ -20,10 +20,10 @@ import aspill.rolling as rolling
 import test_rolling
 from aspill.connectedness import compute_fevd, gfevd_stack
 from aspill.decomposition import ShockSide, TrendSpec
+from aspill.errors import DegenerateCovarianceError
 from aspill.rolling import RollingConfig, rolling_tables
 from aspill.var_engine import (
     _BLOCK_ROWS,
-    MaCoefficients,
     UnstableVarWarning,
     VarSpec,
     design_bytes,
@@ -240,7 +240,7 @@ def test_degenerate_window_leaves_the_rest_of_its_stack_intact():
     assert reasons == [None, "covariance diagonal must be strictly positive", None]
     assert np.all(np.isfinite(raw))
     for i in (0, 2):
-        alone = compute_fevd(MaCoefficients(horizon=h, K=tuple(K[i])), gamma[i], h).raw
+        alone = compute_fevd(K[i], gamma[i], h).raw
         assert np.array_equal(raw[i], alone)
 
 
@@ -254,11 +254,39 @@ def test_compute_fevd_on_a_stack_matches_each_window_alone():
     stacked = compute_fevd(K, gamma, h - 1, "ii")
     assert stacked.gap_reasons == (None, None, "covariance diagonal must be strictly positive", None)
     for i in (0, 1, 3):
-        alone = compute_fevd(MaCoefficients(horizon=h, K=tuple(K[i])), gamma[i], h - 1, "ii")
+        alone = compute_fevd(K[i], gamma[i], h - 1, "ii")
         assert np.array_equal(stacked.raw[i], alone.raw)
         assert np.array_equal(stacked.normalized[i], alone.normalized)
     with pytest.raises(ValueError, match="horizon"):
         compute_fevd(K, gamma, h + 1)
+
+
+def test_one_model_raises_the_gap_reason_of_its_stack_entry():
+    # Entry 1 has a zero covariance diagonal. Entry 2's covariance is
+    # indefinite, so the forecast-error variance of its first equation is
+    # 1 - 2 < 0 at horizon 1.
+    K = np.stack([np.stack([np.eye(2), np.array([[1.0, -1.0], [0.0, 0.0]])])] * 3)
+    gamma = np.stack([np.eye(2), np.diag([1.0, 0.0]), np.array([[1.0, 2.0], [2.0, 1.0]])])
+    stacked = compute_fevd(K, gamma, 1)
+    assert stacked.gap_reasons == (
+        None,
+        "covariance diagonal must be strictly positive",
+        "zero forecast-error variance in at least one equation",
+    )
+    assert np.array_equal(compute_fevd(K[0], gamma[0], 1).normalized, stacked.normalized[0])
+    for i in (1, 2):
+        with pytest.raises(DegenerateCovarianceError) as info:
+            compute_fevd(K[i], gamma[i], 1)
+        assert str(info.value) == stacked.gap_reasons[i]
+
+
+def test_ma_and_covariance_of_different_ranks_are_rejected():
+    K = ma_stack(np.full((2, 1, 2, 2), 0.1), 3)
+    gamma = np.stack([np.eye(2)] * 2)
+    with pytest.raises(ValueError, match="do not match"):
+        compute_fevd(K, gamma[0], 3)
+    with pytest.raises(ValueError, match="do not match"):
+        compute_fevd(K[0], gamma, 3)
 
 
 def test_unknown_sigma_scaling_is_rejected():

@@ -353,7 +353,8 @@ class TestMaCoefficients:
         y = simulate_var(rng, random_stable_coefficients(rng, 3, 2), 300)
         fit = estimate_var(make_panel(y), VarSpec(p=2))
         ma = ma_coefficients(fit, 5)
-        np.testing.assert_array_equal(ma.K[0], np.eye(3))
+        assert ma.shape == (6, 3, 3)
+        np.testing.assert_array_equal(ma[0], np.eye(3))
 
     def test_var1_powers(self):
         rng = np.random.default_rng(31)
@@ -362,7 +363,7 @@ class TestMaCoefficients:
         ma = ma_coefficients(fit, 10)
         for i in range(11):
             np.testing.assert_allclose(
-                ma.K[i], np.linalg.matrix_power(fit.B[0], i), atol=1e-12
+                ma[i], np.linalg.matrix_power(fit.B[0], i), atol=1e-12
             )
 
     def test_var2_companion_oracle(self):
@@ -373,7 +374,7 @@ class TestMaCoefficients:
         ma = ma_coefficients(fit, 12)
         for i in range(13):
             np.testing.assert_allclose(
-                ma.K[i], companion_power_block(list(fit.B), i), atol=1e-10
+                ma[i], companion_power_block(list(fit.B), i), atol=1e-10
             )
 
     def test_ty_extra_lag_kept_out_of_recursion(self):
@@ -381,17 +382,17 @@ class TestMaCoefficients:
         y = simulate_var(rng, random_stable_coefficients(rng, 2, 1), 400)
         fit = estimate_var(make_panel(y), VarSpec(p=1, ty_extra_lags=1))
         ma = ma_coefficients(fit, 4)
-        np.testing.assert_array_equal(ma.K[1], fit.B[0])
-        np.testing.assert_allclose(ma.K[2], fit.B[0] @ fit.B[0], atol=1e-14)
+        np.testing.assert_array_equal(ma[1], fit.B[0])
+        np.testing.assert_allclose(ma[2], fit.B[0] @ fit.B[0], atol=1e-14)
         with_second_lag = fit.B[0] @ fit.B[0] + fit.B[1]
-        assert np.max(np.abs(ma.K[2] - with_second_lag)) > 1e-6
+        assert np.max(np.abs(ma[2] - with_second_lag)) > 1e-6
 
     def test_decay_on_stable_fixture(self):
         rng = np.random.default_rng(34)
         y = simulate_var(rng, random_stable_coefficients(rng, 3, 2, radius=0.6), 600)
         fit = estimate_var(make_panel(y), VarSpec(p=2))
         ma = ma_coefficients(fit, 50)
-        assert np.linalg.norm(ma.K[50]) < np.linalg.norm(ma.K[5])
+        assert np.linalg.norm(ma[50]) < np.linalg.norm(ma[5])
 
     def test_negative_horizon_rejected(self):
         rng = np.random.default_rng(35)
