@@ -180,12 +180,19 @@ def table_from_percent(
     The matrix entries are stored untouched, so a table parsed from a
     rendered file reproduces its source exactly. The looser default
     tolerance accommodates published tables rounded to one decimal.
+
+    Raises:
+        ValueError: the shape does not match the labels, an entry is not
+            finite, or a row does not sum to 100 within row_sum_tol.
     """
     matrix_pct = np.asarray(matrix_pct, dtype=float)
     labels = tuple(labels)
     m = len(labels)
     if matrix_pct.shape != (m, m):
         raise ValueError(f"matrix shape {matrix_pct.shape} does not match {m} labels")
+    # A NaN row sum would pass the row-sum check below.
+    if not np.isfinite(matrix_pct).all():
+        raise ValueError("a percent matrix must hold finite values")
     if np.max(np.abs(matrix_pct.sum(axis=1) - 100.0)) > row_sum_tol:
         raise ValueError("rows of a percent matrix must sum to 100")
     stack = matrix_pct[np.newaxis]

@@ -86,9 +86,13 @@ def _trend_stack(g: np.ndarray, spec: TrendSpec) -> tuple[np.ndarray, np.ndarray
 
 
 def _components(
-    g: np.ndarray, c: np.ndarray, d: np.ndarray, shocks: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """G+ and G- of an (s, m, T) stack, so that G+ + G- reproduces it.
+    g: np.ndarray,
+    c: np.ndarray,
+    d: np.ndarray,
+    shocks: np.ndarray,
+    sides: tuple[ShockSide, ...] = (ShockSide.POSITIVE, ShockSide.NEGATIVE),
+) -> list[np.ndarray]:
+    """The components of an (s, m, T) stack for each of sides; G+ + G- reproduces it.
 
     Each component carries half of the deterministic path
     c t + d t(t+1)/2 + G_0 plus its own cumulative shocks; at t=0 both
@@ -100,12 +104,15 @@ def _components(
     half += d[:, :, np.newaxis] * t * (t + 1.0) / 2.0
     half += g[:, :, :1]
     half /= 2.0
-    plus, minus = np.empty_like(half), np.empty_like(half)
-    for part, clamp in ((plus, np.maximum), (minus, np.minimum)):
+    parts = []
+    for side in sides:
+        part = np.empty_like(half)
         part[:, :, 0] = 0.0
+        clamp = np.maximum if side is ShockSide.POSITIVE else np.minimum
         np.cumsum(clamp(shocks, 0.0), axis=2, out=part[:, :, 1:])
         part += half
-    return plus, minus
+        parts.append(part)
+    return parts
 
 
 def component_stack(stack: np.ndarray, spec: TrendSpec, side: ShockSide) -> np.ndarray:
@@ -113,8 +120,8 @@ def component_stack(stack: np.ndarray, spec: TrendSpec, side: ShockSide) -> np.n
     if side is ShockSide.SYMMETRIC:
         return stack
     g = stack.swapaxes(1, 2)
-    plus, minus = _components(g, *_trend_stack(g, spec))
-    return (plus if side is ShockSide.POSITIVE else minus).swapaxes(1, 2)
+    (part,) = _components(g, *_trend_stack(g, spec), (side,))
+    return part.swapaxes(1, 2)
 
 
 def decompose_panel(panel: Panel, spec: TrendSpec) -> DecomposedPanel:

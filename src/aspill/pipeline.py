@@ -13,7 +13,7 @@ import hashlib
 import json
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, Field, dataclass, fields
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -83,14 +83,80 @@ class RunConfig:
         return out
 
     @classmethod
-    def from_dict(cls, raw: dict[str, Any]) -> "RunConfig":
+    def from_dict(cls, raw: Any) -> "RunConfig":
+        """The config to_dict recorded, as read back from JSON.
+
+        Raises:
+            ConfigError: raw is not an object, or a field is missing,
+                unknown, of the wrong type or out of range; the message
+                names the field.
+        """
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a JSON object, got {raw!r}")
         data = dict(raw)
         # Manifests written before the unused seed field was removed still re-run.
         data.pop("seed", None)
-        data["columns"] = tuple(data["columns"])
-        data["trend"] = TrendSpec(data["trend"])
-        data["sides"] = tuple(ShockSide(s) for s in data["sides"])
-        return cls(**data)
+        known = {f.name: f for f in fields(cls)}
+        for name in data:
+            if name not in known:
+                raise ConfigError(f"unknown config field {name!r}")
+        for f in known.values():
+            if f.default is MISSING and f.default_factory is MISSING and f.name not in data:
+                raise ConfigError(f"config field {f.name!r} is missing")
+        return cls(**{name: _field_from_json(known[name], value) for name, value in data.items()})
+
+
+# The JSON type of each RunConfig field that to_dict writes as it is; a
+# field whose default is None may also be null. The round-trip test of
+# every field fails on a field missing here.
+_JSON_TYPES: dict[str, type] = {
+    "input_path": str,
+    "out_dir": str,
+    "date_column": str,
+    "lag_select": str,
+    "sigma_scaling": str,
+    "log": bool,
+    "ty_augment": bool,
+    "decompose_per_window": bool,
+    "emit_tables": bool,
+    "lags": int,
+    "max_lags": int,
+    "horizon": int,
+    "window": int,
+    "step": int,
+}
+_JSON_NAMES = {str: "a string", bool: "true or false", int: "an integer"}
+
+
+def _field_from_json(field: Field, value: Any) -> Any:
+    """A config field read from JSON as its RunConfig type, or ConfigError naming it."""
+    name = field.name
+
+    def wrong(expected: str) -> ConfigError:
+        return ConfigError(f"config field {name!r} must be {expected}, got {value!r}")
+
+    if name == "trend":
+        choices = [spec.value for spec in TrendSpec]
+        if value not in choices:
+            raise wrong(f"one of {choices}")
+        return TrendSpec(value)
+    if name in ("columns", "sides"):
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise wrong("a list of strings")
+        if name == "columns":
+            return tuple(value)
+        choices = [side.value for side in ShockSide]
+        if not set(value) <= set(choices):
+            raise wrong(f"a list drawn from {choices}")
+        return tuple(ShockSide(v) for v in value)
+    nullable = field.default is None
+    if value is None and nullable:
+        return value
+    kind = _JSON_TYPES[name]
+    # bool is an int to isinstance, but a count written as true is a slip.
+    if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
+        return value
+    raise wrong(_JSON_NAMES[kind] + (" or null" if nullable else ""))
 
 
 @dataclass(frozen=True)
@@ -288,17 +354,30 @@ def config_from_manifest(path: str | Path) -> RunConfig:
     """Rebuild the RunConfig recorded in a manifest, verifying input digests.
 
     Raises:
+        ConfigError: the manifest is not JSON, or its config or recorded
+            digest is missing or malformed; the message names the field
+            and the manifest.
         ManifestMismatchError: the input file changed since the recorded
             run, so a bit-identical reproduction is impossible.
     """
     path = Path(path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    cfg = RunConfig.from_dict(payload["config"])
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(payload, dict) or "config" not in payload:
+            raise ConfigError("no 'config' object")
+        cfg = RunConfig.from_dict(payload["config"])
+        inputs = payload.get("inputs")
+        recorded = inputs.get("sha256") if isinstance(inputs, dict) else None
+        if not isinstance(recorded, str):
+            raise ConfigError("no recorded input digest 'inputs.sha256'")
+    except ConfigError as exc:
+        raise ConfigError(f"{exc} (manifest {path})") from None
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ConfigError(f"not a JSON manifest: {exc} (manifest {path})") from None
     input_path = Path(cfg.input_path)
     if not input_path.is_file():
         raise ManifestMismatchError(f"recorded input {cfg.input_path!r} no longer exists")
     digest = _sha256(input_path)
-    recorded = payload["inputs"]["sha256"]
     if digest != recorded:
         raise ManifestMismatchError(
             f"input {cfg.input_path!r} digest {digest[:12]} differs from recorded {recorded[:12]}"

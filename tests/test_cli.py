@@ -156,6 +156,43 @@ class TestAnalyze:
         assert capsys.readouterr().err.startswith("error: lag_select 'bic' is not in")
         assert (out / "manifest.json").is_file()
 
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda m: m["config"].update(trend="linear"), "config field 'trend'"),
+            (lambda m: m["config"].update(horizon="10"), "config field 'horizon'"),
+            (lambda m: m["config"].update(lags=True), "config field 'lags'"),
+            (lambda m: m["config"].update(sides=["pos", "up"]), "config field 'sides'"),
+            (lambda m: m["config"].update(columns="ab"), "config field 'columns'"),
+            (lambda m: m["config"].update(windw=100), "unknown config field 'windw'"),
+            (lambda m: m["config"].pop("out_dir"), "config field 'out_dir' is missing"),
+            (lambda m: m.pop("config"), "no 'config' object"),
+            (lambda m: m["inputs"].pop("sha256"), "'inputs.sha256'"),
+            (None, "not a JSON manifest"),
+        ],
+    )
+    def test_malformed_manifest_is_clean_error(self, tmp_path, capsys, edit, named):
+        csv_path = tmp_path / "walk.csv"
+        write_walk_csv(csv_path)
+        out = tmp_path / "out"
+        assert main(analyze_args(csv_path, out)) == 0
+        first = tree_digest(out)
+        edited = tmp_path / "edited.json"
+        if edit is None:
+            edited.write_text("{not json", encoding="utf-8")
+        else:
+            manifest = json.loads((out / "manifest.json").read_text())
+            edit(manifest)
+            edited.write_text(json.dumps(manifest), encoding="utf-8")
+        capsys.readouterr()
+        code = main(["analyze", "--from-manifest", str(edited)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert named in err and f"(manifest {edited})" in err
+        assert "Traceback" not in err
+        assert tree_digest(out) == first
+
 
 class TestRoll:
     def test_rolling_only_outputs(self, tmp_path, capsys):

@@ -225,6 +225,15 @@ class TestBuildTable:
         with pytest.raises(ValueError):
             build_table(np.eye(3), ("a", "b"))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        # A NaN row sum compares False against any tolerance, so only an
+        # explicit check stops it.
+        with pytest.raises(ValueError, match="finite"):
+            table_from_percent(np.array([[bad, 0.0], [50.0, 50.0]]), ("a", "b"))
+        with pytest.raises(ValueError, match="finite"):
+            build_table(np.array([[0.5, 0.5], [bad, 0.0]]), ("a", "b"))
+
     def test_aggregates_are_full_sums_over_m(self):
         table = table_from_percent(NEGATIVE_MATRIX, LABELS)
         np.testing.assert_allclose(

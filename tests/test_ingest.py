@@ -1,16 +1,18 @@
-"""Row-blocked CSV ingest against the row-at-a-time reference loader.
+"""CSV ingest, both paths, against the row-at-a-time reference loader.
 
 reference_load_csv is the loader as it was before ingest was blocked:
 one (date, values) tuple per row, a missing check and a parse per cell.
-The blocked loader must return a bit-identical matrix, the same dates and
-the same dropped count, or raise the same exception type with the same
-message, whatever the block size.
+load_csv must return a bit-identical matrix, the same dates and the same
+dropped count, or raise the same exception type with the same message,
+whatever the block size and whichever path reads the file: one
+np.loadtxt pass for a clean file, the row-blocked parser for any other.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from contextlib import contextmanager
 from datetime import date
 from pathlib import Path
@@ -202,3 +204,171 @@ def test_row_with_missing_value_and_bad_date_is_dropped(block, tmp_path):
     assert dropped == 1
     assert panel.dates == (date(2020, 1, 1), date(2020, 1, 3))
     np.testing.assert_array_equal(panel.matrix, [[1.0, 2.0], [4.0, 5.0]])
+
+
+# Clean files: every row a date and finite numbers, so np.loadtxt reads
+# them, in any column order, with unselected text columns, quoting and
+# padding the csv module and float() both accept.
+pad = st.sampled_from(["", "", " ", "  ", "\t", "\xa0"])
+quoted = st.sampled_from(["", "", '"'])
+
+
+@st.composite
+def clean_cell(draw, text):
+    inner = draw(pad) + text + draw(pad)
+    quote = draw(quoted)
+    return quote + inner + quote
+
+
+number_text = st.floats(allow_nan=False, allow_infinity=False).flatmap(
+    lambda x: st.sampled_from([repr(x), f"{x:.17g}", f"{x:e}", f"{x:+.3f}"])
+)
+date_text = st.one_of(
+    st.dates(date(1990, 1, 1), date(2030, 12, 31)).map(date.isoformat),
+    st.dates(date(1990, 1, 1), date(2030, 12, 31)).map(lambda d: d.isoformat()[:7]),
+    # A small pool, so that duplicate dates come up.
+    st.sampled_from(DATES[:3]),
+)
+# A note never reads as missing: a missing cell in any column sends the
+# file to the row-blocked parser (see test_missing_cell_skips_loadtxt).
+note_text = st.one_of(
+    st.text(st.characters(whitelist_categories=("L", "N", "Zs")), max_size=6),
+    st.sampled_from(['"x,y"', '"say ""hi"""', '"two\nlines"', "#", "#n/ab", "nana", "n"]),
+).filter(lambda text: not _is_missing(text))
+
+
+@st.composite
+def clean_file(draw):
+    order = draw(st.permutations(["date", "a", "b", "note"]))
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        cells = {
+            "date": draw(clean_cell(draw(date_text))),
+            "a": draw(clean_cell(draw(number_text))),
+            "b": draw(clean_cell(draw(number_text))),
+            "note": draw(note_text),
+        }
+        rows.append(",".join(cells[c] for c in order))
+        if draw(st.integers(0, 9)) == 0:
+            rows.append("")
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    end = draw(st.sampled_from(["", newline]))
+    # A quoted header cell may span lines; the data start after them.
+    header = ",".join(order).replace("note", draw(st.sampled_from(["note", '"no\nte"', '"no\r\nte"'])))
+    return (bom + newline.join([header, *rows]) + end).encode("utf-8")
+
+
+def row_blocks_unused(reader):
+    raise AssertionError("the row-blocked parser read a clean file")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=clean_file(), columns=st.sampled_from([["a", "b"], ["b", "a"], ["b"]]))
+def test_clean_file_takes_loadtxt_path_and_matches_reference(data, columns, tmp_path_factory):
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_bytes(data)
+    expected = outcome(reference_load_csv, path, columns)
+    saved = panel_module._row_blocks
+    panel_module._row_blocks = row_blocks_unused
+    try:
+        assert outcome(load_csv, path, columns) == expected
+    finally:
+        panel_module._row_blocks = saved
+
+
+def test_only_dirty_files_reach_row_blocked_parser(tmp_path, monkeypatch):
+    calls = []
+    original = panel_module._row_blocks
+
+    def counting(reader):
+        calls.append(reader)
+        return original(reader)
+
+    monkeypatch.setattr(panel_module, "_row_blocks", counting)
+    clean = tmp_path / "clean.csv"
+    clean.write_text("date,a,b\n2020-01-02,3,4\n2020-01-01,1,2\n", encoding="utf-8")
+    panel, dropped = load_csv(clean, "date", ["a", "b"])
+    assert calls == [] and dropped == 0
+    np.testing.assert_array_equal(panel.matrix, [[1.0, 2.0], [3.0, 4.0]])
+
+    dirty = tmp_path / "dirty.csv"
+    dirty.write_text("date,a,b\n2020-01-01,1,2\n2020-01-02,.,4\n2020-01-03,5,\n2020-01-04,7,8\n", encoding="utf-8")
+    panel, dropped = load_csv(dirty, "date", ["a", "b"])
+    assert len(calls) == 1 and dropped == 2
+    assert panel.dates == (date(2020, 1, 1), date(2020, 1, 4))
+    assert outcome(load_csv, dirty, ["a", "b"]) == outcome(reference_load_csv, dirty, ["a", "b"])
+
+
+@pytest.mark.parametrize(
+    "row", ["2020-01-02, NaN ", "2020-01-02,inf", "2020-01-02,-1e999", "2020-13-01,3", "2020,3"]
+)
+def test_file_loadtxt_parses_but_not_clean_matches_reference(row, tmp_path):
+    # np.loadtxt reads every cell of these files, the byte check passes
+    # them, and the non-finite value or the date sends them on to the
+    # row-blocked parser.
+    path = tmp_path / "data.csv"
+    path.write_text(f"date,a\n2020-01-01,1\n{row}\n2020-01-03,4\n", encoding="utf-8")
+    assert outcome(load_csv, path, ["a"]) == outcome(reference_load_csv, path, ["a"])
+
+
+@pytest.mark.parametrize("text", ["date,a\n", "date,a","date,a\n\n\n", "\ufeffdate,a\r\n\r\n"])
+def test_header_only_file_has_no_usable_rows_and_no_warning(text, tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoUsableRowsError, match="no usable rows"):
+            load_csv(path, "date", ["a"])
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        # float() does not strip 0x1c-0x1f; np.loadtxt's parser does.
+        "2020-01-02,\x1c3",
+        "2020-01-02,3\x1f",
+        # A field longer than csv.field_size_limit(), unselected.
+        "2020-01-02,3," + "x" * 40,
+        '2020-01-02,3,"' + "x" * 40 + '"',
+        '2020-01-02,3,"' + "x\n" * 20 + '"',
+    ],
+)
+def test_file_the_csv_module_rejects_keeps_its_error(row, tmp_path):
+    path = tmp_path / "data.csv"
+    lines = ["date,a,note", *[f"2019-12-{d:02d},1,ok" for d in range(1, 29)], row, "2020-01-03,4,ok"]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with field_size_limit(32):
+        expected = outcome(reference_load_csv, path, ["a"])
+        assert expected[0] is MalformedCsvError
+        assert outcome(load_csv, path, ["a"]) == expected
+
+
+def loadtxt_unused(*args, **kwargs):
+    raise AssertionError("np.loadtxt read a file with a missing cell")
+
+
+@pytest.mark.parametrize("cell", ["", ".", "NA", "nan", "NaN", "#N/A", "null", "None"])
+@pytest.mark.parametrize("where", ["a", "b", "note"])
+@pytest.mark.parametrize("end", ["\n", "\r\n", ""])
+def test_missing_cell_skips_loadtxt(cell, where, end, tmp_path, monkeypatch):
+    # Found in the file's bytes, a missing cell late in the file costs
+    # no np.loadtxt pass before the row-blocked one; in an unselected
+    # column it sends the file there all the same.
+    rows = [{"date": f"2020-{month:02d}", "a": str(month), "b": "0.5", "note": "ok"} for month in range(1, 13)]
+    rows[-1][where] = cell
+    lines = ["date,a,b,note", *[",".join(row.values()) for row in rows]]
+    path = tmp_path / "data.csv"
+    path.write_bytes((end or "\n").join(lines).encode() + end.encode())
+    expected = outcome(reference_load_csv, path, ["a", "b"])
+    monkeypatch.setattr(np, "loadtxt", loadtxt_unused)
+    assert outcome(load_csv, path, ["a", "b"]) == expected
+
+
+@pytest.mark.parametrize("cell", [".5", "nana", "Nan1", "#n/ab", "nul", "n"])
+def test_cell_starting_like_a_missing_token_keeps_loadtxt_path(cell, tmp_path, monkeypatch):
+    path = tmp_path / "data.csv"
+    path.write_text(f"date,a,note\n2020-01-01,1,ok\n2020-01-02,3,{cell}\n", encoding="utf-8")
+    expected = outcome(reference_load_csv, path, ["a"])
+    monkeypatch.setattr(panel_module, "_row_blocks", row_blocks_unused)
+    assert outcome(load_csv, path, ["a"]) == expected

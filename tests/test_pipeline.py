@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -322,6 +323,31 @@ class TestDecompositionReuse:
 
 
 class TestConfigValidation:
+    def test_every_field_reads_back_from_json(self, tmp_path):
+        # Each field set away from its default, through JSON text: a field
+        # that from_dict cannot read back fails here, not in a user's re-run.
+        cfg = RunConfig(
+            input_path=str(tmp_path / "x.csv"),
+            columns=("a", "b"),
+            out_dir=str(tmp_path / "out"),
+            date_column="day",
+            log=True,
+            trend=TrendSpec.NONE,
+            lags=2,
+            lag_select="aic",
+            max_lags=4,
+            ty_augment=True,
+            sigma_scaling="ii",
+            horizon=5,
+            sides=(ShockSide.NEGATIVE,),
+            window=60,
+            step=3,
+            decompose_per_window=True,
+            emit_tables=False,
+        )
+        assert all(getattr(cfg, f.name) != f.default for f in fields(RunConfig))
+        assert RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
     def test_legacy_seed_key_is_dropped(self, tmp_path):
         cfg = base_config(tmp_path / "x.csv", tmp_path / "out")
         recorded = cfg.to_dict()
