@@ -18,9 +18,9 @@ import numpy as np
 from .atomic import write_atomic
 from .connectedness import SIGMA_SCALINGS
 from .decomposition import ShockSide, TrendSpec, decompose_panel
-from .errors import AspillError, MalformedCsvError, PipelineError
+from .errors import AspillError, ConfigError, MalformedCsvError, PipelineError
 from .fred import DEFAULT_CACHE_DIR, fetch_fred
-from .panel import Panel, align, load_csv, log_transform, parse_date, write_csv
+from .panel import Panel, align, check_columns, load_csv, log_transform, parse_date, write_csv
 from .pipeline import RunConfig, config_from_manifest, run_pipeline
 from .report import parse_table_csv, render_table
 from .var_engine import CRITERIA
@@ -37,9 +37,14 @@ _DIRECTIONAL_NOTE = (
 
 
 def _columns_arg(text: str) -> tuple[str, ...]:
+    """The names of a comma-separated list.
+
+    Commands call it on the parsed text, so that a bad list ends in an
+    error line and exit status 1, like every other configuration error.
+    """
     columns = tuple(c.strip() for c in text.split(",") if c.strip())
     if not columns:
-        raise argparse.ArgumentTypeError("expected a comma-separated list of column names")
+        raise ConfigError(f"expected a comma-separated list of names, got {text!r}")
     return columns
 
 
@@ -80,7 +85,7 @@ def _date_arg(text: str) -> date:
 
 def _add_panel_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", help="CSV file with a date column and one column per series")
-    parser.add_argument("--columns", type=_columns_arg, help="comma-separated value columns")
+    parser.add_argument("--columns", help="comma-separated value columns")
     parser.add_argument("--date-column", default="date", help="name of the date column")
     parser.add_argument("--log", action="store_true", help="use natural logs of the values")
 
@@ -118,7 +123,7 @@ def _config_from_args(args: argparse.Namespace, emit_tables: bool) -> RunConfig:
         raise AspillError("--input and --columns are required (or use --from-manifest)")
     return RunConfig(
         input_path=args.input,
-        columns=args.columns,
+        columns=_columns_arg(args.columns),
         out_dir=args.out if args.out is not None else "./results",
         date_column=args.date_column,
         log=args.log,
@@ -168,7 +173,7 @@ def _cmd_roll(args: argparse.Namespace) -> int:
 def _cmd_decompose(args: argparse.Namespace) -> int:
     if args.input is None or args.columns is None:
         raise AspillError("--input and --columns are required")
-    panel, dropped = load_csv(args.input, args.date_column, args.columns)
+    panel, dropped = load_csv(args.input, args.date_column, _columns_arg(args.columns))
     if args.log:
         panel = log_transform(panel)
     decomposed = decompose_panel(panel, args.trend)
@@ -184,7 +189,8 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_fetch(args: argparse.Namespace) -> int:
-    ids = args.series
+    ids = _columns_arg(args.series)
+    check_columns(None, ids)
     date_range = (args.start, args.end)
     panels = []
     for series_id in ids:
@@ -263,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     decompose.set_defaults(func=_cmd_decompose)
 
     fetch = sub.add_parser("fetch", help="download series from FRED into an aligned CSV")
-    fetch.add_argument("--series", type=_columns_arg, required=True,
+    fetch.add_argument("--series", required=True,
                        help="comma-separated FRED series ids")
     fetch.add_argument("--start", type=_date_arg, help="first observation date")
     fetch.add_argument("--end", type=_date_arg, help="last observation date")

@@ -61,15 +61,18 @@ class DecomposedPanel:
     fits: tuple[TrendFit, ...]
 
 
-def _trend_stack(g: np.ndarray, spec: TrendSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _trend_stack(
+    g: np.ndarray, spec: TrendSpec, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """c and d, each (s, m), and shocks (s, m, T-1) of an (s, m, T) stack of walks.
 
     Differencing turns the level recursion into dG_t = c + d t + v_t,
     a plain regression on {1, t}. Variants force c or d to zero rather
     than dropping the corresponding residual structure. The two-regressor
-    fit centres t, which makes the regressors orthogonal.
+    fit centres t, which makes the regressors orthogonal. The shocks are
+    written into out when it is given.
     """
-    shocks = np.diff(g, axis=2)
+    shocks = np.subtract(g[:, :, 1:], g[:, :, :-1], out=out)
     t = np.arange(1, g.shape[2], dtype=float)
     zeros = np.zeros(g.shape[:2])
     if spec is TrendSpec.NONE:
@@ -91,13 +94,15 @@ def _components(
     d: np.ndarray,
     shocks: np.ndarray,
     sides: tuple[ShockSide, ...] = (ShockSide.POSITIVE, ShockSide.NEGATIVE),
+    out: tuple[np.ndarray, ...] | None = None,
 ) -> list[np.ndarray]:
     """The components of an (s, m, T) stack for each of sides; G+ + G- reproduces it.
 
     Each component carries half of the deterministic path
     c t + d t(t+1)/2 + G_0 plus its own cumulative shocks; at t=0 both
-    sides equal G_0 / 2. Work is done in place to keep one full-sample
-    decomposition from holding many sample-sized temporaries at once.
+    sides equal G_0 / 2. Work is done in place, into out[k] for sides[k]
+    when out is given (any strides), to keep a decomposition from holding
+    many sample-sized temporaries at once.
     """
     t = np.arange(g.shape[2], dtype=float)
     half = c[:, :, np.newaxis] * t
@@ -105,12 +110,14 @@ def _components(
     half += g[:, :, :1]
     half /= 2.0
     parts = []
-    for side in sides:
-        part = np.empty_like(half)
-        part[:, :, 0] = 0.0
+    for k, side in enumerate(sides):
+        part = np.empty_like(half) if out is None else out[k]
         clamp = np.maximum if side is ShockSide.POSITIVE else np.minimum
-        np.cumsum(clamp(shocks, 0.0), axis=2, out=part[:, :, 1:])
-        part += half
+        running = clamp(shocks, 0.0)
+        np.cumsum(running, axis=2, out=running)
+        # The cumulative shocks start from 0 at t=0: part = [0, running] + half.
+        np.add(half[:, :, :1], 0.0, out=part[:, :, :1])
+        np.add(half[:, :, 1:], running, out=part[:, :, 1:])
         parts.append(part)
     return parts
 
@@ -137,22 +144,28 @@ def decompose_panel(panel: Panel, spec: TrendSpec) -> DecomposedPanel:
                 for name in panel.names
             )
         )
-    # Series-major and contiguous: the trend fit's sums are ordered by
-    # memory layout, and a transposed view would move their last bits.
-    g = np.ascontiguousarray(panel.matrix.T)[np.newaxis]
-    c, d, shocks = _trend_stack(g, spec)
-    plus, minus = _components(g, c, d, shocks)
+    # One series at a time, as a (1, 1, T) slab whose components are written
+    # straight into column j of the (T, m) outputs. The trend fit's sums
+    # run over the series' own contiguous row of differences, in the order
+    # the (s, m, T) stack form sums it, so the bits are the stack form's;
+    # only a few T-length temporaries are held beside the outputs. plus and
+    # minus share one allocation, as they share the result's lifetime: one
+    # array of 4 MiB or more is one numpy asks the kernel to back with huge
+    # pages, which makes the first, strided writes into it cheaper.
+    T, m = panel.matrix.shape
+    plus, minus = np.empty((2, T, m))
+    residuals = np.empty((m, T - 1))
+    fits = []
+    for j in range(m):
+        g = np.ascontiguousarray(panel.matrix[:, j])[np.newaxis, np.newaxis]
+        c, d, shocks = _trend_stack(g, spec, out=residuals[np.newaxis, np.newaxis, j])
+        columns = (plus[np.newaxis, np.newaxis, :, j], minus[np.newaxis, np.newaxis, :, j])
+        _components(g, c, d, shocks, out=columns)
+        fits.append(TrendFit(c=float(c[0, 0]), d=float(d[0, 0]), g0=float(g[0, 0, 0]), residuals=residuals[j]))
     return DecomposedPanel(
-        plus_panel=Panel._on_checked_dates(
-            tuple(name + "_pos" for name in panel.names), panel.dates, plus[0].T
-        ),
-        minus_panel=Panel._on_checked_dates(
-            tuple(name + "_neg" for name in panel.names), panel.dates, minus[0].T
-        ),
-        fits=tuple(
-            TrendFit(c=float(c[0, j]), d=float(d[0, j]), g0=float(g[0, j, 0]), residuals=shocks[0, j])
-            for j in range(panel.m)
-        ),
+        plus_panel=Panel._on_checked_dates(tuple(name + "_pos" for name in panel.names), panel.dates, plus),
+        minus_panel=Panel._on_checked_dates(tuple(name + "_neg" for name in panel.names), panel.dates, minus),
+        fits=tuple(fits),
     )
 
 

@@ -25,6 +25,7 @@ import numpy as np
 
 from .atomic import write_atomic
 from .errors import (
+    ConfigError,
     DuplicateDateError,
     MalformedCsvError,
     NonPositiveValueError,
@@ -163,8 +164,9 @@ class Panel:
             raise ValueError("panel needs at least one series")
         if matrix.shape[0] == 0:
             raise ValueError("panel needs at least one date")
-        finite = np.isfinite(matrix).all(axis=0)
-        if not finite.all():
+        # The whole-matrix test is the fast one; the column is found on failure only.
+        if not np.isfinite(matrix).all():
+            finite = np.isfinite(matrix).all(axis=0)
             raise ValueError(f"series {names[int(np.argmin(finite))]!r} holds non-finite values")
         matrix = np.ascontiguousarray(matrix)
         matrix.flags.writeable = False
@@ -186,6 +188,17 @@ class Panel:
     def window(self, start: int, stop: int) -> "Panel":
         """Row slice [start, stop) as a new Panel sharing this panel's matrix."""
         return Panel._on_checked_dates(self.names, self.dates[start:stop], self.matrix[start:stop])
+
+
+def check_columns(date_column: str | None, value_columns: Sequence[str]) -> None:
+    """Raise ConfigError naming a value column named twice or named as the date column."""
+    seen: set[str] = set()
+    for column in value_columns:
+        if column == date_column:
+            raise ConfigError(f"column {column!r} is the date column; it cannot also be a value column")
+        if column in seen:
+            raise ConfigError(f"column {column!r} is named twice")
+        seen.add(column)
 
 
 def _row_blocks(reader: Any) -> Iterator[tuple[list[list[str]], list[int]]]:
@@ -401,6 +414,7 @@ def load_csv(path: str | Path, date_column: str, value_columns: Sequence[str]) -
     converted column by column, which drop rows and name bad cells.
 
     Raises:
+        ConfigError: a value column is named twice or is the date column.
         FileNotFoundError: the file does not exist.
         UnknownColumnError: a named column is absent from the header.
         MalformedCsvError: the file is not UTF-8 CSV text, or a kept row has
@@ -409,6 +423,7 @@ def load_csv(path: str | Path, date_column: str, value_columns: Sequence[str]) -
         DuplicateDateError: the same date occurs twice.
         NoUsableRowsError: every row had a missing value.
     """
+    check_columns(date_column, value_columns)
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"no such file: {path}")

@@ -21,7 +21,7 @@ from .atomic import write_atomic
 from .connectedness import SIGMA_SCALINGS, build_table, compute_fevd, net_measures
 from .decomposition import DecomposedPanel, ShockSide, TrendSpec, component_panel, decompose_panel
 from .errors import AspillError, ConfigError, ManifestMismatchError, PipelineError
-from .panel import Panel, load_csv, log_transform
+from .panel import Panel, check_columns, load_csv, log_transform
 from .report import render_net_json, render_rolling_csv, render_table
 from .rolling import RollingConfig, rolling_tables
 from .svgchart import render_plot
@@ -60,6 +60,7 @@ class RunConfig:
             raise ConfigError("at least one shock side must be requested")
         if not self.columns:
             raise ConfigError("at least one value column must be named")
+        check_columns(self.date_column, self.columns)
         for name in ("horizon", "lags", "max_lags", "window", "step"):
             value = getattr(self, name)
             if value is not None and value < 1:
@@ -191,8 +192,16 @@ def _side_outputs(side: ShockSide) -> dict[str, str]:
     }
 
 
+# Bytes read per step of the input digest: the file is never held whole.
+_DIGEST_BLOCK = 1 << 20
+
+
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with path.open("rb") as handle:
+        while block := handle.read(_DIGEST_BLOCK):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 class _StageFailure(Exception):

@@ -194,6 +194,36 @@ class TestAnalyze:
         assert tree_digest(out) == first
 
 
+class TestColumnLists:
+    @pytest.mark.parametrize(
+        "columns, named",
+        [("aa,aa,bb", "column 'aa' is named twice"), ("date,aa", "column 'date' is the date column")],
+    )
+    @pytest.mark.parametrize("command", ["analyze", "roll", "decompose"])
+    def test_bad_value_columns_are_clean_errors(self, tmp_path, capsys, columns, named, command):
+        # Rejected before the input is read, so no earlier output goes.
+        csv_path = tmp_path / "walk.csv"
+        write_walk_csv(csv_path)
+        out = tmp_path / "out"
+        assert main(analyze_args(csv_path, out, "--window", "220", "--step", "20")) == 0
+        first = tree_digest(out)
+        capsys.readouterr()
+        target = out / "parts.csv" if command == "decompose" else out
+        extra = ["--window", "220"] if command == "roll" else []
+        code = main([command, "--input", str(csv_path), "--columns", columns, "--out", str(target), *extra])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert named in err
+        assert tree_digest(out) == first
+
+    def test_series_named_twice_is_clean_error(self, tmp_path, capsys):
+        code = main(["fetch", "--series", "AAA,BBB,AAA", "--cache-dir", str(tmp_path), "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: column 'AAA' is named twice\n"
+        assert not (tmp_path / "x.csv").exists()
+
+
 class TestRoll:
     def test_rolling_only_outputs(self, tmp_path, capsys):
         csv_path = tmp_path / "walk.csv"

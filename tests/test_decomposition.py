@@ -13,6 +13,8 @@ parts monotone.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -201,3 +203,81 @@ class TestDecomposePanel:
         assert component_panel(decomposed, panel, ShockSide.POSITIVE) is decomposed.plus_panel
         assert component_panel(decomposed, panel, ShockSide.NEGATIVE) is decomposed.minus_panel
         assert component_panel(decomposed, panel, ShockSide.SYMMETRIC) is panel
+
+
+def whole_stack_arithmetic(matrix: np.ndarray, spec: TrendSpec):
+    """c, d, shocks (m, T-1), plus and minus (m, T) as one (m, T) stack.
+
+    The arithmetic decompose_panel did on all series at once, written out
+    plainly: the reference its series-by-series form must equal to the bit.
+    """
+    g = np.ascontiguousarray(matrix.T)
+    shocks = np.diff(g, axis=1)
+    t = np.arange(1, g.shape[1], dtype=float)
+    zeros = np.zeros(g.shape[0])
+    if spec is TrendSpec.NONE:
+        c, d = zeros, zeros
+    elif spec is TrendSpec.DRIFT:
+        c, d = shocks.mean(axis=1), zeros
+    else:
+        centred = t - t.mean()
+        d = (shocks * centred).sum(axis=1) / float(np.sum(centred * centred))
+        c = shocks.mean(axis=1) - d * t.mean()
+    shocks -= c[:, np.newaxis]
+    shocks -= d[:, np.newaxis] * t
+    t = np.arange(g.shape[1], dtype=float)
+    half = c[:, np.newaxis] * t
+    half += d[:, np.newaxis] * t * (t + 1.0) / 2.0
+    half += g[:, :1]
+    half /= 2.0
+    parts = []
+    for clamp in (np.maximum, np.minimum):
+        part = np.empty_like(half)
+        part[:, 0] = 0.0
+        np.cumsum(clamp(shocks, 0.0), axis=1, out=part[:, 1:])
+        part += half
+        parts.append(part)
+    return c, d, shocks, parts[0], parts[1]
+
+
+class TestSeriesBySeries:
+    @pytest.mark.parametrize("spec", list(TrendSpec))
+    def test_long_panel_matches_whole_stack_arithmetic(self, spec):
+        # Long enough that every sum runs through numpy's pairwise blocks.
+        rng = np.random.default_rng(12)
+        matrix = np.cumsum(rng.normal(size=(5003, 5)), axis=0) - 3.0
+        # A falling series that starts at -0.0: the sign of its components'
+        # first value depends on every +0 the arithmetic adds.
+        matrix[:, 0] = -0.01 * np.arange(5003.0)
+        matrix[0, 0] = -0.0
+        panel = make_panel(matrix)
+        c, d, shocks, plus, minus = whole_stack_arithmetic(panel.matrix, spec)
+        decomposed = decompose_panel(panel, spec)
+        assert decomposed.plus_panel.matrix.tobytes() == np.ascontiguousarray(plus.T).tobytes()
+        assert decomposed.minus_panel.matrix.tobytes() == np.ascontiguousarray(minus.T).tobytes()
+        for j, fit in enumerate(decomposed.fits):
+            assert (fit.c, fit.d, fit.g0) == (c[j], d[j], panel.matrix[0, j])
+            assert fit.residuals.tobytes() == shocks[j].tobytes()
+
+    def test_outputs_are_contiguous_and_residuals_share_one_matrix(self):
+        panel = make_panel(np.cumsum(np.random.default_rng(13).normal(size=(50, 3)), axis=0))
+        decomposed = decompose_panel(panel, TrendSpec.DRIFT)
+        for side in (decomposed.plus_panel, decomposed.minus_panel):
+            assert side.matrix.flags.c_contiguous and not side.matrix.flags.writeable
+        base = decomposed.fits[0].residuals.base
+        assert base is not None and base.shape == (3, 49)
+        assert all(fit.residuals.base is base for fit in decomposed.fits)
+
+    @pytest.mark.parametrize("spec", list(TrendSpec))
+    def test_peak_memory_is_a_few_panels(self, spec):
+        # The outputs are two (T, m) panels and the (m, T-1) shocks; the
+        # rest is a few T-length temporaries of one series. An (m, T)
+        # stack or a transposed copy more would pass 4.5 panels.
+        panel = make_panel(np.cumsum(np.random.default_rng(14).normal(size=(20000, 8)), axis=0))
+        tracemalloc.start()
+        try:
+            decompose_panel(panel, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * panel.matrix.nbytes

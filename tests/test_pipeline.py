@@ -14,7 +14,7 @@ import aspill.pipeline as pipeline
 import aspill.rolling as rolling
 from aspill.connectedness import build_table, compute_fevd
 from aspill.decomposition import ShockSide, TrendSpec, component_panel, decompose_panel
-from aspill.errors import ManifestMismatchError, PipelineError
+from aspill.errors import ConfigError, ManifestMismatchError, PipelineError
 from aspill.panel import load_csv, write_csv
 from aspill.pipeline import RunConfig, config_from_manifest, run_pipeline
 from aspill.report import parse_table_csv
@@ -273,6 +273,25 @@ class TestManifestReuse:
         run_pipeline(config_from_manifest(out / "manifest.json"))
         assert tree_digest(out) == first
 
+    def test_input_digest_streams_the_file(self, tmp_path, monkeypatch):
+        # The digest is read in blocks, never as the whole file: with
+        # Path.read_bytes gone and blocks of 1000 bytes, the run and the
+        # check from the manifest still record sha256 of the file's bytes.
+        csv_path = tmp_path / "walk.csv"
+        write_walk_csv(csv_path)
+        expected = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+        assert csv_path.stat().st_size > 3 * 1000
+
+        def whole_file(self):
+            raise AssertionError(f"read {self} whole")
+
+        monkeypatch.setattr(Path, "read_bytes", whole_file)
+        monkeypatch.setattr(pipeline, "_DIGEST_BLOCK", 1000)
+        out = tmp_path / "out"
+        cfg = base_config(csv_path, out, sides=(ShockSide.SYMMETRIC,))
+        assert run_pipeline(cfg).inputs["sha256"] == expected
+        assert config_from_manifest(out / "manifest.json") == cfg
+
     def test_changed_input_is_rejected(self, tmp_path):
         csv_path = tmp_path / "walk.csv"
         write_walk_csv(csv_path)
@@ -358,6 +377,20 @@ class TestConfigValidation:
     def test_empty_sides_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             base_config(tmp_path / "x.csv", tmp_path / "out", sides=())
+
+    @pytest.mark.parametrize(
+        "columns, date_column, named",
+        [
+            (("aa", "bb", "aa"), "date", "column 'aa' is named twice"),
+            (("date", "aa"), "date", "column 'date' is the date column"),
+            (("aa", "day"), "day", "column 'day' is the date column"),
+        ],
+    )
+    def test_bad_value_columns_rejected(self, tmp_path, columns, date_column, named):
+        with pytest.raises(ConfigError, match=named):
+            base_config(tmp_path / "x.csv", tmp_path / "out", columns=columns, date_column=date_column)
+        with pytest.raises(ConfigError, match=named):
+            load_csv(tmp_path / "x.csv", date_column, columns)
 
     def test_bad_horizon_rejected(self, tmp_path):
         with pytest.raises(ValueError):
