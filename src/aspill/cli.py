@@ -86,60 +86,52 @@ def _date_arg(text: str) -> date:
 def _add_panel_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", help="CSV file with a date column and one column per series")
     parser.add_argument("--columns", help="comma-separated value columns")
-    parser.add_argument("--date-column", default="date", help="name of the date column")
-    parser.add_argument("--log", action="store_true", help="use natural logs of the values")
+    parser.add_argument("--date-column", help="name of the date column")
+    parser.add_argument("--log", action="store_true", default=None, help="use natural logs of the values")
 
 
 def _add_model_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--trend", type=_trend_arg, default=TrendSpec.DRIFT,
+    parser.add_argument("--trend", type=_trend_arg,
                         help="deterministic part of the walk: none, drift, or trend")
     parser.add_argument("--lags", type=int, help="fixed lag order; omit to select by criterion")
-    parser.add_argument("--lag-select", default="hjc", choices=CRITERIA,
+    parser.add_argument("--lag-select", choices=CRITERIA,
                         help="criterion used when --lags is omitted")
-    parser.add_argument("--max-lags", type=int, default=8,
+    parser.add_argument("--max-lags", type=int,
                         help="largest candidate order for lag selection")
-    parser.add_argument("--ty-augment", action="store_true",
+    parser.add_argument("--ty-augment", action="store_true", default=None,
                         help="estimate one extra unrestricted lag kept out of the propagation")
-    parser.add_argument("--sigma-scaling", default="jj", choices=SIGMA_SCALINGS,
+    parser.add_argument("--sigma-scaling", choices=SIGMA_SCALINGS,
                         help="variance scaling the shares: jj is the standard generalized form; "
                              "ii depends on the units of the input: rescaling a series "
                              "moves the shares")
-    parser.add_argument("--horizon", type=int, default=10, help="forecast horizon n")
-    parser.add_argument("--sides", type=_sides_arg, default=(
-        ShockSide.POSITIVE, ShockSide.NEGATIVE, ShockSide.SYMMETRIC),
-        help="comma-separated subset of pos,neg,sym")
+    parser.add_argument("--horizon", type=int, help="forecast horizon n")
+    parser.add_argument("--sides", type=_sides_arg, help="comma-separated subset of pos,neg,sym")
 
 
 def _add_rolling_options(parser: argparse.ArgumentParser, required: bool) -> None:
     parser.add_argument("--window", type=int, required=required,
                         help="observations per rolling window")
-    parser.add_argument("--step", type=int, default=1, help="stride between windows")
-    parser.add_argument("--decompose-per-window", action="store_true",
+    parser.add_argument("--step", type=int, help="stride between windows")
+    parser.add_argument("--decompose-per-window", action="store_true", default=None,
                         help="re-anchor the component transform inside every window")
 
 
 def _config_from_args(args: argparse.Namespace, emit_tables: bool) -> RunConfig:
     if args.input is None or args.columns is None:
         raise AspillError("--input and --columns are required (or use --from-manifest)")
-    return RunConfig(
+    # An option left out is None, so the field keeps RunConfig's default.
+    given = {
+        f.name: value
+        for f in dataclasses.fields(RunConfig)
+        if (value := getattr(args, f.name, None)) is not None
+    }
+    given.update(
         input_path=args.input,
         columns=_columns_arg(args.columns),
         out_dir=args.out if args.out is not None else "./results",
-        date_column=args.date_column,
-        log=args.log,
-        trend=args.trend,
-        lags=args.lags,
-        lag_select=args.lag_select,
-        max_lags=args.max_lags,
-        ty_augment=args.ty_augment,
-        sigma_scaling=args.sigma_scaling,
-        horizon=args.horizon,
-        sides=args.sides,
-        window=args.window,
-        step=args.step,
-        decompose_per_window=args.decompose_per_window,
         emit_tables=emit_tables,
     )
+    return RunConfig(**given)
 
 
 def _run_and_report(cfg: RunConfig) -> int:
@@ -157,6 +149,16 @@ def _run_and_report(cfg: RunConfig) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.from_manifest:
+        given = [
+            "--" + dest.replace("_", "-")
+            for dest, value in vars(args).items()
+            if value is not None and dest not in ("command", "func", "from_manifest", "out")
+        ]
+        if given:
+            raise ConfigError(
+                "--from-manifest re-runs the recorded configuration and takes only --out "
+                f"beside it; got {', '.join(given)}"
+            )
         cfg = config_from_manifest(args.from_manifest)
         if args.out is not None:
             cfg = dataclasses.replace(cfg, out_dir=args.out)
@@ -256,17 +258,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_panel_options(roll)
     _add_model_options(roll)
     _add_rolling_options(roll, required=True)
-    roll.add_argument("--out", help="output directory", default="./results")
+    roll.add_argument("--out", help="output directory (default ./results)")
     roll.set_defaults(func=_cmd_roll)
 
     decompose = sub.add_parser(
         "decompose", help="export positive/negative components as CSV"
     )
     _add_panel_options(decompose)
-    decompose.add_argument("--trend", type=_trend_arg, default=TrendSpec.DRIFT,
+    decompose.add_argument("--trend", type=_trend_arg,
                            help="deterministic part of the walk: none, drift, or trend")
     decompose.add_argument("--out", required=True, help="output CSV path")
-    decompose.set_defaults(func=_cmd_decompose)
+    # decompose builds no RunConfig, so its options take RunConfig's defaults here.
+    defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+    decompose.set_defaults(
+        func=_cmd_decompose, **{name: defaults[name] for name in ("date_column", "log", "trend")}
+    )
 
     fetch = sub.add_parser("fetch", help="download series from FRED into an aligned CSV")
     fetch.add_argument("--series", required=True,

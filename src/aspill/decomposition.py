@@ -40,16 +40,11 @@ class ShockSide(Enum):
 
 @dataclass(frozen=True)
 class TrendFit:
-    """Estimated deterministic part and the shocks left over.
-
-    residuals holds v_t for t = 1..T-1, aligned with the second through
-    last observations of the source series.
-    """
+    """Estimated deterministic part c + d t of the differences, and the first level g0."""
 
     c: float
     d: float
     g0: float
-    residuals: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,18 +56,15 @@ class DecomposedPanel:
     fits: tuple[TrendFit, ...]
 
 
-def _trend_stack(
-    g: np.ndarray, spec: TrendSpec, out: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _trend_stack(g: np.ndarray, spec: TrendSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """c and d, each (s, m), and shocks (s, m, T-1) of an (s, m, T) stack of walks.
 
     Differencing turns the level recursion into dG_t = c + d t + v_t,
     a plain regression on {1, t}. Variants force c or d to zero rather
     than dropping the corresponding residual structure. The two-regressor
-    fit centres t, which makes the regressors orthogonal. The shocks are
-    written into out when it is given.
+    fit centres t, which makes the regressors orthogonal.
     """
-    shocks = np.subtract(g[:, :, 1:], g[:, :, :-1], out=out)
+    shocks = g[:, :, 1:] - g[:, :, :-1]
     t = np.arange(1, g.shape[2], dtype=float)
     zeros = np.zeros(g.shape[:2])
     if spec is TrendSpec.NONE:
@@ -148,20 +140,20 @@ def decompose_panel(panel: Panel, spec: TrendSpec) -> DecomposedPanel:
     # straight into column j of the (T, m) outputs. The trend fit's sums
     # run over the series' own contiguous row of differences, in the order
     # the (s, m, T) stack form sums it, so the bits are the stack form's;
-    # only a few T-length temporaries are held beside the outputs. plus and
-    # minus share one allocation, as they share the result's lifetime: one
-    # array of 4 MiB or more is one numpy asks the kernel to back with huge
-    # pages, which makes the first, strided writes into it cheaper.
+    # only a few T-length temporaries, the series' shocks among them, are
+    # held beside the outputs. plus and minus share one allocation, as they
+    # share the result's lifetime: one array of 4 MiB or more is one numpy
+    # asks the kernel to back with huge pages, which makes the first,
+    # strided writes into it cheaper.
     T, m = panel.matrix.shape
     plus, minus = np.empty((2, T, m))
-    residuals = np.empty((m, T - 1))
     fits = []
     for j in range(m):
         g = np.ascontiguousarray(panel.matrix[:, j])[np.newaxis, np.newaxis]
-        c, d, shocks = _trend_stack(g, spec, out=residuals[np.newaxis, np.newaxis, j])
+        c, d, shocks = _trend_stack(g, spec)
         columns = (plus[np.newaxis, np.newaxis, :, j], minus[np.newaxis, np.newaxis, :, j])
         _components(g, c, d, shocks, out=columns)
-        fits.append(TrendFit(c=float(c[0, 0]), d=float(d[0, 0]), g0=float(g[0, 0, 0]), residuals=residuals[j]))
+        fits.append(TrendFit(c=float(c[0, 0]), d=float(d[0, 0]), g0=float(g[0, 0, 0])))
     return DecomposedPanel(
         plus_panel=Panel._on_checked_dates(tuple(name + "_pos" for name in panel.names), panel.dates, plus),
         minus_panel=Panel._on_checked_dates(tuple(name + "_neg" for name in panel.names), panel.dates, minus),

@@ -13,9 +13,10 @@ import hashlib
 import json
 import warnings
 from contextlib import contextmanager
-from dataclasses import MISSING, Field, dataclass, fields
+from dataclasses import MISSING, dataclass, fields
+from enum import Enum
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterator, get_args, get_origin, get_type_hints
 
 from .atomic import write_atomic
 from .connectedness import SIGMA_SCALINGS, build_table, compute_fevd, net_measures
@@ -61,6 +62,9 @@ class RunConfig:
         if not self.columns:
             raise ConfigError("at least one value column must be named")
         check_columns(self.date_column, self.columns)
+        for k, side in enumerate(self.sides):
+            if side in self.sides[:k]:
+                raise ConfigError(f"side {side.value!r} is named twice")
         for name in ("horizon", "lags", "max_lags", "window", "step"):
             value = getattr(self, name)
             if value is not None and value < 1:
@@ -71,21 +75,13 @@ class RunConfig:
             raise ConfigError(f"sigma_scaling {self.sigma_scaling!r} is not in {SIGMA_SCALINGS}")
 
     def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, TrendSpec):
-                value = value.value
-            elif f.name == "sides":
-                value = [side.value for side in value]
-            elif isinstance(value, tuple):
-                value = list(value)
-            out[f.name] = value
-        return out
+        return {f.name: _to_json(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, raw: Any) -> "RunConfig":
         """The config to_dict recorded, as read back from JSON.
+
+        Each field is read as the type its annotation declares.
 
         Raises:
             ConfigError: raw is not an object, or a field is missing,
@@ -104,60 +100,50 @@ class RunConfig:
         for f in known.values():
             if f.default is MISSING and f.default_factory is MISSING and f.name not in data:
                 raise ConfigError(f"config field {f.name!r} is missing")
-        return cls(**{name: _field_from_json(known[name], value) for name, value in data.items()})
+        kinds = get_type_hints(cls)
+        return cls(**{name: _field_from_json(name, kinds[name], value) for name, value in data.items()})
 
 
-# The JSON type of each RunConfig field that to_dict writes as it is; a
-# field whose default is None may also be null. The round-trip test of
-# every field fails on a field missing here.
-_JSON_TYPES: dict[str, type] = {
-    "input_path": str,
-    "out_dir": str,
-    "date_column": str,
-    "lag_select": str,
-    "sigma_scaling": str,
-    "log": bool,
-    "ty_augment": bool,
-    "decompose_per_window": bool,
-    "emit_tables": bool,
-    "lags": int,
-    "max_lags": int,
-    "horizon": int,
-    "window": int,
-    "step": int,
-}
-_JSON_NAMES = {str: "a string", bool: "true or false", int: "an integer"}
+def _to_json(value: Any) -> Any:
+    """A config value as JSON: an Enum as its value, a tuple or list as a list."""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (tuple, list)):
+        return [_to_json(item) for item in value]
+    return value
 
 
-def _field_from_json(field: Field, value: Any) -> Any:
-    """A config field read from JSON as its RunConfig type, or ConfigError naming it."""
-    name = field.name
+def _field_from_json(name: str, kind: Any, value: Any) -> Any:
+    """A config field read from JSON as its annotated type kind, or ConfigError naming it."""
 
     def wrong(expected: str) -> ConfigError:
         return ConfigError(f"config field {name!r} must be {expected}, got {value!r}")
 
-    if name == "trend":
-        choices = [spec.value for spec in TrendSpec]
-        if value not in choices:
-            raise wrong(f"one of {choices}")
-        return TrendSpec(value)
-    if name in ("columns", "sides"):
+    if get_origin(kind) is tuple:
+        # Written as a list of strings: names, or the values of an Enum.
+        item = get_args(kind)[0]
         if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
             raise wrong("a list of strings")
-        if name == "columns":
-            return tuple(value)
-        choices = [side.value for side in ShockSide]
-        if not set(value) <= set(choices):
-            raise wrong(f"a list drawn from {choices}")
-        return tuple(ShockSide(v) for v in value)
-    nullable = field.default is None
-    if value is None and nullable:
-        return value
-    kind = _JSON_TYPES[name]
+        if issubclass(item, Enum):
+            choices = [member.value for member in item]
+            if not set(value) <= set(choices):
+                raise wrong(f"a list drawn from {choices}")
+        return tuple(item(v) for v in value)
+    if isinstance(kind, type) and issubclass(kind, Enum):
+        choices = [member.value for member in kind]
+        if value not in choices:
+            raise wrong(f"one of {choices}")
+        return kind(value)
+    nullable = type(None) in get_args(kind)
+    if nullable:
+        if value is None:
+            return value
+        (kind,) = (option for option in get_args(kind) if option is not type(None))
     # bool is an int to isinstance, but a count written as true is a slip.
     if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
         return value
-    raise wrong(_JSON_NAMES[kind] + (" or null" if nullable else ""))
+    expected = {str: "a string", bool: "true or false", int: "an integer"}[kind]
+    raise wrong(expected + (" or null" if nullable else ""))
 
 
 @dataclass(frozen=True)

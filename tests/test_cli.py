@@ -16,6 +16,7 @@ import aspill
 from aspill.cli import main
 from aspill.fred import fetch_fred
 from aspill.panel import load_csv, write_csv
+from aspill.pipeline import RunConfig
 from varsim import make_panel, random_walk_matrix
 from test_pipeline import tree_digest, write_decreasing_csv, write_walk_csv
 
@@ -86,6 +87,41 @@ class TestAnalyze:
                 assert second[name] == digest
         manifest = json.loads((moved / "manifest.json").read_text())
         assert manifest["config"]["out_dir"] == str(moved)
+
+    def test_defaults_are_run_config_defaults(self, tmp_path, capsys):
+        csv_path = tmp_path / "walk.csv"
+        write_walk_csv(csv_path)
+        out = tmp_path / "out"
+        code = main(["analyze", "--input", str(csv_path), "--columns", "aa,bb,cc", "--out", str(out)])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        expected = RunConfig(input_path=str(csv_path), columns=("aa", "bb", "cc"), out_dir=str(out))
+        assert manifest["config"] == expected.to_dict()
+
+    def test_from_manifest_rejects_other_run_options(self, tmp_path, capsys):
+        csv_path = tmp_path / "walk.csv"
+        write_walk_csv(csv_path)
+        out = tmp_path / "out"
+        assert main(analyze_args(csv_path, out)) == 0
+        first = tree_digest(out)
+        capsys.readouterr()
+        code = main([
+            "analyze",
+            "--from-manifest", str(out / "manifest.json"),
+            "--window", "100",
+            "--horizon", "3",
+            "--sides", "pos",
+            "--log",
+            "--out", str(tmp_path / "moved"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (
+            "error: --from-manifest re-runs the recorded configuration and takes only --out "
+            "beside it; got --log, --horizon, --sides, --window\n"
+        )
+        assert tree_digest(out) == first
+        assert not (tmp_path / "moved").exists()
 
     def test_missing_input_is_clean_error(self, tmp_path, capsys):
         out = tmp_path / "out"

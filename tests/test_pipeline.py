@@ -367,6 +367,59 @@ class TestConfigValidation:
         assert all(getattr(cfg, f.name) != f.default for f in fields(RunConfig))
         assert RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("date_column", 5, "config field 'date_column' must be a string, got 5"),
+            ("log", "yes", "config field 'log' must be true or false, got 'yes'"),
+            ("horizon", True, "config field 'horizon' must be an integer, got True"),
+            ("max_lags", 2.5, "config field 'max_lags' must be an integer, got 2.5"),
+            ("lags", "2", "config field 'lags' must be an integer or null, got '2'"),
+            ("window", False, "config field 'window' must be an integer or null, got False"),
+            (
+                "trend",
+                "linear",
+                "config field 'trend' must be one of ['none', 'drift', 'trend'], got 'linear'",
+            ),
+            ("trend", None, "config field 'trend' must be one of ['none', 'drift', 'trend'], got None"),
+            ("columns", "ab", "config field 'columns' must be a list of strings, got 'ab'"),
+            ("columns", ["a", 1], "config field 'columns' must be a list of strings, got ['a', 1]"),
+            ("sides", None, "config field 'sides' must be a list of strings, got None"),
+            (
+                "sides",
+                ["pos", "up"],
+                "config field 'sides' must be a list drawn from ['pos', 'neg', 'sym'], got ['pos', 'up']",
+            ),
+        ],
+    )
+    def test_malformed_field_message(self, tmp_path, name, value, message):
+        recorded = base_config(tmp_path / "x.csv", tmp_path / "out").to_dict()
+        recorded[name] = value
+        with pytest.raises(ConfigError) as info:
+            RunConfig.from_dict(recorded)
+        assert str(info.value) == message
+
+    def test_lists_from_library_callers_are_recorded_as_lists(self, tmp_path):
+        cfg = RunConfig(
+            input_path=str(tmp_path / "x.csv"),
+            columns=["a", "b"],
+            out_dir=str(tmp_path / "out"),
+            sides=[ShockSide.POSITIVE],
+        )
+        recorded = json.loads(json.dumps(cfg.to_dict()))
+        assert recorded["columns"] == ["a", "b"] and recorded["sides"] == ["pos"]
+        back = RunConfig.from_dict(recorded)
+        assert back.columns == ("a", "b")
+        assert back.sides == (ShockSide.POSITIVE,)
+
+    def test_side_named_twice_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="^side 'pos' is named twice$"):
+            base_config(tmp_path / "x.csv", tmp_path / "out", sides=(ShockSide.POSITIVE, ShockSide.POSITIVE))
+        recorded = base_config(tmp_path / "x.csv", tmp_path / "out").to_dict()
+        recorded["sides"] = ["neg", "sym", "neg"]
+        with pytest.raises(ConfigError, match="^side 'neg' is named twice$"):
+            RunConfig.from_dict(recorded)
+
     def test_legacy_seed_key_is_dropped(self, tmp_path):
         cfg = base_config(tmp_path / "x.csv", tmp_path / "out")
         recorded = cfg.to_dict()
