@@ -21,7 +21,7 @@ from .decomposition import ShockSide, TrendSpec, decompose_panel
 from .errors import AspillError, ConfigError, MalformedCsvError, PipelineError
 from .fred import DEFAULT_CACHE_DIR, fetch_fred
 from .panel import Panel, align, check_columns, load_csv, log_transform, parse_date, write_csv
-from .pipeline import RunConfig, config_from_manifest, run_pipeline
+from .pipeline import RunConfig, _field_from_json, _to_json, config_from_manifest, run_pipeline
 from .report import parse_table_csv, render_table
 from .var_engine import CRITERIA
 from .version import __version__
@@ -36,44 +36,16 @@ _DIRECTIONAL_NOTE = (
 )
 
 
-def _columns_arg(text: str) -> tuple[str, ...]:
+def _columns_arg(text: str) -> list[str]:
     """The names of a comma-separated list.
 
     Commands call it on the parsed text, so that a bad list ends in an
     error line and exit status 1, like every other configuration error.
     """
-    columns = tuple(c.strip() for c in text.split(",") if c.strip())
+    columns = [c.strip() for c in text.split(",") if c.strip()]
     if not columns:
         raise ConfigError(f"expected a comma-separated list of names, got {text!r}")
     return columns
-
-
-def _sides_arg(text: str) -> tuple[ShockSide, ...]:
-    sides: list[ShockSide] = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            side = ShockSide(token)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"unknown side {token!r}; choose from pos,neg,sym"
-            ) from None
-        if side not in sides:
-            sides.append(side)
-    if not sides:
-        raise argparse.ArgumentTypeError("at least one side is required")
-    return tuple(sides)
-
-
-def _trend_arg(text: str) -> TrendSpec:
-    try:
-        return TrendSpec(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"unknown trend {text!r}; choose from none,drift,trend"
-        ) from None
 
 
 def _date_arg(text: str) -> date:
@@ -90,22 +62,31 @@ def _add_panel_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--log", action="store_true", default=None, help="use natural logs of the values")
 
 
+def _choices(values) -> str:
+    """Allowed values shown as argparse shows choices.
+
+    RunConfig, not argparse, checks them, so that the command line and a
+    manifest reject a bad value with the same message.
+    """
+    return "{" + ",".join(values) + "}"
+
+
 def _add_model_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--trend", type=_trend_arg,
-                        help="deterministic part of the walk: none, drift, or trend")
+    parser.add_argument("--trend", metavar=_choices(t.value for t in TrendSpec),
+                        help="deterministic part of the walk")
     parser.add_argument("--lags", type=int, help="fixed lag order; omit to select by criterion")
-    parser.add_argument("--lag-select", choices=CRITERIA,
+    parser.add_argument("--lag-select", metavar=_choices(CRITERIA),
                         help="criterion used when --lags is omitted")
     parser.add_argument("--max-lags", type=int,
                         help="largest candidate order for lag selection")
     parser.add_argument("--ty-augment", action="store_true", default=None,
                         help="estimate one extra unrestricted lag kept out of the propagation")
-    parser.add_argument("--sigma-scaling", choices=SIGMA_SCALINGS,
+    parser.add_argument("--sigma-scaling", metavar=_choices(SIGMA_SCALINGS),
                         help="variance scaling the shares: jj is the standard generalized form; "
                              "ii depends on the units of the input: rescaling a series "
                              "moves the shares")
     parser.add_argument("--horizon", type=int, help="forecast horizon n")
-    parser.add_argument("--sides", type=_sides_arg, help="comma-separated subset of pos,neg,sym")
+    parser.add_argument("--sides", help="comma-separated subset of " + ",".join(s.value for s in ShockSide))
 
 
 def _add_rolling_options(parser: argparse.ArgumentParser, required: bool) -> None:
@@ -119,7 +100,8 @@ def _add_rolling_options(parser: argparse.ArgumentParser, required: bool) -> Non
 def _config_from_args(args: argparse.Namespace, emit_tables: bool) -> RunConfig:
     if args.input is None or args.columns is None:
         raise AspillError("--input and --columns are required (or use --from-manifest)")
-    # An option left out is None, so the field keeps RunConfig's default.
+    # The options given, as JSON-shaped values for the reader a manifest
+    # goes through; an option left out is None and keeps RunConfig's default.
     given = {
         f.name: value
         for f in dataclasses.fields(RunConfig)
@@ -131,7 +113,9 @@ def _config_from_args(args: argparse.Namespace, emit_tables: bool) -> RunConfig:
         out_dir=args.out if args.out is not None else "./results",
         emit_tables=emit_tables,
     )
-    return RunConfig(**given)
+    if args.sides is not None:
+        given["sides"] = _columns_arg(args.sides)
+    return RunConfig.from_dict(given)
 
 
 def _run_and_report(cfg: RunConfig) -> int:
@@ -178,7 +162,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     panel, dropped = load_csv(args.input, args.date_column, _columns_arg(args.columns))
     if args.log:
         panel = log_transform(panel)
-    decomposed = decompose_panel(panel, args.trend)
+    decomposed = decompose_panel(panel, _field_from_json("trend", TrendSpec, args.trend))
     plus, minus = decomposed.plus_panel, decomposed.minus_panel
     names = [name for pair in zip(plus.names, minus.names) for name in pair]
     interleaved = np.stack([plus.matrix, minus.matrix], axis=2).reshape(len(panel), -1)
@@ -265,11 +249,11 @@ def build_parser() -> argparse.ArgumentParser:
         "decompose", help="export positive/negative components as CSV"
     )
     _add_panel_options(decompose)
-    decompose.add_argument("--trend", type=_trend_arg,
-                           help="deterministic part of the walk: none, drift, or trend")
+    decompose.add_argument("--trend", metavar=_choices(t.value for t in TrendSpec),
+                           help="deterministic part of the walk")
     decompose.add_argument("--out", required=True, help="output CSV path")
     # decompose builds no RunConfig, so its options take RunConfig's defaults here.
-    defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+    defaults = {f.name: _to_json(f.default) for f in dataclasses.fields(RunConfig)}
     decompose.set_defaults(
         func=_cmd_decompose, **{name: defaults[name] for name in ("date_column", "log", "trend")}
     )
@@ -301,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
         for side, stage, message in exc.failures:
             print(f"error [{side}/{stage}]: {message}", file=sys.stderr)
         return 1
-    except (AspillError, FileNotFoundError) as exc:
+    except (AspillError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

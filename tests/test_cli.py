@@ -230,6 +230,106 @@ class TestAnalyze:
         assert tree_digest(out) == first
 
 
+class TestOneReader:
+    """A setting means the same on the command line as in a manifest."""
+
+    @pytest.mark.parametrize(
+        "option, text, field, raw, message",
+        [
+            ("--sides", "pos,pos", "sides", ["pos", "pos"], "side 'pos' is named twice"),
+            ("--sides", "pos,up", "sides", ["pos", "up"],
+             "config field 'sides' must be a list drawn from ['pos', 'neg', 'sym'], got ['pos', 'up']"),
+            ("--trend", "linear", "trend", "linear",
+             "config field 'trend' must be one of ['none', 'drift', 'trend'], got 'linear'"),
+            ("--sigma-scaling", "ij", "sigma_scaling", "ij", "sigma_scaling 'ij' is not in ('jj', 'ii')"),
+            ("--lag-select", "BIC", "lag_select", "BIC",
+             "lag_select 'BIC' is not in ('hjc', 'aic', 'sic', 'hqc')"),
+        ],
+    )
+    def test_bad_setting_is_one_error_on_both_paths(self, tmp_path, capsys, option, text, field, raw, message):
+        csv_path = tmp_path / "walk.csv"
+        write_walk_csv(csv_path)
+        out = tmp_path / "out"
+        assert main(analyze_args(csv_path, out)) == 0
+        first = tree_digest(out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["config"][field] = raw
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(manifest), encoding="utf-8")
+        capsys.readouterr()
+
+        assert main(analyze_args(csv_path, out, option, text)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert main(["analyze", "--from-manifest", str(edited)]) == 1
+        assert capsys.readouterr().err == f"error: {message} (manifest {edited})\n"
+        assert tree_digest(out) == first
+
+    def test_criterion_case_is_read_alike_on_both_paths(self, tmp_path, capsys):
+        # RunConfig compares lag_select in lower case, on either path.
+        csv_path = tmp_path / "walk.csv"
+        write_walk_csv(csv_path)
+        lower, upper = tmp_path / "lower", tmp_path / "upper"
+        options = ["--input", str(csv_path), "--columns", "aa,bb,cc", "--max-lags", "3"]
+        assert main(["analyze", *options, "--out", str(lower)]) == 0
+        assert main(["analyze", *options, "--lag-select", "HJC", "--out", str(upper)]) == 0
+        first = tree_digest(upper)
+        manifest = json.loads((upper / "manifest.json").read_text())
+        assert manifest["config"]["lag_select"] == "HJC"
+        assert manifest["sides"] == json.loads((lower / "manifest.json").read_text())["sides"]
+        assert main(["analyze", "--from-manifest", str(upper / "manifest.json")]) == 0
+        assert tree_digest(upper) == first
+
+    @pytest.mark.parametrize("command", ["analyze", "roll", "decompose"])
+    def test_unknown_trend_is_one_error_on_every_command(self, tmp_path, capsys, command):
+        csv_path = tmp_path / "walk.csv"
+        write_walk_csv(csv_path)
+        target = tmp_path / ("parts.csv" if command == "decompose" else "out")
+        extra = ["--window", "220"] if command == "roll" else []
+        code = main([command, "--input", str(csv_path), "--columns", "aa,bb", "--trend", "linear",
+                     "--out", str(target), *extra])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: config field 'trend' must be one of ['none', 'drift', 'trend'], got 'linear'\n"
+        )
+        assert not target.exists()
+
+
+class TestOsErrors:
+    """A path the system refuses ends in one error line, not a traceback."""
+
+    def test_report_table_that_is_a_directory(self, tmp_path, capsys):
+        code = main(["report", "--table", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+    def test_manifest_that_is_a_directory(self, tmp_path, capsys):
+        code = main(["analyze", "--from-manifest", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+    def test_decompose_out_that_is_a_directory(self, tmp_path, capsys):
+        csv_path = tmp_path / "walk.csv"
+        write_walk_csv(csv_path, m=2)
+        target = tmp_path / "parts"
+        target.mkdir()
+        code = main(["decompose", "--input", str(csv_path), "--columns", "aa,bb", "--out", str(target)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: [Errno 21] Is a directory:") and len(err.splitlines()) == 1
+        # The temporary file beside the target is removed.
+        assert sorted(tmp_path.iterdir()) == [target, csv_path]
+
+    def test_analyze_out_that_is_a_file(self, tmp_path, capsys):
+        csv_path = tmp_path / "walk.csv"
+        write_walk_csv(csv_path)
+        target = tmp_path / "out"
+        target.write_text("kept\n")
+        code = main(analyze_args(csv_path, target))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{target}'\n"
+        assert target.read_text() == "kept\n"
+
+
 class TestColumnLists:
     @pytest.mark.parametrize(
         "columns, named",
@@ -455,9 +555,13 @@ class TestParser:
         assert info.value.code == 2
 
     def test_bad_side_token(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["analyze", "--input", "x.csv", "--columns", "a,b", "--sides", "up"])
-        assert info.value.code == 2
+        # Sides are read by RunConfig, so a bad one is a configuration error
+        # (exit 1), checked before the input is opened.
+        code = main(["analyze", "--input", "x.csv", "--columns", "a,b", "--sides", "up"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: config field 'sides' must be a list drawn from ['pos', 'neg', 'sym'], got ['up']\n"
+        )
 
     def test_directional_note_in_help(self, capsys):
         with pytest.raises(SystemExit):

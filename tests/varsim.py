@@ -10,6 +10,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
+from aspill.decomposition import ShockSide
 from aspill.panel import Panel
 
 
@@ -98,3 +99,19 @@ def random_walk_panel(
     rng: np.random.Generator, T: int, m: int, drift: float = 0.0
 ) -> Panel:
     return make_panel(random_walk_matrix(rng, T, m, drift))
+
+
+def asymmetric_walks(rng: np.random.Generator, planted: ShockSide | None) -> np.ndarray:
+    """1500 log levels of 3 markets; markets 1 and 2 respond to market 0's shocks of one sign.
+
+    Every increment is a normal shock of standard deviation 0.01; markets
+    1 and 2 add 0.5 times market 0's previous shock, clamped to its
+    negative part (planted NEGATIVE) or its positive part (POSITIVE).
+    With planted None the walks are independent.
+    """
+    shocks = rng.normal(scale=0.01, size=(1500, 3))
+    increments = shocks.copy()
+    if planted is not None:
+        clamp = {ShockSide.NEGATIVE: np.minimum, ShockSide.POSITIVE: np.maximum}[planted]
+        increments[1:, 1:] += 0.5 * clamp(shocks[:-1, :1], 0.0)
+    return np.cumsum(increments, axis=0)
