@@ -22,7 +22,7 @@ from .errors import AspillError, ConfigError, MalformedCsvError, PipelineError
 from .fred import DEFAULT_CACHE_DIR, fetch_fred
 from .panel import Panel, align, check_columns, load_csv, log_transform, parse_date, write_csv
 from .pipeline import RunConfig, _field_from_json, _to_json, config_from_manifest, run_pipeline
-from .report import parse_table_csv, render_table
+from .report import _FORMATS, parse_table_csv, render_table
 from .var_engine import CRITERIA
 from .version import __version__
 
@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser("report", help="re-render a table CSV as csv, json, or markdown")
     report.add_argument("--table", required=True, help="table CSV produced by analyze")
-    report.add_argument("--format", default="markdown", choices=("csv", "json", "markdown"))
+    report.add_argument("--format", default="markdown", choices=_FORMATS)
     report.add_argument("--out", help="output path; prints to stdout when omitted")
     report.set_defaults(func=_cmd_report)
     return parser

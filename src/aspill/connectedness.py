@@ -30,7 +30,6 @@ class FevdResult:
     For a stack of windows, gap_reasons says why each window failed.
     """
 
-    horizon: int
     raw: np.ndarray
     normalized: np.ndarray
     gap_reasons: tuple[str | None, ...] = ()
@@ -144,10 +143,10 @@ def compute_fevd(
     normalized, row_reasons = normalize_stack(raw)
     gap_reasons = tuple(a or b for a, b in zip(reasons, row_reasons))
     if not single:
-        return FevdResult(horizon=n, raw=raw, normalized=normalized, gap_reasons=gap_reasons)
+        return FevdResult(raw=raw, normalized=normalized, gap_reasons=gap_reasons)
     if gap_reasons[0] is not None:
         raise DegenerateCovarianceError(gap_reasons[0])
-    return FevdResult(horizon=n, raw=raw[0], normalized=normalized[0])
+    return FevdResult(raw=raw[0], normalized=normalized[0])
 
 
 def _off_diagonal(matrix_pct: np.ndarray) -> np.ndarray:
@@ -164,12 +163,10 @@ def total_spillovers(matrix_pct: np.ndarray) -> np.ndarray:
     return _off_diagonal(matrix_pct).sum(axis=(1, 2)) / matrix_pct.shape[1]
 
 
-def build_table(
-    normalized: np.ndarray, labels: Sequence[str], row_sum_tol: float = 1e-6
-) -> ConnectednessTable:
-    """Assemble the spillover table from row-normalized fractional shares."""
+def build_table(normalized: np.ndarray, labels: Sequence[str]) -> ConnectednessTable:
+    """Assemble the spillover table from shares whose rows sum to 1 within 1e-6."""
     percent = np.asarray(normalized, dtype=float) * 100.0
-    return table_from_percent(percent, labels, row_sum_tol * 100.0)
+    return table_from_percent(percent, labels, 1e-6 * 100.0)
 
 
 def table_from_percent(

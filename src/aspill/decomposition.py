@@ -116,6 +116,7 @@ def _components(
 
 def component_stack(stack: np.ndarray, spec: TrendSpec, side: ShockSide) -> np.ndarray:
     """A side's components of every window in a (c, W, m) stack, each anchored at its first row."""
+    spec, side = TrendSpec(spec), ShockSide(side)
     if side is ShockSide.SYMMETRIC:
         return stack
     g = stack.swapaxes(1, 2)
@@ -127,8 +128,10 @@ def decompose_panel(panel: Panel, spec: TrendSpec) -> DecomposedPanel:
     """Split every series of the panel into G+ and G-, which sum back to it.
 
     fits[j] holds the trend fit of series j. A panel too short for the
-    trend fit names every one of its series in the error.
+    trend fit names every one of its series in the error. spec is a
+    TrendSpec or its value; any other value raises ValueError.
     """
+    spec = TrendSpec(spec)
     if len(panel) < _MIN_LENGTH:
         raise SeriesTooShortError(
             "; ".join(
@@ -163,6 +166,7 @@ def decompose_panel(panel: Panel, spec: TrendSpec) -> DecomposedPanel:
 
 def component_panel(decomposed: DecomposedPanel, source: Panel, side: ShockSide) -> Panel:
     """Panel an analysis side runs on: a component panel or the source itself."""
+    side = ShockSide(side)
     if side is ShockSide.POSITIVE:
         return decomposed.plus_panel
     if side is ShockSide.NEGATIVE:

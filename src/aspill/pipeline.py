@@ -16,7 +16,7 @@ from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterator, get_args, get_origin, get_type_hints
+from typing import Any, Iterator, Literal, get_args, get_origin, get_type_hints
 
 from .atomic import write_atomic
 from .connectedness import SIGMA_SCALINGS, build_table, compute_fevd, net_measures
@@ -36,7 +36,10 @@ _ALL_SIDES = (ShockSide.POSITIVE, ShockSide.NEGATIVE, ShockSide.SYMMETRIC)
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a run needs; serializable into the manifest."""
+    """Everything a run needs; serializable into the manifest.
+
+    However a config is built, each field is read as its annotation declares.
+    """
 
     input_path: str
     columns: tuple[str, ...]
@@ -45,10 +48,10 @@ class RunConfig:
     log: bool = False
     trend: TrendSpec = TrendSpec.DRIFT
     lags: int | None = None
-    lag_select: str = "hjc"
+    lag_select: Literal[CRITERIA] = "hjc"
     max_lags: int = 8
     ty_augment: bool = False
-    sigma_scaling: str = "jj"
+    sigma_scaling: Literal[SIGMA_SCALINGS] = "jj"
     horizon: int = 10
     sides: tuple[ShockSide, ...] = _ALL_SIDES
     window: int | None = None
@@ -57,6 +60,8 @@ class RunConfig:
     emit_tables: bool = True
 
     def __post_init__(self) -> None:
+        for name, kind in get_type_hints(RunConfig).items():
+            object.__setattr__(self, name, _field_from_json(name, kind, getattr(self, name)))
         if not self.sides:
             raise ConfigError("at least one shock side must be requested")
         if not self.columns:
@@ -69,10 +74,6 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
-        if self.lag_select.lower() not in CRITERIA:
-            raise ConfigError(f"lag_select {self.lag_select!r} is not in {CRITERIA}")
-        if self.sigma_scaling not in SIGMA_SCALINGS:
-            raise ConfigError(f"sigma_scaling {self.sigma_scaling!r} is not in {SIGMA_SCALINGS}")
 
     def to_dict(self) -> dict[str, Any]:
         return {f.name: _to_json(getattr(self, f.name)) for f in fields(self)}
@@ -80,8 +81,6 @@ class RunConfig:
     @classmethod
     def from_dict(cls, raw: Any) -> "RunConfig":
         """The config to_dict recorded, as read back from JSON.
-
-        Each field is read as the type its annotation declares.
 
         Raises:
             ConfigError: raw is not an object, or a field is missing,
@@ -100,8 +99,7 @@ class RunConfig:
         for f in known.values():
             if f.default is MISSING and f.default_factory is MISSING and f.name not in data:
                 raise ConfigError(f"config field {f.name!r} is missing")
-        kinds = get_type_hints(cls)
-        return cls(**{name: _field_from_json(name, kinds[name], value) for name, value in data.items()})
+        return cls(**data)
 
 
 def _to_json(value: Any) -> Any:
@@ -114,24 +112,31 @@ def _to_json(value: Any) -> Any:
 
 
 def _field_from_json(name: str, kind: Any, value: Any) -> Any:
-    """A config field read from JSON as its annotated type kind, or ConfigError naming it."""
+    """A config field read as its annotated type kind, or ConfigError naming it.
+
+    An Enum member or its value gives the member; a tuple or a list gives a tuple.
+    """
 
     def wrong(expected: str) -> ConfigError:
         return ConfigError(f"config field {name!r} must be {expected}, got {value!r}")
 
     if get_origin(kind) is tuple:
-        # Written as a list of strings: names, or the values of an Enum.
+        # Names, or the members or values of an Enum.
         item = get_args(kind)[0]
-        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        if not isinstance(value, (list, tuple)) or not all(isinstance(v, (str, item)) for v in value):
             raise wrong("a list of strings")
         if issubclass(item, Enum):
             choices = [member.value for member in item]
-            if not set(value) <= set(choices):
+            if not {_to_json(v) for v in value} <= set(choices):
                 raise wrong(f"a list drawn from {choices}")
         return tuple(item(v) for v in value)
+    if get_origin(kind) is Literal:
+        if value not in get_args(kind):
+            raise wrong(f"one of {list(get_args(kind))}")
+        return value
     if isinstance(kind, type) and issubclass(kind, Enum):
         choices = [member.value for member in kind]
-        if value not in choices:
+        if not isinstance(value, kind) and value not in choices:
             raise wrong(f"one of {choices}")
         return kind(value)
     nullable = type(None) in get_args(kind)

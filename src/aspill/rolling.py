@@ -55,6 +55,9 @@ class RollingConfig:
     sigma_scaling: str = "jj"
 
     def __post_init__(self) -> None:
+        # A value in place of its member is read here once; any other raises ValueError.
+        object.__setattr__(self, "trend_spec", TrendSpec(self.trend_spec))
+        object.__setattr__(self, "shock_side", ShockSide(self.shock_side))
         for name in ("step", "horizon", "window"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")

@@ -21,6 +21,8 @@ _MARGIN_LEFT = 56
 _MARGIN_RIGHT = 16
 _MARGIN_TOP = 34
 _MARGIN_BOTTOM = 42
+# Top of the value axis: a spillover index is a percentage.
+_Y_MAX = 100.0
 
 _SIDE_TITLES = {
     "pos": "Spillover index, positive shocks",
@@ -44,17 +46,15 @@ def _tick_indices(count: int, want: int = 6) -> list[int]:
     return sorted({int(round(p)) for p in positions})
 
 
-def render_svg(series: SpilloverSeries, title: str | None = None, y_max: float = 100.0) -> str:
+def render_svg(series: SpilloverSeries) -> str:
     """Build the chart markup for one spillover series."""
     if len(series) == 0:
         raise ValueError("cannot plot an empty series")
-    if title is None:
-        title = _SIDE_TITLES.get(series.side.value, "Spillover index")
     x0, x1 = float(_MARGIN_LEFT), float(_WIDTH - _MARGIN_RIGHT)
     y0, y1 = float(_HEIGHT - _MARGIN_BOTTOM), float(_MARGIN_TOP)
 
     def y_pix(value: float) -> float:
-        return y0 + (value / y_max) * (y1 - y0)
+        return y0 + (value / _Y_MAX) * (y1 - y0)
 
     xs = _x_positions(series.window_end_dates, x0, x1)
     parts = [
@@ -62,11 +62,11 @@ def render_svg(series: SpilloverSeries, title: str | None = None, y_max: float =
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{x0:.2f}" y="20" font-family="sans-serif" font-size="14" fill="black">'
-        f"{title}</text>",
+        f"{_SIDE_TITLES[series.side.value]}</text>",
     ]
     grid_count = 4
     for step in range(grid_count + 1):
-        level = y_max * step / grid_count
+        level = _Y_MAX * step / grid_count
         y = y_pix(level)
         parts.append(
             f'<line x1="{x0:.2f}" y1="{y:.2f}" x2="{x1:.2f}" y2="{y:.2f}" '
@@ -113,6 +113,6 @@ def render_svg(series: SpilloverSeries, title: str | None = None, y_max: float =
     return "\n".join(parts) + "\n"
 
 
-def render_plot(series: SpilloverSeries, path: str | Path, title: str | None = None, y_max: float = 100.0) -> None:
+def render_plot(series: SpilloverSeries, path: str | Path) -> None:
     """Write the chart to a file atomically."""
-    write_atomic(path, render_svg(series, title=title, y_max=y_max))
+    write_atomic(path, render_svg(series))

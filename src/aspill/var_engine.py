@@ -282,7 +282,6 @@ class SampleFactor:
         orthogonal to them, so its cross product is candidate j's
         residual cross product.
         """
-        criterion = criterion.lower()
         if criterion not in CRITERIA:
             raise ValueError(f"unknown criterion {criterion!r}; expected one of {CRITERIA}")
         m, r = self.panel.m, self.r

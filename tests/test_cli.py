@@ -14,6 +14,7 @@ import pytest
 
 import aspill
 from aspill.cli import main
+from aspill.errors import ConfigError
 from aspill.fred import fetch_fred
 from aspill.panel import load_csv, write_csv
 from aspill.pipeline import RunConfig
@@ -189,7 +190,7 @@ class TestAnalyze:
         capsys.readouterr()
         code = main(["analyze", "--from-manifest", str(edited)])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: lag_select 'bic' is not in")
+        assert capsys.readouterr().err.startswith("error: config field 'lag_select' must be one of [")
         assert (out / "manifest.json").is_file()
 
     @pytest.mark.parametrize(
@@ -231,7 +232,7 @@ class TestAnalyze:
 
 
 class TestOneReader:
-    """A setting means the same on the command line as in a manifest."""
+    """A setting means the same on the command line, in a manifest and to RunConfig."""
 
     @pytest.mark.parametrize(
         "option, text, field, raw, message",
@@ -241,9 +242,13 @@ class TestOneReader:
              "config field 'sides' must be a list drawn from ['pos', 'neg', 'sym'], got ['pos', 'up']"),
             ("--trend", "linear", "trend", "linear",
              "config field 'trend' must be one of ['none', 'drift', 'trend'], got 'linear'"),
-            ("--sigma-scaling", "ij", "sigma_scaling", "ij", "sigma_scaling 'ij' is not in ('jj', 'ii')"),
+            ("--sigma-scaling", "ij", "sigma_scaling", "ij",
+             "config field 'sigma_scaling' must be one of ['jj', 'ii'], got 'ij'"),
             ("--lag-select", "BIC", "lag_select", "BIC",
-             "lag_select 'BIC' is not in ('hjc', 'aic', 'sic', 'hqc')"),
+             "config field 'lag_select' must be one of ['hjc', 'aic', 'sic', 'hqc'], got 'BIC'"),
+            # lag_select matches exactly, like every other choice field.
+            ("--lag-select", "HJC", "lag_select", "HJC",
+             "config field 'lag_select' must be one of ['hjc', 'aic', 'sic', 'hqc'], got 'HJC'"),
         ],
     )
     def test_bad_setting_is_one_error_on_both_paths(self, tmp_path, capsys, option, text, field, raw, message):
@@ -262,22 +267,10 @@ class TestOneReader:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert main(["analyze", "--from-manifest", str(edited)]) == 1
         assert capsys.readouterr().err == f"error: {message} (manifest {edited})\n"
+        with pytest.raises(ConfigError) as info:
+            RunConfig(**manifest["config"])
+        assert str(info.value) == message
         assert tree_digest(out) == first
-
-    def test_criterion_case_is_read_alike_on_both_paths(self, tmp_path, capsys):
-        # RunConfig compares lag_select in lower case, on either path.
-        csv_path = tmp_path / "walk.csv"
-        write_walk_csv(csv_path)
-        lower, upper = tmp_path / "lower", tmp_path / "upper"
-        options = ["--input", str(csv_path), "--columns", "aa,bb,cc", "--max-lags", "3"]
-        assert main(["analyze", *options, "--out", str(lower)]) == 0
-        assert main(["analyze", *options, "--lag-select", "HJC", "--out", str(upper)]) == 0
-        first = tree_digest(upper)
-        manifest = json.loads((upper / "manifest.json").read_text())
-        assert manifest["config"]["lag_select"] == "HJC"
-        assert manifest["sides"] == json.loads((lower / "manifest.json").read_text())["sides"]
-        assert main(["analyze", "--from-manifest", str(upper / "manifest.json")]) == 0
-        assert tree_digest(upper) == first
 
     @pytest.mark.parametrize("command", ["analyze", "roll", "decompose"])
     def test_unknown_trend_is_one_error_on_every_command(self, tmp_path, capsys, command):

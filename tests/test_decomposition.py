@@ -211,6 +211,24 @@ class TestDecomposePanel:
         assert component_panel(decomposed, panel, ShockSide.NEGATIVE) is decomposed.minus_panel
         assert component_panel(decomposed, panel, ShockSide.SYMMETRIC) is panel
 
+    def test_trend_given_as_its_value(self):
+        rng = np.random.default_rng(14)
+        panel = make_panel(random_walk_matrix(rng, 30, 2))
+        for spec in TrendSpec:
+            by_value, by_member = decompose_panel(panel, spec.value), decompose_panel(panel, spec)
+            np.testing.assert_array_equal(by_value.plus_panel.matrix, by_member.plus_panel.matrix)
+        with pytest.raises(ValueError):
+            decompose_panel(panel, "linear")
+
+    def test_side_given_as_its_value(self):
+        rng = np.random.default_rng(15)
+        panel = make_panel(random_walk_matrix(rng, 30, 2))
+        decomposed = decompose_panel(panel, TrendSpec.DRIFT)
+        assert component_panel(decomposed, panel, "pos") is decomposed.plus_panel
+        assert component_panel(decomposed, panel, "neg") is decomposed.minus_panel
+        with pytest.raises(ValueError):
+            component_panel(decomposed, panel, "up")
+
 
 def whole_stack_arithmetic(matrix: np.ndarray, spec: TrendSpec):
     """c, d, shocks (m, T-1), plus and minus (m, T) as one (m, T) stack.

@@ -366,6 +366,7 @@ class TestConfigValidation:
         )
         assert all(getattr(cfg, f.name) != f.default for f in fields(RunConfig))
         assert RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+        assert RunConfig(**cfg.to_dict()) == cfg
 
     @pytest.mark.parametrize(
         "name, value, message",
@@ -398,6 +399,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as info:
             RunConfig.from_dict(recorded)
         assert str(info.value) == message
+        # A config built directly is read by the same checker.
+        with pytest.raises(ConfigError) as info:
+            RunConfig(**recorded)
+        assert str(info.value) == message
 
     def test_lists_from_library_callers_are_recorded_as_lists(self, tmp_path):
         cfg = RunConfig(
@@ -411,6 +416,25 @@ class TestConfigValidation:
         back = RunConfig.from_dict(recorded)
         assert back.columns == ("a", "b")
         assert back.sides == (ShockSide.POSITIVE,)
+
+    def test_values_in_place_of_members_run_alike(self, tmp_path):
+        # trend "none" runs TrendSpec.NONE, not the drift-and-trend fit, and
+        # the recorded config re-runs to the same tree.
+        csv_path = tmp_path / "walk.csv"
+        write_walk_csv(csv_path)
+        out = tmp_path / "out"
+        rolling = dict(window=220, step=20)
+        members = base_config(csv_path, out, trend=TrendSpec.NONE, sides=(ShockSide.POSITIVE,), **rolling)
+        run_pipeline(members)
+        first = tree_digest(out)
+        values = base_config(
+            csv_path, out, trend="none", sides=("pos",), columns=["aa", "bb", "cc"], **rolling
+        )
+        assert values == members and hash(values) == hash(members)
+        run_pipeline(values)
+        assert tree_digest(out) == first
+        run_pipeline(config_from_manifest(out / "manifest.json"))
+        assert tree_digest(out) == first
 
     def test_side_named_twice_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="^side 'pos' is named twice$"):

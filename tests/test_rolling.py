@@ -182,6 +182,20 @@ class TestDesignViews:
             assert run.gap_reasons == runs[0].gap_reasons
 
 
+class TestConfig:
+    def test_trend_and_side_given_as_their_values(self):
+        rng = np.random.default_rng(68)
+        panel = make_panel(random_walk_matrix(rng, T=160, m=2))
+        by_value = base_config(window=150, trend_spec="none", shock_side="pos")
+        members = base_config(window=150, trend_spec=TrendSpec.NONE, shock_side=ShockSide.POSITIVE)
+        assert by_value == members
+        a, b = quiet_tables(panel, by_value), quiet_tables(panel, members)
+        assert a.side is ShockSide.POSITIVE
+        np.testing.assert_array_equal(a.percent, b.percent)
+        with pytest.raises(ValueError):
+            base_config(window=150, shock_side="up")
+
+
 class TestInvariance:
     def test_date_shift_changes_dates_only(self):
         rng = np.random.default_rng(65)

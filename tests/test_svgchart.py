@@ -42,11 +42,6 @@ class TestRenderSvg:
         text = render_svg(make_series([10.0, 20.0], side=ShockSide.NEGATIVE))
         assert "Spillover index, negative shocks" in text
 
-    def test_explicit_title_wins(self):
-        text = render_svg(make_series([10.0, 20.0]), title="Custom run")
-        assert "Custom run" in text
-        assert "Spillover index" not in text
-
     def test_constant_series_is_flat(self):
         text = render_svg(make_series([44.5] * 20))
         points = re.search(r'<polyline points="([^"]+)"', text).group(1)
@@ -78,7 +73,7 @@ class TestRenderSvg:
 
     def test_axis_labels_present(self):
         series = make_series([10.0, 50.0, 90.0])
-        text = render_svg(series, y_max=100.0)
+        text = render_svg(series)
         for level in ("0", "25", "50", "75", "100"):
             assert f">{level}</text>" in text
         assert "2007-03-01" in text
