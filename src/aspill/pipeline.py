@@ -26,7 +26,7 @@ from .panel import Panel, check_columns, load_csv, log_transform
 from .report import render_net_json, render_rolling_csv, render_table
 from .rolling import RollingConfig, rolling_tables
 from .svgchart import render_plot
-from .var_engine import CRITERIA, VarSpec, estimate_var, factor_sample, ma_coefficients
+from .var_engine import CRITERIA, VarSpec, check_count, estimate_var, factor_sample, ma_coefficients
 from .version import __version__
 
 MANIFEST_NAME = "manifest.json"
@@ -72,8 +72,8 @@ class RunConfig:
                 raise ConfigError(f"side {side.value!r} is named twice")
         for name in ("horizon", "lags", "max_lags", "window", "step"):
             value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
+            if value is not None:
+                check_count(name, value)
 
     def to_dict(self) -> dict[str, Any]:
         return {f.name: _to_json(getattr(self, f.name)) for f in fields(self)}

@@ -133,12 +133,12 @@ def render_net_json(net: NetMeasures) -> str:
 
 def render_rolling_csv(series: SpilloverSeries) -> str:
     """Rolling index as date,index rows; failed windows leave index empty."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["date", "index"])
-    for when, value in zip(series.window_end_dates, series.index_values):
-        writer.writerow([when.isoformat(), "" if np.isnan(value) else repr(float(value))])
-    return out.getvalue()
+    values = np.asarray(series.index_values, dtype=float).tolist()
+    rows = [
+        f"{when.isoformat()},{'' if math.isnan(value) else repr(value)}"
+        for when, value in zip(series.window_end_dates, values)
+    ]
+    return "\n".join(["date,index", *rows]) + "\n"
 
 
 def parse_rolling_csv(text: str) -> tuple[tuple[date, ...], np.ndarray]:

@@ -25,21 +25,25 @@ from .decomposition import (
     component_stack,
     decompose_panel,
 )
-from .errors import AllWindowsFailedError, ConfigError, InsufficientDataError
+from .errors import AllWindowsFailedError, InsufficientDataError
 from .panel import Panel
 from .var_engine import (
     UnstableVarWarning,
     VarSpec,
+    _fit_r,
+    _r_factor,
+    _window_blocks,
+    check_count,
     check_sample,
     design_bytes,
     design_row_bytes,
-    fit_var_windows,
     ma_stack,
 )
 
-# Bound on the stacked design of one chunk of windows, in bytes: it keeps
-# peak memory flat in the number of windows.
-_CHUNK_BYTES = 1 << 20
+# Bound, in bytes, on the stacked design of one QR chunk of windows and on
+# the R factors of one fit batch: it keeps peak memory flat in the number
+# of windows.
+_CHUNK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -59,8 +63,7 @@ class RollingConfig:
         object.__setattr__(self, "trend_spec", TrendSpec(self.trend_spec))
         object.__setattr__(self, "shock_side", ShockSide(self.shock_side))
         for name in ("step", "horizon", "window"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+            check_count(name, getattr(self, name))
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,12 +136,16 @@ def rolling_tables(
     once over the full sample. decomposed, when given, is the full-sample
     decomposition of panel under cfg.trend_spec, so it is not redone.
 
-    Windows go through the stacked kernels in chunks of about
-    _CHUNK_BYTES of design. Without decompose_per_window the windows of a
-    chunk are views of design blocks built once over the rows they span;
-    with it, each window's components, and so its design, are its own. Each
-    window's numbers depend only on its own rows, so the chunk size never
-    changes a result.
+    Windows run in two stages under the one _CHUNK_BYTES budget. QR
+    chunks of about _CHUNK_BYTES of design fold each window's augmented
+    design into its R factor. Without decompose_per_window the windows of
+    a chunk are views of design blocks built once over the rows they span;
+    with it, each window's components, and so its design, are its own.
+    Fit batches of whole QR chunks, about _CHUNK_BYTES of R factors, then
+    run the rank, solve, companion radius, MA recursion and generalized
+    FEVD once per batch. Every window folds its own rows in the same
+    blocks and each stacked step treats the windows one by one, so neither
+    the chunk nor the batch size changes a bit of the result.
 
     Raises:
         InsufficientDataError: the panel is shorter than one window, or
@@ -172,34 +179,47 @@ def rolling_tables(
             decomposed = decompose_panel(panel, cfg.trend_spec)
         source = component_panel(decomposed, panel, cfg.shock_side).matrix
     count = len(starts)
+    n = cfg.window - p_eff
+    columns = m * (p_eff + 1) + 1
     # A window adds its rows to the QR's copy of the design views, or its
     # step of new rows to the design segment the views share.
     window_bytes = max(design_bytes(cfg.window, m, spec), cfg.step * design_row_bytes(m, spec))
     chunk = max(1, _CHUNK_BYTES // window_bytes)
+    # A fit batch is whole QR chunks; a window's R factor is far smaller than its design.
+    r_bytes = min(n, columns) * design_row_bytes(m, spec)
+    batch = min(count, chunk * max(1, _CHUNK_BYTES // (chunk * r_bytes)))
+    r = np.empty((batch, min(n, columns), columns))
 
     percent = np.empty((count, m, m))
     radius = np.empty(count)
     singular_values = np.empty((count, m * p_eff + 1))
-    reasons: list[str | None] = []
+    reasons: list[str | None] = [None] * count
     unstable = 0
-    for lo in range(0, count, chunk):
-        hi = min(lo + chunk, count)
-        rows = source[lo * cfg.step : (hi - 1) * cfg.step + cfg.window]
-        if per_window:
-            stack = sliding_window_view(rows, cfg.window, axis=0)[:: cfg.step].swapaxes(1, 2)
-            windows, stride = component_stack(stack, cfg.trend_spec, cfg.shock_side), 1
-        else:
-            windows, stride = rows[np.newaxis], cfg.step
-        fit = fit_var_windows(windows, cfg.window, stride, spec)
+    for lo in range(0, count, batch):
+        hi = min(lo + batch, count)
+        for q_lo in range(lo, hi, chunk):
+            q_hi = min(q_lo + chunk, hi)
+            rows = source[q_lo * cfg.step : (q_hi - 1) * cfg.step + cfg.window]
+            if per_window:
+                stack = sliding_window_view(rows, cfg.window, axis=0)[:: cfg.step].swapaxes(1, 2)
+                windows, stride = component_stack(stack, cfg.trend_spec, cfg.shock_side), 1
+            else:
+                windows, stride = rows[np.newaxis], cfg.step
+            r[q_lo - lo : q_hi - lo] = _r_factor(_window_blocks(windows, cfg.window, stride, p_eff))
+        fit = _fit_r(r[: hi - lo], n, spec)
         ma = ma_stack(fit.B[:, : fit.p], cfg.horizon)
         fevd = compute_fevd(ma, fit.Gamma, cfg.horizon, cfg.sigma_scaling)
         unstable += int(np.count_nonzero(fit.unstable))
-        chunk_reasons = [fit.failure(i) or fevd.gap_reasons[i] for i in range(hi - lo)]
-        failed = np.array([reason is not None for reason in chunk_reasons])
-        percent[lo:hi] = np.where(failed[:, np.newaxis, np.newaxis], np.nan, fevd.normalized * 100.0)
-        radius[lo:hi] = np.where(fit.rank < fit.k, np.nan, fit.radius)
+        deficient = fit.rank < fit.k
+        # A rank-deficient window's reason comes first; only failures are formatted.
+        reasons[lo:hi] = fevd.gap_reasons
+        for i in np.flatnonzero(deficient).tolist():
+            reasons[lo + i] = fit.failure(i)
+        percent[lo:hi] = fevd.normalized * 100.0
+        radius[lo:hi] = np.where(deficient, np.nan, fit.radius)
         singular_values[lo:hi] = fit.singular_values
-        reasons.extend(chunk_reasons)
+    failed = np.array([reason is not None for reason in reasons])
+    percent[failed] = np.nan
     if unstable:
         # One summary instead of a per-window flood.
         warnings.warn(
@@ -207,7 +227,7 @@ def rolling_tables(
             UnstableVarWarning,
             stacklevel=2,
         )
-    if all(reasons):
+    if failed.all():
         raise AllWindowsFailedError(f"all {count} windows failed; last reason: {reasons[-1]}")
     return RollingTables(
         side=cfg.shock_side,

@@ -7,6 +7,7 @@ Gaps in the series break the line; nothing is interpolated across them.
 
 from __future__ import annotations
 
+import math
 from datetime import date
 from pathlib import Path
 
@@ -36,7 +37,7 @@ def _x_positions(dates: tuple[date, ...], x0: float, x1: float) -> list[float]:
     span = ordinals[-1] - ordinals[0]
     if span == 0.0:
         return [float((x0 + x1) / 2.0)] * len(dates)
-    return list(x0 + (ordinals - ordinals[0]) / span * (x1 - x0))
+    return (x0 + (ordinals - ordinals[0]) / span * (x1 - x0)).tolist()
 
 
 def _tick_indices(count: int, want: int = 6) -> list[int]:
@@ -102,12 +103,12 @@ def render_svg(series: SpilloverSeries) -> str:
             )
 
     run: list[tuple[float, float]] = []
-    for i, value in enumerate(series.index_values):
-        if np.isnan(value):
+    for x, value in zip(xs, series.index_values.tolist()):
+        if math.isnan(value):
             flush(run)
             run = []
         else:
-            run.append((xs[i], y_pix(float(value))))
+            run.append((x, y_pix(value)))
     flush(run)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -17,7 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DegenerateCovarianceError, InsufficientDataError, SingularDesignError
+from .errors import (
+    ConfigError,
+    DegenerateCovarianceError,
+    InsufficientDataError,
+    SingularDesignError,
+)
 from .panel import Panel
 
 CRITERIA = ("hjc", "aic", "sic", "hqc")
@@ -25,6 +30,15 @@ CRITERIA = ("hjc", "aic", "sic", "hqc")
 
 class UnstableVarWarning(UserWarning):
     """The fitted companion matrix has spectral radius above one."""
+
+
+def check_count(name: str, value: object, minimum: int = 1) -> None:
+    """Raise ConfigError naming the field unless value is an integer of at least minimum."""
+    # bool is an int to isinstance, but a count written as true is a slip.
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"config field {name!r} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -35,10 +49,8 @@ class VarSpec:
     ty_extra_lags: int = 0
 
     def __post_init__(self) -> None:
-        if self.p < 1:
-            raise ValueError(f"lag order must be >= 1, got {self.p}")
-        if self.ty_extra_lags < 0:
-            raise ValueError(f"extra lags must be >= 0, got {self.ty_extra_lags}")
+        check_count("p", self.p)
+        check_count("ty_extra_lags", self.ty_extra_lags, minimum=0)
 
     @property
     def p_effective(self) -> int:
@@ -227,18 +239,6 @@ def _fit_r(r: np.ndarray, n: int, spec: VarSpec) -> VarStack:
         rank=rank,
         radius=_companion_radius(B),
     )
-
-
-def fit_var_windows(source: np.ndarray, window: int, step: int, spec: VarSpec) -> VarStack:
-    """Fit the windows [s, s + window), s = 0, step, 2 step, .., of a (c, T, m) source.
-
-    Every fit folds its own window's rows in the same blocks, whether
-    the window is a view of a shared design or an entry of its own, so
-    its result depends on those rows only and any split of the windows
-    into chunks gives identical bits.
-    """
-    lags = spec.p_effective
-    return _fit_r(_r_factor(_window_blocks(source, window, step, lags)), window - lags, spec)
 
 
 @dataclass(frozen=True, eq=False)

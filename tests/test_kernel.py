@@ -16,7 +16,6 @@ import warnings
 import numpy as np
 import pytest
 
-import aspill.rolling as rolling
 import test_rolling
 from aspill.connectedness import compute_fevd, gfevd_stack
 from aspill.decomposition import ShockSide, TrendSpec
@@ -214,18 +213,24 @@ def test_flat_start_cases_have_gaps():
 def test_chunk_size_never_changes_a_bit(name, monkeypatch):
     make_panel, kw, per_window = CASES[name]
     panel, cfg = make_panel(), make_config(**kw)
-    reference = run_kernel(panel, cfg, per_window)
+    design = design_bytes(cfg.window, panel.m, cfg.var_spec)
+    reference = test_rolling.budget_run(panel, cfg, per_window, 1, monkeypatch)
     count = len(reference[0])
+    gap_run = next(i for i, reason in enumerate(reference[0].gap_reasons) if reason is None)
     # 7 does not divide the window counts (101, 51, 61), and the leading
-    # gap run of the flat-start panel crosses several 7-window chunks.
+    # gap run of the flat-start panel crosses several 7-window chunks. Half
+    # a window's design gives fit batches of several one-window QR chunks,
+    # and in the flat-start cases a batch ends inside the leading gap run.
     assert count % 7
-    for windows in (1, 7, 32, count):
-        chunk_bytes = windows * design_bytes(cfg.window, panel.m, cfg.var_spec)
-        monkeypatch.setattr(rolling, "_CHUNK_BYTES", chunk_bytes)
-        values, reasons, unstable = run_kernel(panel, cfg, per_window)
-        assert np.array_equal(values, reference[0], equal_nan=True)
-        assert reasons == reference[1]
-        assert unstable == reference[2]
+    several, gap_split = False, False
+    for chunk_bytes in (design // 2, design, 7 * design, 32 * design, count * design):
+        run = test_rolling.budget_run(panel, cfg, per_window, chunk_bytes, monkeypatch)
+        test_rolling.assert_same_run(run, reference)
+        chunks, batches = run[2:]
+        several |= len(batches) < len(chunks)
+        gap_split |= any(0 < end < gap_run for end in np.cumsum(batches)[:-1])
+    assert several
+    assert gap_split == (gap_run > 0)
 
 
 def test_degenerate_window_leaves_the_rest_of_its_stack_intact():

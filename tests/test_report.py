@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 import datetime as dt
+import io
 import json
 
 import numpy as np
@@ -115,6 +117,16 @@ class TestNetJson:
         np.testing.assert_array_equal(matrix, -matrix.T)
 
 
+def writer_rolling_csv(series) -> str:
+    """The rolling CSV written a row at a time by csv.writer, as a reference."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["date", "index"])
+    for when, value in zip(series.window_end_dates, series.index_values):
+        writer.writerow([when.isoformat(), "" if np.isnan(value) else repr(float(value))])
+    return out.getvalue()
+
+
 class TestRollingCsv:
     def test_round_trip_with_gaps(self):
         series = make_series([12.5, float("nan"), 44.53, 18.0])
@@ -128,6 +140,16 @@ class TestRollingCsv:
             )
         )
         assert again == text
+
+    def test_gaps_at_start_middle_and_end(self):
+        nan = float("nan")
+        series = make_series([nan, nan, 12.5, 100.0 / 3.0, nan, 44.53, 18.0, nan])
+        text = render_rolling_csv(series)
+        assert text == writer_rolling_csv(series)
+        dates, values = parse_rolling_csv(text)
+        np.testing.assert_array_equal(values, series.index_values)
+        again = SpilloverSeries(side=ShockSide.SYMMETRIC, window_end_dates=dates, index_values=values)
+        assert render_rolling_csv(again) == text
 
     def test_gap_row_has_empty_cell(self):
         text = render_rolling_csv(make_series([1.0, float("nan")]))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime as dt
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -13,11 +14,19 @@ from hypothesis import strategies as st
 
 from aspill.connectedness import ConnectednessTable, build_table, compute_fevd
 from aspill.decomposition import ShockSide, TrendSpec, component_panel, decompose_panel
-from aspill.errors import AllWindowsFailedError, InsufficientDataError
+from aspill.errors import AllWindowsFailedError, ConfigError, InsufficientDataError
 from aspill.panel import Panel
 import aspill.rolling as rolling
+import aspill.var_engine as var_engine
 from aspill.rolling import RollingConfig, rolling_tables
-from aspill.var_engine import _BLOCK_ROWS, UnstableVarWarning, VarSpec, estimate_var, ma_coefficients
+from aspill.var_engine import (
+    _BLOCK_ROWS,
+    UnstableVarWarning,
+    VarSpec,
+    design_bytes,
+    estimate_var,
+    ma_coefficients,
+)
 from varsim import make_panel, random_walk_matrix, random_walk_panel
 
 
@@ -25,6 +34,45 @@ def quiet_tables(panel, cfg):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UnstableVarWarning)
         return rolling_tables(panel, cfg)
+
+
+def budget_run(panel, cfg, per_window, chunk_bytes, monkeypatch):
+    """rolling_tables under a _CHUNK_BYTES of chunk_bytes.
+
+    Returns the tables, the unstable-window warnings, and the window
+    counts of the QR chunks and of the fit batches, in order.
+    """
+    chunks, batches = [], []
+    r_factor, fit_r = var_engine._r_factor, var_engine._fit_r
+
+    def chunk_r_factor(blocks):
+        r = r_factor(blocks)
+        chunks.append(len(r))
+        return r
+
+    def batch_fit_r(r, n, spec):
+        batches.append(len(r))
+        return fit_r(r, n, spec)
+
+    monkeypatch.setattr(rolling, "_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(rolling, "_r_factor", chunk_r_factor)
+    monkeypatch.setattr(rolling, "_fit_r", batch_fit_r)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = rolling_tables(panel, cfg, per_window)
+    unstable = [str(w.message) for w in caught if issubclass(w.category, UnstableVarWarning)]
+    assert sum(chunks) == sum(batches) == len(result)
+    return result, unstable, chunks, batches
+
+
+def assert_same_run(run, reference):
+    """Two budget_run results hold the same bits and the same warnings."""
+    (tables, unstable), (want, want_unstable) = run[:2], reference[:2]
+    assert np.array_equal(tables.percent, want.percent, equal_nan=True)
+    assert np.array_equal(tables.radius, want.radius, equal_nan=True)
+    assert np.array_equal(tables.singular_values, want.singular_values)
+    assert tables.gap_reasons == want.gap_reasons
+    assert unstable == want_unstable
 
 
 def base_config(window: int, **kw) -> RollingConfig:
@@ -171,15 +219,16 @@ class TestDesignViews:
     @pytest.mark.parametrize("name", sorted(GEOMETRIES))
     def test_chunk_size_never_changes_a_bit(self, name, monkeypatch):
         panel, cfg = self.setup(name)
-        runs = []
-        for chunk_bytes in (1, rolling._CHUNK_BYTES, 1 << 40):
-            monkeypatch.setattr(rolling, "_CHUNK_BYTES", chunk_bytes)
-            runs.append(quiet_tables(panel, cfg))
+        # Half a window's design gives QR chunks of one window and a fit
+        # batch of every window.
+        half_window = design_bytes(cfg.window, panel.m, cfg.var_spec) // 2
+        runs = [
+            budget_run(panel, cfg, False, chunk_bytes, monkeypatch)
+            for chunk_bytes in (1, half_window, rolling._CHUNK_BYTES, 1 << 40)
+        ]
+        assert runs[1][2] == [1] * len(runs[1][0]) and runs[1][3] == [len(runs[1][0])]
         for run in runs[1:]:
-            assert np.array_equal(run.percent, runs[0].percent, equal_nan=True)
-            assert np.array_equal(run.radius, runs[0].radius, equal_nan=True)
-            assert np.array_equal(run.singular_values, runs[0].singular_values)
-            assert run.gap_reasons == runs[0].gap_reasons
+            assert_same_run(run, runs[0])
 
 
 class TestConfig:
@@ -194,6 +243,45 @@ class TestConfig:
         np.testing.assert_array_equal(a.percent, b.percent)
         with pytest.raises(ValueError):
             base_config(window=150, shock_side="up")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("horizon", 2.5),
+            ("horizon", True),
+            ("step", 2.0),
+            ("window", 150.0),
+            ("p", True),
+            ("p", 2.0),
+            ("ty_extra_lags", False),
+        ],
+    )
+    def test_count_that_is_not_an_integer_names_its_field(self, field, value):
+        with pytest.raises(ConfigError, match=f"'{field}' must be an integer"):
+            if field in ("p", "ty_extra_lags"):
+                VarSpec(**{"p": 2, field: value})
+            else:
+                base_config(**{"window": 150, field: value})
+
+
+class TestMemory:
+    # Peaks measured at 3.8 (1,901 windows) and 3.9 (7,901) _CHUNK_BYTES;
+    # one fit batch of every window reaches about 8.6 and 35.
+    PEAK_BOUND = 5
+
+    @pytest.mark.parametrize("T", [2000, 8000])
+    def test_peak_is_flat_in_the_window_count(self, T):
+        panel = random_walk_panel(np.random.default_rng(75), T=T, m=3)
+        cfg = base_config(window=100)
+        tracemalloc.start()
+        try:
+            result = quiet_tables(panel, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = result.percent.nbytes + result.radius.nbytes + result.singular_values.nbytes
+        assert len(result) == T - 99
+        assert peak - kept < self.PEAK_BOUND * rolling._CHUNK_BYTES
 
 
 class TestInvariance:

@@ -53,6 +53,16 @@ class TestRenderSvg:
         text = render_svg(make_series(values))
         assert text.count("<polyline ") == 2
 
+    def test_gaps_at_start_middle_and_end(self):
+        nan = float("nan")
+        values = [nan, nan, 30.0, 31.0, nan, 29.0, 28.0, 27.0, nan]
+        text = render_svg(make_series(values))
+        runs = re.findall(r'<polyline points="([^"]+)"', text)
+        assert [len(run.split()) for run in runs] == [2, 3]
+        assert "<circle " not in text
+        # 30 of 100 on a value axis running from y=318 up to y=34.
+        assert runs[0].split()[0].endswith(",232.80")
+
     def test_lone_point_becomes_dot(self):
         values = [30.0, float("nan"), 29.0, 28.0]
         text = render_svg(make_series(values))
