@@ -56,72 +56,72 @@ class DecomposedPanel:
     fits: tuple[TrendFit, ...]
 
 
-def _trend_stack(g: np.ndarray, spec: TrendSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """c and d, each (s, m), and shocks (s, m, T-1) of an (s, m, T) stack of walks.
+def _split(
+    g: np.ndarray,
+    spec: TrendSpec,
+    sides: tuple[ShockSide, ...] = (ShockSide.POSITIVE, ShockSide.NEGATIVE),
+    out: tuple[np.ndarray, ...] | None = None,
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """c and d, each (s,), and the components of each of sides of (s, T) C-contiguous walks.
 
     Differencing turns the level recursion into dG_t = c + d t + v_t,
     a plain regression on {1, t}. Variants force c or d to zero rather
     than dropping the corresponding residual structure. The two-regressor
     fit centres t, which makes the regressors orthogonal.
-    """
-    shocks = g[:, :, 1:] - g[:, :, :-1]
-    t = np.arange(1, g.shape[2], dtype=float)
-    zeros = np.zeros(g.shape[:2])
-    if spec is TrendSpec.NONE:
-        c, d = zeros, zeros
-    elif spec is TrendSpec.DRIFT:
-        c, d = shocks.mean(axis=2), zeros
-    else:
-        centred = t - t.mean()
-        d = (shocks * centred).sum(axis=2) / float(np.sum(centred * centred))
-        c = shocks.mean(axis=2) - d * t.mean()
-    shocks -= c[:, :, np.newaxis]
-    shocks -= d[:, :, np.newaxis] * t
-    return c, d, shocks
-
-
-def _components(
-    g: np.ndarray,
-    c: np.ndarray,
-    d: np.ndarray,
-    shocks: np.ndarray,
-    sides: tuple[ShockSide, ...] = (ShockSide.POSITIVE, ShockSide.NEGATIVE),
-    out: tuple[np.ndarray, ...] | None = None,
-) -> list[np.ndarray]:
-    """The components of an (s, m, T) stack for each of sides; G+ + G- reproduces it.
 
     Each component carries half of the deterministic path
     c t + d t(t+1)/2 + G_0 plus its own cumulative shocks; at t=0 both
-    sides equal G_0 / 2. Work is done in place, into out[k] for sides[k]
-    when out is given (any strides), to keep a decomposition from holding
-    many sample-sized temporaries at once.
+    sides equal G_0 / 2, and G+ + G- reproduces the walk. Every sum runs
+    along one contiguous row, so a walk's bits do not depend on the rows
+    beside it. Work is done in place, into out[k] for sides[k] when out
+    is given (any strides), to keep a decomposition from holding many
+    sample-sized temporaries at once.
     """
-    t = np.arange(g.shape[2], dtype=float)
-    half = c[:, :, np.newaxis] * t
-    half += d[:, :, np.newaxis] * t * (t + 1.0) / 2.0
-    half += g[:, :, :1]
+    shocks = g[:, 1:] - g[:, :-1]
+    t = np.arange(1, g.shape[1], dtype=float)
+    zeros = np.zeros(len(g))
+    if spec is TrendSpec.NONE:
+        c, d = zeros, zeros
+    elif spec is TrendSpec.DRIFT:
+        c, d = shocks.mean(axis=1), zeros
+    else:
+        centred = t - t.mean()
+        d = (shocks * centred).sum(axis=1) / float(np.sum(centred * centred))
+        c = shocks.mean(axis=1) - d * t.mean()
+    shocks -= c[:, np.newaxis]
+    shocks -= d[:, np.newaxis] * t
+    t = np.arange(g.shape[1], dtype=float)
+    half = c[:, np.newaxis] * t
+    half += d[:, np.newaxis] * t * (t + 1.0) / 2.0
+    half += g[:, :1]
     half /= 2.0
     parts = []
     for k, side in enumerate(sides):
         part = np.empty_like(half) if out is None else out[k]
         clamp = np.maximum if side is ShockSide.POSITIVE else np.minimum
         running = clamp(shocks, 0.0)
-        np.cumsum(running, axis=2, out=running)
+        np.cumsum(running, axis=1, out=running)
         # The cumulative shocks start from 0 at t=0: part = [0, running] + half.
-        np.add(half[:, :, :1], 0.0, out=part[:, :, :1])
-        np.add(half[:, :, 1:], running, out=part[:, :, 1:])
+        np.add(half[:, :1], 0.0, out=part[:, :1])
+        np.add(half[:, 1:], running, out=part[:, 1:])
         parts.append(part)
-    return parts
+    return c, d, parts
 
 
 def component_stack(stack: np.ndarray, spec: TrendSpec, side: ShockSide) -> np.ndarray:
-    """A side's components of every window in a (c, W, m) stack, each anchored at its first row."""
+    """A side's components of every window in a (c, W, m) stack, each anchored at its first row.
+
+    Each window's series are split as contiguous rows, as decompose_panel
+    splits a full sample's, so a window's components are those of the
+    full-sample decomposition of its rows, bit for bit.
+    """
     spec, side = TrendSpec(spec), ShockSide(side)
     if side is ShockSide.SYMMETRIC:
         return stack
-    g = stack.swapaxes(1, 2)
-    (part,) = _components(g, *_trend_stack(g, spec), (side,))
-    return part.swapaxes(1, 2)
+    c, W, m = stack.shape
+    g = np.ascontiguousarray(stack.swapaxes(1, 2)).reshape(c * m, W)
+    (part,) = _split(g, spec, (side,))[2]
+    return part.reshape(c, m, W).swapaxes(1, 2)
 
 
 def decompose_panel(panel: Panel, spec: TrendSpec) -> DecomposedPanel:
@@ -139,24 +139,20 @@ def decompose_panel(panel: Panel, spec: TrendSpec) -> DecomposedPanel:
                 for name in panel.names
             )
         )
-    # One series at a time, as a (1, 1, T) slab whose components are written
-    # straight into column j of the (T, m) outputs. The trend fit's sums
-    # run over the series' own contiguous row of differences, in the order
-    # the (s, m, T) stack form sums it, so the bits are the stack form's;
-    # only a few T-length temporaries, the series' shocks among them, are
-    # held beside the outputs. plus and minus share one allocation, as they
-    # share the result's lifetime: one array of 4 MiB or more is one numpy
-    # asks the kernel to back with huge pages, which makes the first,
-    # strided writes into it cheaper.
+    # One series at a time, as a (1, T) row whose components are written
+    # straight into column j of the (T, m) outputs: only a few T-length
+    # temporaries, the series' shocks among them, are held beside the
+    # outputs. plus and minus share one allocation, as they share the
+    # result's lifetime: one array of 4 MiB or more is one numpy asks the
+    # kernel to back with huge pages, which makes the first, strided
+    # writes into it cheaper.
     T, m = panel.matrix.shape
     plus, minus = np.empty((2, T, m))
     fits = []
     for j in range(m):
-        g = np.ascontiguousarray(panel.matrix[:, j])[np.newaxis, np.newaxis]
-        c, d, shocks = _trend_stack(g, spec)
-        columns = (plus[np.newaxis, np.newaxis, :, j], minus[np.newaxis, np.newaxis, :, j])
-        _components(g, c, d, shocks, out=columns)
-        fits.append(TrendFit(c=float(c[0, 0]), d=float(d[0, 0]), g0=float(g[0, 0, 0])))
+        g = np.ascontiguousarray(panel.matrix[:, j])[np.newaxis]
+        c, d, _ = _split(g, spec, out=(plus[np.newaxis, :, j], minus[np.newaxis, :, j]))
+        fits.append(TrendFit(c=float(c[0]), d=float(d[0]), g0=float(g[0, 0])))
     return DecomposedPanel(
         plus_panel=Panel._on_checked_dates(tuple(name + "_pos" for name in panel.names), panel.dates, plus),
         minus_panel=Panel._on_checked_dates(tuple(name + "_neg" for name in panel.names), panel.dates, minus),

@@ -191,9 +191,10 @@ def check_sample(rows: int, m: int, spec: VarSpec) -> None:
         raise InsufficientDataError(f"need at least 2 series for a VAR, got {m}")
     k = m * spec.p_effective + 1
     T_eff = rows - spec.p_effective
-    if T_eff <= k:
+    # Gamma, over T_eff - k residual degrees of freedom, is singular with fewer than m.
+    if T_eff - k < m:
         raise InsufficientDataError(
-            f"{rows} rows give {T_eff} usable observations for {k} regressors"
+            f"{rows} rows give {T_eff} usable observations for {k} regressors and {m} equations"
         )
 
 
@@ -329,7 +330,7 @@ class SampleFactor:
         unstable fit warns with UnstableVarWarning at the given stacklevel.
 
         Raises:
-            InsufficientDataError: fewer usable rows than regressors plus one.
+            InsufficientDataError: fewer usable observations than regressors plus equations.
             SingularDesignError: collinear regressors.
         """
         panel, lags = self.panel, spec.p_effective
@@ -380,7 +381,7 @@ def estimate_var(panel: Panel, spec: VarSpec) -> VarFit:
     """Fit the model by least squares over the panel's common sample.
 
     Raises:
-        InsufficientDataError: fewer usable rows than regressors plus one.
+        InsufficientDataError: fewer usable observations than regressors plus equations.
         SingularDesignError: collinear regressors.
     """
     check_sample(len(panel), panel.m, spec)

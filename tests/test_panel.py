@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aspill.decomposition import TrendSpec, _components, _trend_stack, decompose_panel
+from aspill.decomposition import TrendSpec, _split, decompose_panel
 from aspill.errors import (
     AspillError,
     DuplicateDateError,
@@ -378,11 +378,11 @@ class TestFlatPanel:
         rng = np.random.default_rng(8)
         panel = make_panel(np.cumsum(rng.normal(size=(40, 3)), axis=0))
         decomposed = decompose_panel(panel, spec)
-        g = np.stack([panel.matrix[:, j] for j in range(panel.m)])[np.newaxis]
-        plus, minus = _components(g, *_trend_stack(g, spec))
+        g = np.stack([panel.matrix[:, j] for j in range(panel.m)])
+        plus, minus = _split(g, spec)[2]
         sides = (("_pos", decomposed.plus_panel, plus), ("_neg", decomposed.minus_panel, minus))
         for suffix, side, expected in sides:
             assert side.names == tuple(name + suffix for name in panel.names)
             assert side.dates is panel.dates
             for j in range(side.m):
-                assert side.matrix[:, j].tobytes() == expected[0, j].tobytes()
+                assert side.matrix[:, j].tobytes() == expected[j].tobytes()

@@ -30,10 +30,10 @@ from aspill.var_engine import (
 from varsim import make_panel, random_walk_matrix, random_walk_panel
 
 
-def quiet_tables(panel, cfg):
+def quiet_tables(panel, cfg, per_window=False):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UnstableVarWarning)
-        return rolling_tables(panel, cfg)
+        return rolling_tables(panel, cfg, per_window)
 
 
 def budget_run(panel, cfg, per_window, chunk_bytes, monkeypatch):
@@ -350,6 +350,15 @@ class TestGaps:
 
 
 class TestValidation:
+    def test_window_with_fewer_residual_degrees_of_freedom_than_equations(self):
+        # Each window of 35 rows fits 25 regressors to 32 observations: 7
+        # residual degrees of freedom for 8 equations.
+        panel = random_walk_panel(np.random.default_rng(1), T=120, m=8)
+        cfg = base_config(window=35, var_spec=VarSpec(p=3))
+        with pytest.raises(AllWindowsFailedError, match="all 86 windows failed.*25 regressors and 8 equations"):
+            rolling_tables(panel, cfg)
+        assert len(quiet_tables(panel, replace(cfg, window=36))) == 85
+
     def test_window_longer_than_sample(self):
         rng = np.random.default_rng(68)
         panel = random_walk_panel(rng, T=100, m=2)
@@ -376,6 +385,23 @@ class TestDecompositionScope:
         per_window = rolling_tables(panel, cfg, decompose_per_window=True).index_series()
         assert full.window_end_dates == per_window.window_end_dates
         assert not np.array_equal(full.index_values, per_window.index_values)
+
+    @pytest.mark.parametrize("window, step", [(150, 11), (260, 1)], ids=["strided", "single"])
+    @pytest.mark.parametrize("side", [ShockSide.POSITIVE, ShockSide.NEGATIVE])
+    @pytest.mark.parametrize("trend", list(TrendSpec))
+    def test_re_anchored_window_is_the_full_sample_analysis_of_its_rows(self, trend, side, window, step):
+        # Log levels near 0. The differences of random_walk_panel's walks
+        # around 100 are coarse enough to sum exactly in any order, which
+        # would hide a change of summation order.
+        log_levels = np.cumsum(np.random.default_rng(81).normal(scale=0.02, size=(260, 3)), axis=0)
+        panel = make_panel(log_levels)
+        cfg = base_config(window=window, step=step, trend_spec=trend, shock_side=side)
+        result = quiet_tables(panel, cfg, per_window=True)
+        starts = range(0, len(panel) - window + 1, step)
+        assert len(result) == len(starts)
+        for i, start in enumerate(starts):
+            alone = full_sample_table(panel.window(start, start + window), cfg)
+            assert np.array_equal(result.percent[i], alone.matrix)
 
     def test_per_window_is_noop_for_symmetric(self):
         rng = np.random.default_rng(71)

@@ -113,6 +113,19 @@ class TestEstimateVar:
         with pytest.raises(InsufficientDataError):
             estimate_var(panel, VarSpec(p=p))
 
+    def test_fewer_residual_degrees_of_freedom_than_equations(self):
+        # 35 rows, 3 lags: 32 observations for 25 regressors leave 7 residual
+        # degrees of freedom, too few for a nonsingular 8 x 8 Gamma.
+        panel = random_walk_panel(np.random.default_rng(0), T=35, m=8)
+        message = "35 rows give 32 usable observations for 25 regressors and 8 equations"
+        with pytest.raises(InsufficientDataError, match=message):
+            estimate_var(panel, VarSpec(p=3))
+        # One row more leaves 8, and Gamma is positive definite.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UnstableVarWarning)
+            fit = estimate_var(random_walk_panel(np.random.default_rng(0), T=36, m=8), VarSpec(p=3))
+        assert fit.T_effective == 33 and np.linalg.eigvalsh(fit.Gamma)[0] > 0.0
+
     def test_single_series_rejected(self):
         panel = make_panel(np.arange(50.0))
         with pytest.raises(InsufficientDataError):
