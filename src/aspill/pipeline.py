@@ -13,20 +13,26 @@ import hashlib
 import json
 import warnings
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
 from typing import Any, Iterator, Literal, get_args, get_origin, get_type_hints
 
 from .atomic import write_atomic
-from .connectedness import SIGMA_SCALINGS, build_table, compute_fevd, net_measures
+from .connectedness import SIGMA_SCALINGS, net_measures, table_from_percent
 from .decomposition import DecomposedPanel, ShockSide, TrendSpec, component_panel, decompose_panel
-from .errors import AspillError, ConfigError, ManifestMismatchError, PipelineError
+from .errors import (
+    AspillError,
+    ConfigError,
+    DegenerateCovarianceError,
+    ManifestMismatchError,
+    PipelineError,
+)
 from .panel import Panel, check_columns, load_csv, log_transform
 from .report import render_net_json, render_rolling_csv, render_table
-from .rolling import RollingConfig, rolling_tables
+from .rolling import RollingConfig, rolling_tables, spillover_shares
 from .svgchart import render_plot
-from .var_engine import CRITERIA, VarSpec, check_count, estimate_var, factor_sample, ma_coefficients
+from .var_engine import CRITERIA, VarSpec, check_count, factor_sample, fit_sample
 from .version import __version__
 
 MANIFEST_NAME = "manifest.json"
@@ -161,13 +167,7 @@ class RunManifest:
     sides: dict[str, Any]
 
     def to_json(self) -> str:
-        payload = {
-            "version": self.version,
-            "config": self.config,
-            "inputs": self.inputs,
-            "sides": self.sides,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
 
 def _side_outputs(side: ShockSide) -> dict[str, str]:
@@ -231,19 +231,28 @@ def _run_side(
     with warnings.catch_warnings(record=True) as records:
         warnings.simplefilter("always")
         with _stage("lag-select"):
-            # The factor that ranks the candidate lags also fits the chosen one.
             factor, lag = None, cfg.lags
             if lag is None:
                 factor = factor_sample(side_panel, cfg.max_lags)
                 lag = factor.select(cfg.lag_select)
-            var_spec = VarSpec(p=lag, ty_extra_lags=1 if cfg.ty_augment else 0)
+            # The full sample is the one window that spans it.
+            sample_cfg = RollingConfig(
+                window=len(panel),
+                horizon=cfg.horizon,
+                var_spec=VarSpec(p=lag, ty_extra_lags=1 if cfg.ty_augment else 0),
+                trend_spec=cfg.trend,
+                shock_side=side,
+                sigma_scaling=cfg.sigma_scaling,
+            )
         with _stage("estimate"):
-            fit = estimate_var(side_panel, var_spec) if factor is None else factor.fit(var_spec)
+            # The factor that ranks the candidate lags also fits the chosen one.
+            fit = fit_sample(side_panel, sample_cfg.var_spec, factor)
         with _stage("fevd"):
-            ma = ma_coefficients(fit, cfg.horizon)
-            fevd = compute_fevd(ma, fit.Gamma, cfg.horizon, cfg.sigma_scaling)
+            percent, (reason,) = spillover_shares(fit, sample_cfg)
+            if reason is not None:
+                raise DegenerateCovarianceError(reason)
         with _stage("table"):
-            table = build_table(fevd.normalized, labels)
+            table = table_from_percent(percent[0], labels, row_sum_tol=1e-4)
             net = net_measures(table)
 
         summary["lag"] = lag
@@ -259,18 +268,8 @@ def _run_side(
 
         if cfg.window is not None:
             with _stage("rolling"):
-                rolling_cfg = RollingConfig(
-                    window=cfg.window,
-                    horizon=cfg.horizon,
-                    var_spec=var_spec,
-                    trend_spec=cfg.trend,
-                    shock_side=side,
-                    step=cfg.step,
-                    sigma_scaling=cfg.sigma_scaling,
-                )
-                windows = rolling_tables(
-                    panel, rolling_cfg, cfg.decompose_per_window, decomposed=decomposed
-                )
+                rolling_cfg = replace(sample_cfg, window=cfg.window, step=cfg.step)
+                windows = rolling_tables(panel, rolling_cfg, cfg.decompose_per_window, decomposed)
                 series = windows.index_series()
             with _stage("write-rolling"):
                 write_atomic(out_dir / names["rolling_csv"], render_rolling_csv(series))

@@ -30,6 +30,7 @@ from .panel import Panel
 from .var_engine import (
     UnstableVarWarning,
     VarSpec,
+    VarStack,
     _fit_r,
     _r_factor,
     _window_blocks,
@@ -122,6 +123,19 @@ class RollingTables:
         )
 
 
+def spillover_shares(fit: VarStack, cfg: RollingConfig) -> tuple[np.ndarray, list[str | None]]:
+    """Percent-scaled shares of every fit in the stack, and why each failed (None where none did).
+
+    A rank-deficient fit's reason comes first; a failed fit's shares are finite filler.
+    """
+    ma = ma_stack(fit.B[:, : fit.p], cfg.horizon)
+    fevd = compute_fevd(ma, fit.Gamma, cfg.horizon, cfg.sigma_scaling)
+    reasons = list(fevd.gap_reasons)
+    for i in np.flatnonzero(fit.rank < fit.k).tolist():
+        reasons[i] = fit.failure(i)
+    return fevd.normalized * 100.0, reasons
+
+
 def rolling_tables(
     panel: Panel,
     cfg: RollingConfig,
@@ -148,9 +162,9 @@ def rolling_tables(
     the chunk nor the batch size changes a bit of the result.
 
     Raises:
-        InsufficientDataError: the panel is shorter than one window, or
-            the window cannot accommodate the lag structure.
-        AllWindowsFailedError: no window produced a table.
+        InsufficientDataError: the panel is shorter than one window.
+        AllWindowsFailedError: no window produced a table; a window
+            check_sample rejects fails them all.
     """
     T = len(panel)
     if T < cfg.window:
@@ -158,11 +172,6 @@ def rolling_tables(
     m = panel.m
     spec = cfg.var_spec
     p_eff = spec.p_effective
-    min_window = m * p_eff + 10
-    if cfg.window <= min_window:
-        raise InsufficientDataError(
-            f"window {cfg.window} too small for m={m}, lags={p_eff}; need more than {min_window}"
-        )
     starts = range(0, T - cfg.window + 1, cfg.step)
     try:
         check_sample(cfg.window, m, spec)
@@ -207,16 +216,9 @@ def rolling_tables(
                 windows, stride = rows[np.newaxis], cfg.step
             r[q_lo - lo : q_hi - lo] = _r_factor(_window_blocks(windows, cfg.window, stride, p_eff))
         fit = _fit_r(r[: hi - lo], n, spec)
-        ma = ma_stack(fit.B[:, : fit.p], cfg.horizon)
-        fevd = compute_fevd(ma, fit.Gamma, cfg.horizon, cfg.sigma_scaling)
+        percent[lo:hi], reasons[lo:hi] = spillover_shares(fit, cfg)
         unstable += int(np.count_nonzero(fit.unstable))
-        deficient = fit.rank < fit.k
-        # A rank-deficient window's reason comes first; only failures are formatted.
-        reasons[lo:hi] = fevd.gap_reasons
-        for i in np.flatnonzero(deficient).tolist():
-            reasons[lo + i] = fit.failure(i)
-        percent[lo:hi] = fevd.normalized * 100.0
-        radius[lo:hi] = np.where(deficient, np.nan, fit.radius)
+        radius[lo:hi] = np.where(fit.rank < fit.k, np.nan, fit.radius)
         singular_values[lo:hi] = fit.singular_values
     failed = np.array([reason is not None for reason in reasons])
     percent[failed] = np.nan

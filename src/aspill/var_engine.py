@@ -249,8 +249,8 @@ class SampleFactor:
     r is the (K + m, K + m) R of [1, y_{t-1}, .., y_{t-lags}, y_t] over
     rows t = lags..T-1, K = 1 + m lags. The regressors of a model with
     q <= lags lags are the first 1 + m q columns, so this one factor
-    serves lag selection over the candidates 1..lags and the fit of the
-    chosen model.
+    serves lag selection over the candidates 1..lags and, through
+    fit_sample, the fit of the chosen model.
     """
 
     panel: Panel
@@ -323,41 +323,6 @@ class SampleFactor:
                 best_j = j
         return best_j
 
-    def fit(self, spec: VarSpec, stacklevel: int = 2) -> VarFit:
-        """Fit the model by least squares over the panel's common sample.
-
-        A model with more lags than were factored is factored afresh. An
-        unstable fit warns with UnstableVarWarning at the given stacklevel.
-
-        Raises:
-            InsufficientDataError: fewer usable observations than regressors plus equations.
-            SingularDesignError: collinear regressors.
-        """
-        panel, lags = self.panel, spec.p_effective
-        n = len(panel) - lags
-        check_sample(len(panel), panel.m, spec)
-        r = self.derived_r(lags) if lags <= self.lags else factor_sample(panel, lags).r
-        fits = _fit_r(r[np.newaxis], n, spec)
-        if fits.rank[0] < fits.k:
-            raise _rank_deficient(fits.rank[0], fits.singular_values[0])
-        if fits.unstable[0]:
-            warnings.warn(
-                f"companion spectral radius {fits.radius[0]:.4f} exceeds 1; "
-                "impulse responses may diverge",
-                UnstableVarWarning,
-                stacklevel=stacklevel,
-            )
-        coef = fits.coef[0]
-        return VarFit(
-            names=panel.names,
-            p=spec.p,
-            p_effective=lags,
-            B0=coef[0].copy(),
-            B=tuple(fits.B[0]),
-            Gamma=fits.Gamma[0],
-            T_effective=n,
-        )
-
 
 def factor_sample(panel: Panel, lags: int) -> SampleFactor:
     """Fold the panel's augmented design with `lags` lags into one R factor, row block by row block.
@@ -377,15 +342,48 @@ def factor_sample(panel: Panel, lags: int) -> SampleFactor:
     return SampleFactor(panel, lags, r)
 
 
-def estimate_var(panel: Panel, spec: VarSpec) -> VarFit:
-    """Fit the model by least squares over the panel's common sample.
+def fit_sample(
+    panel: Panel, spec: VarSpec, factor: SampleFactor | None = None, stacklevel: int = 2
+) -> VarStack:
+    """The model's least-squares fit over the panel's common sample, as a stack of one.
+
+    A factor of the panel with at least spec.p_effective lags gives the
+    model's R factor; otherwise the panel is factored afresh. An unstable
+    fit warns with UnstableVarWarning at the given stacklevel.
 
     Raises:
         InsufficientDataError: fewer usable observations than regressors plus equations.
         SingularDesignError: collinear regressors.
     """
+    lags = spec.p_effective
     check_sample(len(panel), panel.m, spec)
-    return factor_sample(panel, spec.p_effective).fit(spec, stacklevel=3)
+    fresh = factor is None or lags > factor.lags
+    r = factor_sample(panel, lags).r if fresh else factor.derived_r(lags)
+    fit = _fit_r(r[np.newaxis], len(panel) - lags, spec)
+    if fit.rank[0] < fit.k:
+        raise _rank_deficient(fit.rank[0], fit.singular_values[0])
+    if fit.unstable[0]:
+        warnings.warn(
+            f"companion spectral radius {fit.radius[0]:.4f} exceeds 1; "
+            "impulse responses may diverge",
+            UnstableVarWarning,
+            stacklevel=stacklevel,
+        )
+    return fit
+
+
+def estimate_var(panel: Panel, spec: VarSpec) -> VarFit:
+    """fit_sample's fit of the model as a VarFit; it raises and warns as fit_sample does."""
+    fit = fit_sample(panel, spec, stacklevel=3)
+    return VarFit(
+        names=panel.names,
+        p=spec.p,
+        p_effective=spec.p_effective,
+        B0=fit.coef[0, 0].copy(),
+        B=tuple(fit.B[0]),
+        Gamma=fit.Gamma[0],
+        T_effective=len(panel) - spec.p_effective,
+    )
 
 
 def select_lag(panel: Panel, p_max: int, criterion: str = "hjc") -> int:

@@ -19,7 +19,10 @@ import pytest
 import test_rolling
 from aspill.connectedness import compute_fevd, gfevd_stack
 from aspill.decomposition import ShockSide, TrendSpec
-from aspill.errors import DegenerateCovarianceError
+from aspill.errors import DegenerateCovarianceError, PipelineError
+from aspill.panel import write_csv
+from aspill.pipeline import RunConfig, run_pipeline
+from aspill.report import parse_table_csv
 from aspill.rolling import RollingConfig, rolling_tables
 from aspill.var_engine import (
     _BLOCK_ROWS,
@@ -28,7 +31,7 @@ from aspill.var_engine import (
     design_bytes,
     ma_stack,
 )
-from varsim import random_walk_panel
+from varsim import make_panel, random_walk_panel
 
 TOLERANCE = 1e-10
 
@@ -298,3 +301,58 @@ def test_unknown_sigma_scaling_is_rejected():
     make_panel, kw, per_window = CASES["ty-augment-sym"]
     with pytest.raises(ValueError, match="sigma_scaling"):
         rolling_tables(make_panel(), make_config(**kw, sigma_scaling="ij"), per_window)
+
+
+def run_config(tmp_path, panel, **kw) -> RunConfig:
+    """A run over panel, written to a CSV under tmp_path, with the config fields given."""
+    write_csv(panel, tmp_path / "panel.csv")
+    defaults = dict(
+        input_path=str(tmp_path / "panel.csv"),
+        columns=panel.names,
+        out_dir=str(tmp_path / "out"),
+        trend=TrendSpec.DRIFT_AND_TREND,
+    )
+    defaults.update(kw)
+    return RunConfig(**defaults)
+
+
+def oracle_side(panel, cfg: RunConfig, side: ShockSide, lag: int):
+    """oracle_window over one side's components of the whole panel."""
+    spec = VarSpec(p=lag, ty_extra_lags=1 if cfg.ty_augment else 0)
+    window = oracle_components(panel.matrix, cfg.trend, side)
+    rolling_cfg = make_config(window=len(panel), var_spec=spec, sigma_scaling=cfg.sigma_scaling)
+    return oracle_window(window, rolling_cfg)
+
+
+@pytest.mark.parametrize(
+    "lags, ty_augment, sigma_scaling",
+    [(2, False, "jj"), (2, True, "ii"), (None, True, "jj"), (None, False, "ii")],
+)
+def test_run_tables_match_loop_oracle(tmp_path, lags, ty_augment, sigma_scaling):
+    # The run's full-sample path, lag selection's derived R factor included,
+    # against lstsq and the triple-loop GFEVD.
+    panel = drifting_panel()
+    cfg = run_config(tmp_path, panel, lags=lags, ty_augment=ty_augment, sigma_scaling=sigma_scaling)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnstableVarWarning)
+        manifest = run_pipeline(cfg)
+    for side in cfg.sides:
+        record = manifest.sides[side.value]
+        want, reason, _ = oracle_side(panel, cfg, side, record["lag"])
+        table = parse_table_csv((tmp_path / "out" / f"table_{side.value}.csv").read_text())
+        assert reason is None
+        assert abs(table.total_spillover - want) < TOLERANCE
+
+
+def test_constant_column_fails_the_run_with_the_spanning_window_reason(tmp_path):
+    matrix = drifting_panel().matrix.copy()
+    matrix[:, 1] = 4.0
+    panel = make_panel(matrix, ["a", "b", "c"])
+    cfg = run_config(tmp_path, panel, lags=2)
+    with pytest.raises(PipelineError) as info:
+        run_pipeline(cfg)
+    expected = [
+        (side.value, "estimate", oracle_side(panel, cfg, side, 2)[1]) for side in cfg.sides
+    ]
+    assert info.value.failures == expected
+    assert expected[0][2] == "regressor matrix is rank deficient (5 < 7)"

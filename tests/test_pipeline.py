@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import fields
+import warnings
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,11 +16,12 @@ import aspill.rolling as rolling
 from aspill.connectedness import build_table, compute_fevd
 from aspill.decomposition import ShockSide, TrendSpec, component_panel, decompose_panel
 from aspill.errors import ConfigError, ManifestMismatchError, PipelineError
-from aspill.panel import load_csv, write_csv
+from aspill.panel import load_csv, log_transform, write_csv
 from aspill.pipeline import RunConfig, config_from_manifest, run_pipeline
 from aspill.report import parse_table_csv
+from aspill.rolling import RollingConfig, rolling_tables
 import aspill.var_engine as var_engine
-from aspill.var_engine import VarSpec, estimate_var, ma_coefficients, select_lag
+from aspill.var_engine import UnstableVarWarning, VarSpec, estimate_var, ma_coefficients, select_lag
 from varsim import make_panel, random_walk_matrix
 
 
@@ -164,6 +166,46 @@ class TestOneFactorPerSide:
         assert factored == [1, 2, 1, 2, 1, 2]
 
 
+class TestSingleWindowPromise:
+    """A rolling window spanning the sample against the run's full-sample table."""
+
+    @staticmethod
+    def spanning_index(panel, cfg: RunConfig, side: ShockSide, lag: int, per_window: bool) -> float:
+        spec = VarSpec(p=lag, ty_extra_lags=1 if cfg.ty_augment else 0)
+        rolling_cfg = RollingConfig(
+            window=len(panel),
+            horizon=cfg.horizon,
+            var_spec=spec,
+            trend_spec=cfg.trend,
+            shock_side=side,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UnstableVarWarning)
+            tables = rolling_tables(panel, rolling_cfg, per_window)
+        return float(tables.index_series().index_values[0])
+
+    @pytest.mark.parametrize("per_window", [False, True], ids=["anchored", "per-window"])
+    def test_selected_lag_is_within_1e_11_and_a_given_lag_is_exact(self, tmp_path, per_window):
+        # Under lag selection the run fits the chosen model from the largest
+        # candidate's R factor (SampleFactor.derived_r), and the window folds
+        # its own design, so the two R factors round differently. A given lag
+        # is factored alike on both paths.
+        for seed in range(6):
+            csv_path = tmp_path / f"walk{seed}.csv"
+            rng = np.random.default_rng(200 + seed)
+            levels = np.exp(np.cumsum(rng.normal(scale=0.02, size=(400, 3)), axis=0))
+            write_csv(make_panel(levels, ["aa", "bb", "cc"]), csv_path)
+            panel = log_transform(load_csv(csv_path, "date", ("aa", "bb", "cc"))[0])
+            selected = base_config(csv_path, tmp_path / f"sel{seed}", lags=None, log=True)
+            for side, record in run_pipeline(selected).sides.items():
+                side = ShockSide(side)
+                index = self.spanning_index(panel, selected, side, record["lag"], per_window)
+                assert abs(index - record["total_spillover"]) <= 1e-11
+                out_dir = str(tmp_path / "given")
+                given = replace(selected, out_dir=out_dir, lags=record["lag"], sides=(side,))
+                assert index == run_pipeline(given).sides[side.value]["total_spillover"]
+
+
 class TestFailFast:
     def test_missing_input_creates_nothing(self, tmp_path):
         out = tmp_path / "out"
@@ -210,9 +252,10 @@ class TestPartialFailure:
         run_pipeline(base_config(csv_path, out, window=220))
         assert (out / "manifest.json").is_file()
         # The re-run writes its tables, then fails every side at the rolling
-        # stage: a window of 12 is too small for m=3 and p=2.
+        # stage: a window of 11 leaves 2 residual degrees of freedom for m=3
+        # and p=2, fewer than the 3 equations.
         with pytest.raises(PipelineError) as info:
-            run_pipeline(base_config(csv_path, out, horizon=5, window=12))
+            run_pipeline(base_config(csv_path, out, horizon=5, window=11))
         assert {stage for _, stage, _ in info.value.failures} == {"rolling"}
         assert len(info.value.failures) == 3
         assert not (out / "manifest.json").exists()

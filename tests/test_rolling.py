@@ -111,14 +111,22 @@ class TestWindowArithmetic:
     @staticmethod
     def check_single_window_equals_full_sample(panel):
         cfg = base_config(window=len(panel))
-        series = rolling_tables(panel, cfg).index_series()
+        tables = quiet_tables(panel, cfg)
+        series = tables.index_series()
         assert len(series.index_values) == 1
+        assert np.array_equal(tables.percent[0], full_sample_table(panel, cfg).matrix)
         assert series.index_values[0] == full_sample_index(panel, cfg)
         assert series.window_end_dates[0] == panel.dates[-1]
 
     def test_single_window_equals_full_sample(self):
         rng = np.random.default_rng(60)
         self.check_single_window_equals_full_sample(random_walk_panel(rng, T=180, m=3))
+
+    def test_single_short_window_equals_full_sample(self):
+        # 14 rows of 3 series at p=2 leave 5 residual degrees of freedom for 3
+        # equations: the full sample fits, so the window spanning it does too.
+        rng = np.random.default_rng(67)
+        self.check_single_window_equals_full_sample(random_walk_panel(rng, T=14, m=3))
 
     def test_single_window_over_several_row_blocks_equals_full_sample(self):
         rng = np.random.default_rng(66)
@@ -366,10 +374,16 @@ class TestValidation:
             rolling_tables(panel, base_config(window=150))
 
     def test_window_too_small_for_model(self):
+        # check_sample decides for windows as for the full sample: 8 rows leave
+        # 1 residual degree of freedom for 5 regressors, fewer than 2 equations.
         rng = np.random.default_rng(69)
         panel = random_walk_panel(rng, T=100, m=2)
-        with pytest.raises(InsufficientDataError):
-            rolling_tables(panel, base_config(window=14))
+        message = (
+            "all 93 windows failed; last reason: "
+            "8 rows give 6 usable observations for 5 regressors and 2 equations"
+        )
+        with pytest.raises(AllWindowsFailedError, match=message):
+            rolling_tables(panel, base_config(window=8))
 
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -503,7 +517,8 @@ class TestWindowOutcomes:
         if tilt is not None:
             # The last column is an affine copy of the first, up to a tilt.
             values[:, -1] = 2.0 * values[:, 0] + 1.0 + tilt * rng.normal(size=T)
-        window = min(T, m * p + 10 + extra_rows)
+        # check_sample's smallest window: (m + 1)(p + 1) rows.
+        window = min(T, (m + 1) * (p + 1) - 1 + extra_rows)
         cfg = base_config(
             window, var_spec=VarSpec(p=p), shock_side=side, trend_spec=trend, step=step
         )

@@ -17,6 +17,7 @@ from aspill.var_engine import (
     VarSpec,
     estimate_var,
     factor_sample,
+    fit_sample,
     ma_coefficients,
     select_lag,
 )
@@ -309,11 +310,11 @@ class TestDerivedFactor:
         factor = factor_sample(panel, L)
         for q in range(1, L + 1 - extra):
             spec = VarSpec(p=q, ty_extra_lags=extra)
-            derived, fresh = factor.fit(spec), estimate_var(panel, spec)
-            assert_close_normwise(derived.B0, fresh.B0)
-            assert_close_normwise(np.stack(derived.B), np.stack(fresh.B))
-            assert_close_normwise(derived.Gamma, fresh.Gamma)
-            assert derived.T_effective == fresh.T_effective == T - q - extra
+            derived, fresh = fit_sample(panel, spec, factor), estimate_var(panel, spec)
+            assert_close_normwise(derived.coef[0, 0], fresh.B0)
+            assert_close_normwise(derived.B[0], np.stack(fresh.B))
+            assert_close_normwise(derived.Gamma[0], fresh.Gamma)
+            assert derived.coef.shape[0] == 1 and fresh.T_effective == T - q - extra
             k = 1 + m * spec.p_effective
             r11 = factor.derived_r(spec.p_effective)[:k, :k]
             fresh_r11 = factor_sample(panel, spec.p_effective).r[:k, :k]
@@ -325,18 +326,19 @@ class TestDerivedFactor:
         rng = np.random.default_rng(40)
         panel = make_panel(simulate_var(rng, random_stable_coefficients(rng, 3, 2), 2 * _BLOCK_ROWS + 7))
         for spec in (VarSpec(p=3), VarSpec(p=2, ty_extra_lags=1)):
-            derived, fresh = factor_sample(panel, 3).fit(spec), estimate_var(panel, spec)
-            assert np.array_equal(derived.B0, fresh.B0)
-            assert np.array_equal(np.stack(derived.B), np.stack(fresh.B))
-            assert np.array_equal(derived.Gamma, fresh.Gamma)
+            derived = fit_sample(panel, spec, factor_sample(panel, 3))
+            fresh = estimate_var(panel, spec)
+            assert np.array_equal(derived.coef[0, 0], fresh.B0)
+            assert np.array_equal(derived.B[0], np.stack(fresh.B))
+            assert np.array_equal(derived.Gamma[0], fresh.Gamma)
 
     def test_model_with_more_lags_is_factored_afresh(self):
         rng = np.random.default_rng(41)
         panel = make_panel(simulate_var(rng, random_stable_coefficients(rng, 2, 1), 300))
         spec = VarSpec(p=1, ty_extra_lags=1)
-        derived, fresh = factor_sample(panel, 1).fit(spec), estimate_var(panel, spec)
-        assert np.array_equal(np.stack(derived.B), np.stack(fresh.B))
-        assert np.array_equal(derived.Gamma, fresh.Gamma)
+        derived, fresh = fit_sample(panel, spec, factor_sample(panel, 1)), estimate_var(panel, spec)
+        assert np.array_equal(derived.B[0], np.stack(fresh.B))
+        assert np.array_equal(derived.Gamma[0], fresh.Gamma)
 
     def test_constant_column_is_singular_on_both_paths(self):
         rng = np.random.default_rng(42)
@@ -346,7 +348,7 @@ class TestDerivedFactor:
         factor = factor_sample(panel, 3)
         for q in (1, 2, 3):
             with pytest.raises(SingularDesignError, match="rank deficient"):
-                factor.fit(VarSpec(p=q))
+                fit_sample(panel, VarSpec(p=q), factor)
             with pytest.raises(SingularDesignError, match="rank deficient"):
                 estimate_var(panel, VarSpec(p=q))
         with pytest.raises(SingularDesignError, match="rank deficient"):
