@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import re
 import sys
 from datetime import date
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -48,11 +50,19 @@ def _columns_arg(text: str) -> list[str]:
     return columns
 
 
-def _date_arg(text: str) -> date:
+def _date_arg(option: str, text: str | None) -> date | None:
+    """The date an option's text spells, or ConfigError naming the option."""
+    if text is None:
+        return None
     try:
         return parse_date(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse date {text!r}") from None
+        raise ConfigError(f"{option} must be a YYYY-MM-DD or YYYY-MM date, got {text!r}") from None
+
+
+# The text of an integer as JSON writes it; any other text reaches
+# RunConfig as given, which rejects it as a manifest's string.
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def _add_panel_options(parser: argparse.ArgumentParser) -> None:
@@ -74,10 +84,10 @@ def _choices(values) -> str:
 def _add_model_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trend", metavar=_choices(t.value for t in TrendSpec),
                         help="deterministic part of the walk")
-    parser.add_argument("--lags", type=int, help="fixed lag order; omit to select by criterion")
+    parser.add_argument("--lags", help="fixed lag order; omit to select by criterion")
     parser.add_argument("--lag-select", metavar=_choices(CRITERIA),
                         help="criterion used when --lags is omitted")
-    parser.add_argument("--max-lags", type=int,
+    parser.add_argument("--max-lags",
                         help="largest candidate order for lag selection")
     parser.add_argument("--ty-augment", action="store_true", default=None,
                         help="estimate one extra unrestricted lag kept out of the propagation")
@@ -85,14 +95,14 @@ def _add_model_options(parser: argparse.ArgumentParser) -> None:
                         help="variance scaling the shares: jj is the standard generalized form; "
                              "ii depends on the units of the input: rescaling a series "
                              "moves the shares")
-    parser.add_argument("--horizon", type=int, help="forecast horizon n")
+    parser.add_argument("--horizon", help="forecast horizon n")
     parser.add_argument("--sides", help="comma-separated subset of " + ",".join(s.value for s in ShockSide))
 
 
 def _add_rolling_options(parser: argparse.ArgumentParser, required: bool) -> None:
-    parser.add_argument("--window", type=int, required=required,
+    parser.add_argument("--window", required=required,
                         help="observations per rolling window")
-    parser.add_argument("--step", type=int, help="stride between windows")
+    parser.add_argument("--step", help="stride between windows")
     parser.add_argument("--decompose-per-window", action="store_true", default=None,
                         help="re-anchor the component transform inside every window")
 
@@ -103,9 +113,9 @@ def _config_from_args(args: argparse.Namespace, emit_tables: bool) -> RunConfig:
     # The options given, as JSON-shaped values for the reader a manifest
     # goes through; an option left out is None and keeps RunConfig's default.
     given = {
-        f.name: value
-        for f in dataclasses.fields(RunConfig)
-        if (value := getattr(args, f.name, None)) is not None
+        name: int(value) if int in (kind, *get_args(kind)) and _INTEGER.fullmatch(value) else value
+        for name, kind in get_type_hints(RunConfig).items()
+        if (value := getattr(args, name, None)) is not None
     }
     given.update(
         input_path=args.input,
@@ -177,7 +187,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 def _cmd_fetch(args: argparse.Namespace) -> int:
     ids = _columns_arg(args.series)
     check_columns(None, ids)
-    date_range = (args.start, args.end)
+    date_range = (_date_arg("--start", args.start), _date_arg("--end", args.end))
     panels = []
     for series_id in ids:
         fetched = fetch_fred(
@@ -261,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     fetch = sub.add_parser("fetch", help="download series from FRED into an aligned CSV")
     fetch.add_argument("--series", required=True,
                        help="comma-separated FRED series ids")
-    fetch.add_argument("--start", type=_date_arg, help="first observation date")
-    fetch.add_argument("--end", type=_date_arg, help="last observation date")
+    fetch.add_argument("--start", help="first observation date")
+    fetch.add_argument("--end", help="last observation date")
     fetch.add_argument("--api-key", help="FRED API key; defaults to FRED_API_KEY")
     fetch.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
                        help="plain-text cache directory")

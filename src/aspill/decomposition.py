@@ -124,14 +124,8 @@ def component_stack(stack: np.ndarray, spec: TrendSpec, side: ShockSide) -> np.n
     return part.reshape(c, m, W).swapaxes(1, 2)
 
 
-def decompose_panel(panel: Panel, spec: TrendSpec) -> DecomposedPanel:
-    """Split every series of the panel into G+ and G-, which sum back to it.
-
-    fits[j] holds the trend fit of series j. A panel too short for the
-    trend fit names every one of its series in the error. spec is a
-    TrendSpec or its value; any other value raises ValueError.
-    """
-    spec = TrendSpec(spec)
+def check_length(panel: Panel) -> None:
+    """Raise SeriesTooShortError, naming every series, if the panel is too short for the trend fit."""
     if len(panel) < _MIN_LENGTH:
         raise SeriesTooShortError(
             "; ".join(
@@ -139,25 +133,56 @@ def decompose_panel(panel: Panel, spec: TrendSpec) -> DecomposedPanel:
                 for name in panel.names
             )
         )
+
+
+def _components(
+    panel: Panel, spec: TrendSpec, sides: tuple[ShockSide, ...]
+) -> tuple[list[Panel], list[TrendFit]]:
+    """The component panel of each of sides, and each series' trend fit."""
+    check_length(panel)
     # One series at a time, as a (1, T) row whose components are written
     # straight into column j of the (T, m) outputs: only a few T-length
     # temporaries, the series' shocks among them, are held beside the
-    # outputs. plus and minus share one allocation, as they share the
-    # result's lifetime: one array of 4 MiB or more is one numpy asks the
-    # kernel to back with huge pages, which makes the first, strided
-    # writes into it cheaper.
+    # outputs. The sides share one allocation, as they share a lifetime:
+    # one array of 4 MiB or more is one numpy asks the kernel to back with
+    # huge pages, which makes the first, strided writes into it cheaper.
     T, m = panel.matrix.shape
-    plus, minus = np.empty((2, T, m))
+    parts = np.empty((len(sides), T, m))
     fits = []
     for j in range(m):
         g = np.ascontiguousarray(panel.matrix[:, j])[np.newaxis]
-        c, d, _ = _split(g, spec, out=(plus[np.newaxis, :, j], minus[np.newaxis, :, j]))
+        c, d, _ = _split(g, spec, sides, out=tuple(part[np.newaxis, :, j] for part in parts))
         fits.append(TrendFit(c=float(c[0]), d=float(d[0]), g0=float(g[0, 0])))
-    return DecomposedPanel(
-        plus_panel=Panel._on_checked_dates(tuple(name + "_pos" for name in panel.names), panel.dates, plus),
-        minus_panel=Panel._on_checked_dates(tuple(name + "_neg" for name in panel.names), panel.dates, minus),
-        fits=tuple(fits),
-    )
+    panels = [
+        Panel._on_checked_dates(tuple(f"{name}_{side.value}" for name in panel.names), panel.dates, part)
+        for side, part in zip(sides, parts)
+    ]
+    return panels, fits
+
+
+def decompose_panel(panel: Panel, spec: TrendSpec) -> DecomposedPanel:
+    """Split every series of the panel into G+ and G-, which sum back to it.
+
+    fits[j] holds the trend fit of series j. A panel too short for the
+    trend fit names every one of its series in the error. spec is a
+    TrendSpec or its value; any other value raises ValueError.
+    """
+    (plus, minus), fits = _components(panel, TrendSpec(spec), (ShockSide.POSITIVE, ShockSide.NEGATIVE))
+    return DecomposedPanel(plus_panel=plus, minus_panel=minus, fits=tuple(fits))
+
+
+def split_side(panel: Panel, spec: TrendSpec, side: ShockSide) -> Panel:
+    """The panel a side runs on: that side's components of panel, or panel itself for sym.
+
+    Only the side asked for is built, so a caller holds one component
+    panel, not two; it equals component_panel(decompose_panel(panel,
+    spec), panel, side) bit for bit. Raises as decompose_panel does.
+    """
+    spec, side = TrendSpec(spec), ShockSide(side)
+    if side is ShockSide.SYMMETRIC:
+        return panel
+    (components,), _ = _components(panel, spec, (side,))
+    return components
 
 
 def component_panel(decomposed: DecomposedPanel, source: Panel, side: ShockSide) -> Panel:

@@ -20,7 +20,7 @@ from typing import Any, Iterator, Literal, get_args, get_origin, get_type_hints
 
 from .atomic import write_atomic
 from .connectedness import SIGMA_SCALINGS, net_measures, table_from_percent
-from .decomposition import DecomposedPanel, ShockSide, TrendSpec, component_panel, decompose_panel
+from .decomposition import ShockSide, TrendSpec, check_length, split_side
 from .errors import (
     AspillError,
     ConfigError,
@@ -217,7 +217,6 @@ def _run_side(
     cfg: RunConfig,
     side: ShockSide,
     panel: Panel,
-    decomposed: DecomposedPanel | None,
     labels: tuple[str, ...],
     out_dir: Path,
 ) -> dict[str, Any]:
@@ -226,7 +225,8 @@ def _run_side(
     names = _side_outputs(side)
 
     with _stage("component"):
-        side_panel = panel if side is ShockSide.SYMMETRIC else component_panel(decomposed, panel, side)
+        # Each side splits its own components, so a run holds one component panel at a time.
+        side_panel = split_side(panel, cfg.trend, side)
 
     with warnings.catch_warnings(record=True) as records:
         warnings.simplefilter("always")
@@ -269,7 +269,7 @@ def _run_side(
         if cfg.window is not None:
             with _stage("rolling"):
                 rolling_cfg = replace(sample_cfg, window=cfg.window, step=cfg.step)
-                windows = rolling_tables(panel, rolling_cfg, cfg.decompose_per_window, decomposed)
+                windows = rolling_tables(panel, rolling_cfg, cfg.decompose_per_window, side_panel)
                 series = windows.index_series()
             with _stage("write-rolling"):
                 write_atomic(out_dir / names["rolling_csv"], render_rolling_csv(series))
@@ -312,15 +312,16 @@ def run_pipeline(cfg: RunConfig) -> RunManifest:
     for side in _ALL_SIDES:
         for name in _side_outputs(side).values():
             (out_dir / name).unlink(missing_ok=True)
-    decomposed = None
+    # A panel too short for the trend fit ends the run in one error naming
+    # every series, before any side runs.
     if any(side is not ShockSide.SYMMETRIC for side in cfg.sides):
-        decomposed = decompose_panel(panel, cfg.trend)
+        check_length(panel)
 
     side_summaries: dict[str, Any] = {}
     failed: list[tuple[str, _StageFailure]] = []
     for side in cfg.sides:
         try:
-            side_summaries[side.value] = _run_side(cfg, side, panel, decomposed, labels, out_dir)
+            side_summaries[side.value] = _run_side(cfg, side, panel, labels, out_dir)
         except _StageFailure as failure:
             failed.append((side.value, failure))
     if failed:

@@ -17,14 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .connectedness import ConnectednessTable, compute_fevd, table_from_percent, total_spillovers
-from .decomposition import (
-    DecomposedPanel,
-    ShockSide,
-    TrendSpec,
-    component_panel,
-    component_stack,
-    decompose_panel,
-)
+from .decomposition import ShockSide, TrendSpec, component_stack, split_side
 from .errors import AllWindowsFailedError, InsufficientDataError
 from .panel import Panel
 from .var_engine import (
@@ -140,15 +133,16 @@ def rolling_tables(
     panel: Panel,
     cfg: RollingConfig,
     decompose_per_window: bool = False,
-    decomposed: DecomposedPanel | None = None,
+    components: Panel | None = None,
 ) -> RollingTables:
     """Estimate a connectedness table in every sliding window.
 
     panel is the raw (untransformed) panel; the shock side in cfg decides
     what each window actually sees. With decompose_per_window the
     partial-sum transform is re-anchored inside every window instead of
-    once over the full sample. decomposed, when given, is the full-sample
-    decomposition of panel under cfg.trend_spec, so it is not redone.
+    once over the full sample. components, when given, is the panel the
+    side runs on over the full sample, as split_side(panel,
+    cfg.trend_spec, cfg.shock_side) returns it, so it is not split again.
 
     Windows run in two stages under the one _CHUNK_BYTES budget. QR
     chunks of about _CHUNK_BYTES of design fold each window's augmented
@@ -181,12 +175,12 @@ def rolling_tables(
         ) from exc
 
     per_window = decompose_per_window and cfg.shock_side is not ShockSide.SYMMETRIC
-    if per_window or cfg.shock_side is ShockSide.SYMMETRIC:
+    if per_window:
         source = panel.matrix
     else:
-        if decomposed is None:
-            decomposed = decompose_panel(panel, cfg.trend_spec)
-        source = component_panel(decomposed, panel, cfg.shock_side).matrix
+        if components is None:
+            components = split_side(panel, cfg.trend_spec, cfg.shock_side)
+        source = components.matrix
     count = len(starts)
     n = cfg.window - p_eff
     columns = m * (p_eff + 1) + 1

@@ -132,6 +132,17 @@ class TestAnalyze:
         assert captured.err.startswith("error:")
         assert not out.exists()
 
+    def test_panel_too_short_for_the_trend_fit_is_one_error(self, tmp_path, capsys):
+        csv_path = tmp_path / "short.csv"
+        write_walk_csv(csv_path, T=3)
+        out = tmp_path / "out"
+        code = main(analyze_args(csv_path, out))
+        assert code == 1
+        assert capsys.readouterr().err == "error: " + "; ".join(
+            f"series {name!r}: length 3 < 4 needed for trend fit" for name in ("aa", "bb", "cc")
+        ) + "\n"
+        assert not (out / "manifest.json").exists()
+
     def test_partial_failure_reports_each_side(self, tmp_path, capsys):
         csv_path = tmp_path / "down.csv"
         write_decreasing_csv(csv_path)
@@ -249,6 +260,13 @@ class TestOneReader:
             # lag_select matches exactly, like every other choice field.
             ("--lag-select", "HJC", "lag_select", "HJC",
              "config field 'lag_select' must be one of ['hjc', 'aic', 'sic', 'hqc'], got 'HJC'"),
+            # Integer options are read as text too, so a word or a fraction
+            # is the manifest's error, not a usage error.
+            ("--horizon", "ten", "horizon", "ten", "config field 'horizon' must be an integer, got 'ten'"),
+            ("--max-lags", "2.5", "max_lags", "2.5", "config field 'max_lags' must be an integer, got '2.5'"),
+            ("--lags", "two", "lags", "two", "config field 'lags' must be an integer or null, got 'two'"),
+            ("--window", "1e3", "window", "1e3", "config field 'window' must be an integer or null, got '1e3'"),
+            ("--step", "five", "step", "five", "config field 'step' must be an integer, got 'five'"),
         ],
     )
     def test_bad_setting_is_one_error_on_both_paths(self, tmp_path, capsys, option, text, field, raw, message):
@@ -468,6 +486,21 @@ class TestFetch:
         err = capsys.readouterr().err
         assert f"error: {path}: line 4:" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "fetched.csv").exists()
+
+    @pytest.mark.parametrize("option", ["--start", "--end"])
+    @pytest.mark.parametrize("text", ["yesterday", "2020-13-01"])
+    def test_bad_date_is_one_error_naming_the_option(self, tmp_path, capsys, monkeypatch, option, text):
+        monkeypatch.delenv("FRED_API_KEY", raising=False)
+        code = main([
+            "fetch",
+            "--series", "AAA",
+            option, text,
+            "--cache-dir", str(tmp_path / "cache"),
+            "--out", str(tmp_path / "fetched.csv"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {option} must be a YYYY-MM-DD or YYYY-MM date, got {text!r}\n"
         assert not (tmp_path / "fetched.csv").exists()
 
     def test_fetch_without_key_or_cache_fails(self, tmp_path, capsys, monkeypatch):

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aspill.decomposition import ShockSide, TrendSpec, component_panel, decompose_panel
+from aspill.decomposition import ShockSide, TrendSpec, component_panel, decompose_panel, split_side
 from aspill.errors import SeriesTooShortError
 from varsim import make_panel, random_walk_matrix
 
@@ -210,6 +210,22 @@ class TestDecomposePanel:
         assert component_panel(decomposed, panel, ShockSide.POSITIVE) is decomposed.plus_panel
         assert component_panel(decomposed, panel, ShockSide.NEGATIVE) is decomposed.minus_panel
         assert component_panel(decomposed, panel, ShockSide.SYMMETRIC) is panel
+
+    @pytest.mark.parametrize("spec", list(TrendSpec))
+    def test_one_side_split_is_that_side_of_the_decomposition_bit_for_bit(self, spec):
+        panel = make_panel(random_walk_matrix(np.random.default_rng(16), 300, 3))
+        decomposed = decompose_panel(panel, spec)
+        for side, expected in ((ShockSide.POSITIVE, decomposed.plus_panel), ("neg", decomposed.minus_panel)):
+            split = split_side(panel, spec.value, side)
+            assert split.names == expected.names and split.dates == expected.dates
+            assert split.matrix.tobytes() == expected.matrix.tobytes()
+            assert split.matrix.flags.c_contiguous and not split.matrix.flags.writeable
+        assert split_side(panel, spec, ShockSide.SYMMETRIC) is panel
+
+    def test_one_side_split_of_a_short_panel_names_every_series(self):
+        panel = make_panel(np.ones((3, 2)), names=["aa", "bb"])
+        with pytest.raises(SeriesTooShortError, match="aa.*bb"):
+            split_side(panel, TrendSpec.DRIFT, ShockSide.NEGATIVE)
 
     def test_trend_given_as_its_value(self):
         rng = np.random.default_rng(14)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -11,11 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import aspill.decomposition as decomposition
 import aspill.pipeline as pipeline
-import aspill.rolling as rolling
 from aspill.connectedness import build_table, compute_fevd
 from aspill.decomposition import ShockSide, TrendSpec, component_panel, decompose_panel
-from aspill.errors import ConfigError, ManifestMismatchError, PipelineError
+from aspill.errors import ConfigError, ManifestMismatchError, PipelineError, SeriesTooShortError
 from aspill.panel import load_csv, log_transform, write_csv
 from aspill.pipeline import RunConfig, config_from_manifest, run_pipeline
 from aspill.report import parse_table_csv
@@ -223,6 +224,26 @@ class TestFailFast:
             run_pipeline(cfg)
         assert not out.exists()
 
+    def test_panel_too_short_for_the_trend_fit_fails_before_any_side(self, tmp_path, monkeypatch):
+        csv_path = tmp_path / "short.csv"
+        write_walk_csv(csv_path, T=3)
+        sides = []
+        run_side = pipeline._run_side
+
+        def recording(cfg, side, *rest):
+            sides.append(side)
+            return run_side(cfg, side, *rest)
+
+        monkeypatch.setattr(pipeline, "_run_side", recording)
+        out = tmp_path / "out"
+        with pytest.raises(SeriesTooShortError) as info:
+            run_pipeline(base_config(csv_path, out))
+        assert str(info.value) == "; ".join(
+            f"series {name!r}: length 3 < 4 needed for trend fit" for name in ("aa", "bb", "cc")
+        )
+        assert sides == []
+        assert not (out / "manifest.json").exists()
+
 
 class TestPartialFailure:
     def test_failed_side_keeps_other_outputs(self, tmp_path):
@@ -369,19 +390,60 @@ class TestSharedOutputDirectory:
 
 class TestDecompositionReuse:
     def test_rolling_reuses_the_run_decomposition(self, tmp_path, monkeypatch):
+        # The pos and neg sides each split their own components once, in
+        # their component stage; rolling_tables slides over that split.
         calls = []
-        original = pipeline.decompose_panel
+        in_rolling = []
+        split, roll = decomposition._components, pipeline.rolling_tables
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+        def counting_split(panel, spec, sides):
+            calls.append((sides, bool(in_rolling)))
+            return split(panel, spec, sides)
 
-        monkeypatch.setattr(pipeline, "decompose_panel", counting)
-        monkeypatch.setattr(rolling, "decompose_panel", counting)
+        def marked_roll(*args, **kwargs):
+            in_rolling.append(True)
+            try:
+                return roll(*args, **kwargs)
+            finally:
+                in_rolling.pop()
+
+        monkeypatch.setattr(decomposition, "_components", counting_split)
+        monkeypatch.setattr(pipeline, "rolling_tables", marked_roll)
         csv_path = tmp_path / "walk.csv"
         write_walk_csv(csv_path)
         run_pipeline(base_config(csv_path, tmp_path / "out", window=220, step=5))
-        assert len(calls) == 1
+        assert calls == [((ShockSide.POSITIVE,), False), ((ShockSide.NEGATIVE,), False)]
+
+
+class TestMemory:
+    def test_run_holds_one_component_panel_at_a_time(self, tmp_path, monkeypatch):
+        # Past ingest a run holds the panel, one side's components and a few
+        # series-length temporaries: about 3.6 panels. Both component panels
+        # held at once, as a run splitting every side up front would, make
+        # it about 5.4 and fail the 4.5-panel bound.
+        rng = np.random.default_rng(15)
+        names = [f"s{j}" for j in range(8)]
+        source = make_panel(np.exp(np.cumsum(rng.normal(scale=0.01, size=(20000, 8)), axis=0)), names)
+        csv_path = tmp_path / "wide.csv"
+        write_csv(source, csv_path)
+        panel_bytes = source.matrix.nbytes
+        del source
+        load = pipeline.load_csv
+
+        def load_then_reset_peak(*args, **kwargs):
+            loaded = load(*args, **kwargs)
+            tracemalloc.reset_peak()
+            return loaded
+
+        monkeypatch.setattr(pipeline, "load_csv", load_then_reset_peak)
+        cfg = base_config(csv_path, tmp_path / "out", columns=tuple(names), log=True)
+        tracemalloc.start()
+        try:
+            run_pipeline(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * panel_bytes
 
 
 class TestConfigValidation:
