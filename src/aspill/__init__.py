@@ -30,7 +30,7 @@ from .fred import fetch_fred
 from .panel import Panel, align, load_csv, log_transform, write_csv
 from .pipeline import RunConfig, RunManifest, config_from_manifest, run_pipeline
 from .report import parse_table_csv, render_net_json, render_rolling_csv, render_table
-from .rolling import RollingConfig, RollingTables, SpilloverSeries, rolling_tables
+from .rolling import RollingConfig, RollingTables, rolling_tables
 from .svgchart import render_plot, render_svg
 from .var_engine import (
     VarFit,
@@ -53,7 +53,6 @@ __all__ = [
     "RunConfig",
     "RunManifest",
     "ShockSide",
-    "SpilloverSeries",
     "TrendFit",
     "TrendSpec",
     "VarFit",

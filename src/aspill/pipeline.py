@@ -270,18 +270,17 @@ def _run_side(
             with _stage("rolling"):
                 rolling_cfg = replace(sample_cfg, window=cfg.window, step=cfg.step)
                 windows = rolling_tables(panel, rolling_cfg, cfg.decompose_per_window, side_panel)
-                series = windows.index_series()
             with _stage("write-rolling"):
-                write_atomic(out_dir / names["rolling_csv"], render_rolling_csv(series))
-                render_plot(series, out_dir / names["rolling_svg"])
+                write_atomic(out_dir / names["rolling_csv"], render_rolling_csv(windows))
+                render_plot(windows, out_dir / names["rolling_svg"])
                 files["rolling_csv"] = names["rolling_csv"]
                 files["rolling_svg"] = names["rolling_svg"]
                 gaps = {
                     when.isoformat(): reason
-                    for when, reason in zip(series.window_end_dates, series.gap_reasons)
+                    for when, reason in zip(windows.window_end_dates, windows.gap_reasons)
                     if reason is not None
                 }
-                summary["rolling"] = {"windows": len(series), "gaps": len(gaps), "gap_reasons": gaps}
+                summary["rolling"] = {"windows": len(windows), "gaps": len(gaps), "gap_reasons": gaps}
 
     summary["files"] = files
     summary["warnings"] = sorted({str(r.message) for r in records})

@@ -17,7 +17,7 @@ from datetime import date
 import numpy as np
 
 from .connectedness import ConnectednessTable, NetMeasures, table_from_percent
-from .rolling import SpilloverSeries
+from .rolling import RollingTables
 
 _FORMATS = ("csv", "json", "markdown")
 
@@ -131,12 +131,11 @@ def render_net_json(net: NetMeasures) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def render_rolling_csv(series: SpilloverSeries) -> str:
+def render_rolling_csv(tables: RollingTables) -> str:
     """Rolling index as date,index rows; failed windows leave index empty."""
-    values = np.asarray(series.index_values, dtype=float).tolist()
     rows = [
         f"{when.isoformat()},{'' if math.isnan(value) else repr(value)}"
-        for when, value in zip(series.window_end_dates, values)
+        for when, value in zip(tables.window_end_dates, tables.index_values.tolist())
     ]
     return "\n".join(["date,index", *rows]) + "\n"
 

@@ -61,25 +61,6 @@ class RollingConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class SpilloverSeries:
-    """Index value per window, NaN where the window could not be estimated."""
-
-    side: ShockSide
-    window_end_dates: tuple[date, ...]
-    index_values: np.ndarray
-    gap_reasons: tuple[str | None, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.gap_reasons:
-            object.__setattr__(self, "gap_reasons", (None,) * len(self.window_end_dates))
-        if not (len(self.window_end_dates) == self.index_values.size == len(self.gap_reasons)):
-            raise ValueError("dates, values, and gap reasons must have equal length")
-
-    def __len__(self) -> int:
-        return self.index_values.size
-
-
-@dataclass(frozen=True, eq=False)
 class RollingTables:
     """Connectedness of every window, as arrays over the windows.
 
@@ -107,13 +88,10 @@ class RollingTables:
             return None
         return table_from_percent(self.percent[i], self.labels)
 
-    def index_series(self) -> SpilloverSeries:
-        return SpilloverSeries(
-            side=self.side,
-            window_end_dates=self.window_end_dates,
-            index_values=total_spillovers(self.percent),
-            gap_reasons=self.gap_reasons,
-        )
+    @property
+    def index_values(self) -> np.ndarray:
+        """The total spillover index of every window, NaN where it failed."""
+        return total_spillovers(self.percent)
 
 
 def spillover_shares(fit: VarStack, cfg: RollingConfig) -> tuple[np.ndarray, list[str | None]]:

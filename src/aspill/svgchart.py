@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import write_atomic
-from .rolling import SpilloverSeries
+from .rolling import RollingTables
 
 _WIDTH = 900
 _HEIGHT = 360
@@ -47,9 +47,9 @@ def _tick_indices(count: int, want: int = 6) -> list[int]:
     return sorted({int(round(p)) for p in positions})
 
 
-def render_svg(series: SpilloverSeries) -> str:
-    """Build the chart markup for one spillover series."""
-    if len(series) == 0:
+def render_svg(tables: RollingTables) -> str:
+    """Build the chart markup of the rolling index of one side's windows."""
+    if len(tables) == 0:
         raise ValueError("cannot plot an empty series")
     x0, x1 = float(_MARGIN_LEFT), float(_WIDTH - _MARGIN_RIGHT)
     y0, y1 = float(_HEIGHT - _MARGIN_BOTTOM), float(_MARGIN_TOP)
@@ -57,13 +57,13 @@ def render_svg(series: SpilloverSeries) -> str:
     def y_pix(value: float) -> float:
         return y0 + (value / _Y_MAX) * (y1 - y0)
 
-    xs = _x_positions(series.window_end_dates, x0, x1)
+    xs = _x_positions(tables.window_end_dates, x0, x1)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{x0:.2f}" y="20" font-family="sans-serif" font-size="14" fill="black">'
-        f"{_SIDE_TITLES[series.side.value]}</text>",
+        f"{_SIDE_TITLES[tables.side.value]}</text>",
     ]
     grid_count = 4
     for step in range(grid_count + 1):
@@ -77,7 +77,7 @@ def render_svg(series: SpilloverSeries) -> str:
             f'<text x="{x0 - 8:.2f}" y="{y + 4:.2f}" font-family="sans-serif" font-size="11" '
             f'fill="#444444" text-anchor="end">{level:g}</text>'
         )
-    for i in _tick_indices(len(series)):
+    for i in _tick_indices(len(tables)):
         x = xs[i]
         parts.append(
             f'<line x1="{x:.2f}" y1="{y0:.2f}" x2="{x:.2f}" y2="{y0 + 5:.2f}" '
@@ -85,7 +85,7 @@ def render_svg(series: SpilloverSeries) -> str:
         )
         parts.append(
             f'<text x="{x:.2f}" y="{y0 + 18:.2f}" font-family="sans-serif" font-size="11" '
-            f'fill="#444444" text-anchor="middle">{series.window_end_dates[i].isoformat()}</text>'
+            f'fill="#444444" text-anchor="middle">{tables.window_end_dates[i].isoformat()}</text>'
         )
     parts.append(
         f'<rect x="{x0:.2f}" y="{y1:.2f}" width="{x1 - x0:.2f}" height="{y0 - y1:.2f}" '
@@ -103,7 +103,7 @@ def render_svg(series: SpilloverSeries) -> str:
             )
 
     run: list[tuple[float, float]] = []
-    for x, value in zip(xs, series.index_values.tolist()):
+    for x, value in zip(xs, tables.index_values.tolist()):
         if math.isnan(value):
             flush(run)
             run = []
@@ -114,6 +114,6 @@ def render_svg(series: SpilloverSeries) -> str:
     return "\n".join(parts) + "\n"
 
 
-def render_plot(series: SpilloverSeries, path: str | Path) -> None:
+def render_plot(tables: RollingTables, path: str | Path) -> None:
     """Write the chart to a file atomically."""
-    write_atomic(path, render_svg(series))
+    write_atomic(path, render_svg(tables))

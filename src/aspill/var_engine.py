@@ -328,16 +328,11 @@ def factor_sample(panel: Panel, lags: int) -> SampleFactor:
     """Fold the panel's augmented design with `lags` lags into one R factor, row block by row block.
 
     Raises:
-        InsufficientDataError: no more usable rows than regressors.
+        ConfigError: lags is not a positive integer.
+        InsufficientDataError: the panel cannot fit a VAR with `lags` lags (check_sample).
     """
-    if lags < 1:
-        raise ValueError(f"lag order must be >= 1, got {lags}")
     T = len(panel)
-    K = panel.m * lags + 1
-    if T - lags <= K:
-        raise InsufficientDataError(
-            f"{T} rows leave {T - lags} common observations for up to {K} regressors"
-        )
+    check_sample(T, panel.m, VarSpec(p=lags))
     r = _r_factor(_window_blocks(panel.matrix[np.newaxis], T, 1, lags))[0]
     return SampleFactor(panel, lags, r)
 

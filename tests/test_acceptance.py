@@ -281,6 +281,63 @@ def test_criterion_8_planted_asymmetry_is_measured():
     )
 
 
+def rolling_gaps(levels: np.ndarray, per_window: bool) -> np.ndarray:
+    """Negative-side minus positive-side index per window: 600 rows, step 50, drift split, VAR(2), h=10."""
+    panel = make_panel(levels)
+    index = {}
+    for side in (ShockSide.POSITIVE, ShockSide.NEGATIVE):
+        cfg = RollingConfig(window=600, horizon=10, var_spec=VarSpec(p=2), shock_side=side, step=50)
+        index[side] = rolling_tables(panel, cfg, per_window).index_values
+    return index[ShockSide.NEGATIVE] - index[ShockSide.POSITIVE]
+
+
+def test_criterion_8_rolling_gap_changes_sign_at_a_planted_break():
+    # 3000 x 3 log levels planted on negative shocks, then on positive ones
+    # from row 1500. Per seed, take the median gap over the 19 windows wholly
+    # before the break and over the 19 wholly after it. Over seeds 0..999,
+    # anchored (re-anchored per window): before stayed above +0.25 (+0.11),
+    # before minus after above +2.50 (+1.65), and after fell below 0 in all
+    # but 2 (0) seeds; medians of 20 consecutive seeds stayed above +3.35
+    # (+3.17) before and below -3.81 (-3.58) after.
+    T = 3000
+    starts = np.arange(0, T - 600 + 1, 50)
+    before, after = starts + 600 <= T // 2, starts >= T // 2
+    start = time.perf_counter()
+    medians = {}
+    with warnings.catch_warnings():
+        # Components are integrated, so the fitted radius sits near 1.
+        warnings.simplefilter("ignore")
+        for per_window in (False, True):
+            gaps = [
+                rolling_gaps(
+                    asymmetric_walks(np.random.default_rng(seed), ShockSide.NEGATIVE, T, ShockSide.POSITIVE),
+                    per_window,
+                )
+                for seed in range(20)
+            ]
+            medians[per_window] = (
+                np.array([np.median(gap[before]) for gap in gaps]),
+                np.array([np.median(gap[after]) for gap in gaps]),
+            )
+    elapsed = time.perf_counter() - start
+    ok = elapsed < 10.0
+    detail = []
+    for per_window, (pre, post) in medians.items():
+        ok = ok and pre.min() > 0.0 and (pre - post).min() > 1.0
+        ok = ok and np.median(pre) > 2.5 and np.median(post) < -2.5
+        detail.append(
+            f"{'re-anchored' if per_window else 'anchored'}: before {pre.min():+.2f} to {pre.max():+.2f} "
+            f"(> 0, median {np.median(pre):+.2f} > +2.5), after {post.min():+.2f} to {post.max():+.2f} "
+            f"(median {np.median(post):+.2f} < -2.5), before - after from {(pre - post).min():+.2f} (> +1)"
+        )
+    check(
+        8,
+        bool(ok),
+        "median neg - pos rolling index before and after a planted neg-to-pos break on 20 seeded "
+        f"3000 x 3 panels, window 600, step 50; {'; '.join(detail)}; {elapsed:.2f}s < 10s",
+    )
+
+
 def test_asymmetry_demo_script_runs_from_a_warm_cache(tmp_path, monkeypatch, capsys):
     spec = importlib.util.spec_from_file_location("asymmetry_demo", SCRIPT)
     demo = importlib.util.module_from_spec(spec)
@@ -322,11 +379,11 @@ def test_criterion_9_rolling_consistency():
     start = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        dense = rolling_tables(panel, cfg).index_series()
+        dense = rolling_tables(panel, cfg)
     elapsed = time.perf_counter() - start
 
     single_cfg = RollingConfig(window=500, horizon=10, var_spec=VarSpec(p=2))
-    single = rolling_tables(panel, single_cfg).index_series()
+    single = rolling_tables(panel, single_cfg)
     fit = estimate_var(panel, VarSpec(p=2))
     fevd = compute_fevd(ma_coefficients(fit, 10), fit.Gamma, 10)
     full = build_table(fevd.normalized, panel.names).total_spillover
@@ -334,11 +391,9 @@ def test_criterion_9_rolling_consistency():
 
     strided = rolling_tables(
         panel, RollingConfig(window=201, horizon=10, var_spec=VarSpec(p=2), step=25)
-    ).index_series()
-    positions = [dense.window_end_dates.index(d) for d in strided.window_end_dates]
-    stride_exact = bool(
-        np.array_equal(strided.index_values, dense.index_values[positions])
     )
+    positions = [dense.window_end_dates.index(d) for d in strided.window_end_dates]
+    stride_exact = np.array_equal(strided.index_values, dense.index_values[positions])
     check(
         9,
         len(dense) == 300 and elapsed < 10.0 and single_exact and stride_exact,

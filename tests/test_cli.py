@@ -143,6 +143,18 @@ class TestAnalyze:
         ) + "\n"
         assert not (out / "manifest.json").exists()
 
+    def test_too_few_rows_for_the_largest_lag_fail_every_side_in_lag_select(self, tmp_path, capsys):
+        csv_path = tmp_path / "short.csv"
+        write_walk_csv(csv_path, T=35)
+        out = tmp_path / "out"
+        code = main(["analyze", "--input", str(csv_path), "--columns", "aa,bb,cc", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "".join(
+            f"error [{side}/lag-select]: 35 rows give 27 usable observations for 25 regressors and 3 equations\n"
+            for side in ("pos", "neg", "sym")
+        )
+        assert not (out / "manifest.json").exists()
+
     def test_partial_failure_reports_each_side(self, tmp_path, capsys):
         csv_path = tmp_path / "down.csv"
         write_decreasing_csv(csv_path)

@@ -128,7 +128,7 @@ def run_kernel(panel, cfg: RollingConfig, per_window: bool):
         if issubclass(w.category, UnstableVarWarning)
     ]
     assert len(counts) <= 1
-    return result.index_series().index_values, result.gap_reasons, sum(counts)
+    return result.index_values, result.gap_reasons, sum(counts)
 
 
 def drifting_panel():

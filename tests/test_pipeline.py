@@ -19,8 +19,9 @@ from aspill.decomposition import ShockSide, TrendSpec, component_panel, decompos
 from aspill.errors import ConfigError, ManifestMismatchError, PipelineError, SeriesTooShortError
 from aspill.panel import load_csv, log_transform, write_csv
 from aspill.pipeline import RunConfig, config_from_manifest, run_pipeline
-from aspill.report import parse_table_csv
+from aspill.report import parse_table_csv, render_rolling_csv
 from aspill.rolling import RollingConfig, rolling_tables
+from aspill.svgchart import render_svg
 import aspill.var_engine as var_engine
 from aspill.var_engine import UnstableVarWarning, VarSpec, estimate_var, ma_coefficients, select_lag
 from varsim import make_panel, random_walk_matrix
@@ -183,7 +184,7 @@ class TestSingleWindowPromise:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UnstableVarWarning)
             tables = rolling_tables(panel, rolling_cfg, per_window)
-        return float(tables.index_series().index_values[0])
+        return float(tables.index_values[0])
 
     @pytest.mark.parametrize("per_window", [False, True], ids=["anchored", "per-window"])
     def test_selected_lag_is_within_1e_11_and_a_given_lag_is_exact(self, tmp_path, per_window):
@@ -205,6 +206,52 @@ class TestSingleWindowPromise:
                 out_dir = str(tmp_path / "given")
                 given = replace(selected, out_dir=out_dir, lags=record["lag"], sides=(side,))
                 assert index == run_pipeline(given).sides[side.value]["total_spillover"]
+
+
+class TestRollingOutputs:
+    """A run's rolling files and manifest summary are the library's rolling result, rendered."""
+
+    @pytest.mark.parametrize("per_window", [False, True], ids=["anchored", "per-window"])
+    def test_run_writes_the_rendered_rolling_tables(self, tmp_path, per_window):
+        # Series bb is flat for its first 140 rows, so early windows are gaps.
+        rng = np.random.default_rng(102)
+        levels = random_walk_matrix(rng, 260, 3)
+        levels[:140, 1] = levels[0, 1]
+        csv_path = tmp_path / "flat.csv"
+        write_csv(make_panel(levels, ["aa", "bb", "cc"]), csv_path)
+        cfg = base_config(
+            csv_path, tmp_path / "out", trend=TrendSpec.NONE, window=120, step=3, decompose_per_window=per_window
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UnstableVarWarning)
+            manifest = run_pipeline(cfg)
+        panel, _ = load_csv(csv_path, "date", cfg.columns)
+        gap_count = 0
+        for side in cfg.sides:
+            rolling_cfg = RollingConfig(
+                window=cfg.window,
+                horizon=cfg.horizon,
+                var_spec=VarSpec(p=cfg.lags),
+                trend_spec=cfg.trend,
+                shock_side=side,
+                step=cfg.step,
+                sigma_scaling=cfg.sigma_scaling,
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UnstableVarWarning)
+                tables = rolling_tables(panel, rolling_cfg, per_window)
+            out = Path(cfg.out_dir)
+            assert (out / f"rolling_{side.value}.csv").read_bytes() == render_rolling_csv(tables).encode()
+            assert (out / f"rolling_{side.value}.svg").read_bytes() == render_svg(tables).encode()
+            gaps = {
+                when.isoformat(): reason
+                for when, reason in zip(tables.window_end_dates, tables.gap_reasons)
+                if reason is not None
+            }
+            rolling = manifest.sides[side.value]["rolling"]
+            assert rolling == {"windows": len(tables), "gaps": len(gaps), "gap_reasons": gaps}
+            gap_count += len(gaps)
+        assert 0 < gap_count < 3 * len(tables)
 
 
 class TestFailFast:

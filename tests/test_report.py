@@ -22,7 +22,7 @@ from aspill.report import (
     render_rolling_csv,
     render_table,
 )
-from aspill.rolling import SpilloverSeries
+from aspill.rolling import RollingTables
 from test_connectedness import NEGATIVE_MATRIX, LABELS, random_table
 
 
@@ -30,13 +30,26 @@ def golden_table():
     return table_from_percent(NEGATIVE_MATRIX, LABELS)
 
 
+def index_tables(dates, values, side=ShockSide.SYMMETRIC) -> RollingTables:
+    """Two-series windows whose index is exactly values; a NaN value is a failed window.
+
+    The shares [[100 - v, v], [v, 100 - v]] have total spillover (v + v) / 2 = v.
+    """
+    v = np.asarray(values, dtype=float)
+    return RollingTables(
+        side=side,
+        labels=("a", "b"),
+        window_end_dates=tuple(dates),
+        percent=np.stack([100.0 - v, v, v, 100.0 - v], axis=-1).reshape(-1, 2, 2),
+        gap_reasons=tuple("window failed" if np.isnan(x) else None for x in v.tolist()),
+        radius=np.ones(v.size),
+        singular_values=np.ones((v.size, 3)),
+    )
+
+
 def make_series(values, start=dt.date(2006, 1, 2)):
     dates = tuple(start + dt.timedelta(days=7 * i) for i in range(len(values)))
-    return SpilloverSeries(
-        side=ShockSide.SYMMETRIC,
-        window_end_dates=dates,
-        index_values=np.asarray(values, dtype=float),
-    )
+    return index_tables(dates, values)
 
 
 class TestTableCsv:
@@ -134,12 +147,7 @@ class TestRollingCsv:
         dates, values = parse_rolling_csv(text)
         assert dates == series.window_end_dates
         np.testing.assert_array_equal(values, series.index_values)
-        again = render_rolling_csv(
-            SpilloverSeries(
-                side=ShockSide.SYMMETRIC, window_end_dates=dates, index_values=values
-            )
-        )
-        assert again == text
+        assert render_rolling_csv(index_tables(dates, values)) == text
 
     def test_gaps_at_start_middle_and_end(self):
         nan = float("nan")
@@ -148,8 +156,7 @@ class TestRollingCsv:
         assert text == writer_rolling_csv(series)
         dates, values = parse_rolling_csv(text)
         np.testing.assert_array_equal(values, series.index_values)
-        again = SpilloverSeries(side=ShockSide.SYMMETRIC, window_end_dates=dates, index_values=values)
-        assert render_rolling_csv(again) == text
+        assert render_rolling_csv(index_tables(dates, values)) == text
 
     def test_gap_row_has_empty_cell(self):
         text = render_rolling_csv(make_series([1.0, float("nan")]))

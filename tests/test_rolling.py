@@ -112,11 +112,10 @@ class TestWindowArithmetic:
     def check_single_window_equals_full_sample(panel):
         cfg = base_config(window=len(panel))
         tables = quiet_tables(panel, cfg)
-        series = tables.index_series()
-        assert len(series.index_values) == 1
+        assert len(tables.index_values) == 1
         assert np.array_equal(tables.percent[0], full_sample_table(panel, cfg).matrix)
-        assert series.index_values[0] == full_sample_index(panel, cfg)
-        assert series.window_end_dates[0] == panel.dates[-1]
+        assert tables.index_values[0] == full_sample_index(panel, cfg)
+        assert tables.window_end_dates[0] == panel.dates[-1]
 
     def test_single_window_equals_full_sample(self):
         rng = np.random.default_rng(60)
@@ -136,9 +135,9 @@ class TestWindowArithmetic:
     def test_step_one_count(self):
         rng = np.random.default_rng(61)
         panel = random_walk_panel(rng, T=155, m=2)
-        series = rolling_tables(panel, base_config(window=150)).index_series()
-        assert len(series.index_values) == 6
-        assert series.window_end_dates == panel.dates[149:]
+        tables = rolling_tables(panel, base_config(window=150))
+        assert len(tables.index_values) == 6
+        assert tables.window_end_dates == panel.dates[149:]
 
     def test_step_ten_count(self):
         rng = np.random.default_rng(62)
@@ -150,22 +149,19 @@ class TestWindowArithmetic:
     def test_stride_subsamples_stride_one(self):
         rng = np.random.default_rng(63)
         panel = random_walk_panel(rng, T=200, m=2)
-        dense = rolling_tables(panel, base_config(window=160, step=1)).index_series()
-        sparse = rolling_tables(panel, base_config(window=160, step=7)).index_series()
+        dense = rolling_tables(panel, base_config(window=160, step=1))
+        sparse = rolling_tables(panel, base_config(window=160, step=7))
         for k, date in enumerate(sparse.window_end_dates):
             j = dense.window_end_dates.index(date)
             assert sparse.index_values[k] == dense.index_values[j]
 
-    def test_index_series_matches_rolling_index(self):
+    def test_index_values_are_each_window_total_spillover(self):
         rng = np.random.default_rng(64)
         panel = random_walk_panel(rng, T=170, m=2)
-        cfg = base_config(window=160, step=2)
-        from_tables = quiet_tables(panel, cfg).index_series()
-        direct = rolling_tables(panel, cfg).index_series()
-        assert from_tables.window_end_dates == direct.window_end_dates
-        np.testing.assert_array_equal(from_tables.index_values, direct.index_values)
-        assert from_tables.side is ShockSide.SYMMETRIC
-        assert direct.side is ShockSide.SYMMETRIC
+        tables = quiet_tables(panel, base_config(window=160, step=2))
+        assert tables.side is ShockSide.SYMMETRIC
+        totals = [tables.table(i).total_spillover for i in range(len(tables))]
+        assert tables.index_values.tolist() == totals
 
 
 class TestDesignViews:
@@ -198,7 +194,7 @@ class TestDesignViews:
         panel, cfg = self.setup(name)
         component = component_panel(decompose_panel(panel, cfg.trend_spec), panel, cfg.shock_side)
         result = quiet_tables(panel, cfg)
-        values = result.index_series().index_values
+        values = result.index_values
         assert len(result) == len(range(0, len(panel) - cfg.window + 1, cfg.step)) >= 3
         for i, start in enumerate(range(0, len(panel) - cfg.window + 1, cfg.step)):
             alone = fitted_table(component.window(start, start + cfg.window), cfg)
@@ -210,7 +206,7 @@ class TestDesignViews:
     def test_single_window_equals_full_sample(self, name):
         panel, cfg = self.setup(name)
         single = replace(cfg, window=len(panel))
-        (value,) = quiet_tables(panel, single).index_series().index_values
+        (value,) = quiet_tables(panel, single).index_values
         assert value == full_sample_index(panel, single)
 
     @pytest.mark.parametrize("name", sorted(GEOMETRIES))
@@ -220,9 +216,7 @@ class TestDesignViews:
         strided = quiet_tables(panel, cfg)
         assert np.array_equal(strided.percent, dense.percent[:: cfg.step], equal_nan=True)
         assert strided.window_end_dates == dense.window_end_dates[:: cfg.step]
-        assert np.array_equal(
-            strided.index_series().index_values, dense.index_series().index_values[:: cfg.step]
-        )
+        assert np.array_equal(strided.index_values, dense.index_values[:: cfg.step])
 
     @pytest.mark.parametrize("name", sorted(GEOMETRIES))
     def test_chunk_size_never_changes_a_bit(self, name, monkeypatch):
@@ -299,8 +293,8 @@ class TestInvariance:
         dates = tuple(dt.date(2001, 1, 1) + dt.timedelta(days=i) for i in range(160))
         shifted = tuple(d + dt.timedelta(days=700) for d in dates)
         cfg = base_config(window=150)
-        a = rolling_tables(make_panel(values, dates=dates), cfg).index_series()
-        b = rolling_tables(make_panel(values, dates=shifted), cfg).index_series()
+        a = rolling_tables(make_panel(values, dates=dates), cfg)
+        b = rolling_tables(make_panel(values, dates=shifted), cfg)
         np.testing.assert_array_equal(a.index_values, b.index_values)
         assert b.window_end_dates == tuple(
             d + dt.timedelta(days=700) for d in a.window_end_dates
@@ -311,8 +305,8 @@ class TestInvariance:
         values = random_walk_matrix(rng, T=200, m=2)
         dates = tuple(dt.date(2001, 1, 1) + dt.timedelta(days=i) for i in range(200))
         cfg = base_config(window=170)
-        short = rolling_tables(make_panel(values[:185], dates=dates[:185]), cfg).index_series()
-        long = rolling_tables(make_panel(values, dates=dates), cfg).index_series()
+        short = rolling_tables(make_panel(values[:185], dates=dates[:185]), cfg)
+        long = rolling_tables(make_panel(values, dates=dates), cfg)
         assert long.window_end_dates[: len(short.window_end_dates)] == short.window_end_dates
         np.testing.assert_array_equal(
             long.index_values[: len(short.index_values)], short.index_values
@@ -334,7 +328,7 @@ class TestGaps:
         cfg = base_config(window=120, trend_spec=TrendSpec.NONE)
         result = quiet_tables(panel, cfg)
         assert len(result) == 101
-        values = np.asarray(result.index_series().index_values)
+        values = result.index_values
         bad = np.isnan(values)
         assert bad.any() and not bad.all()
         for i, (flag, reason) in enumerate(zip(bad, result.gap_reasons)):
@@ -395,8 +389,8 @@ class TestDecompositionScope:
         rng = np.random.default_rng(70)
         panel = random_walk_panel(rng, T=200, m=2, drift=0.05)
         cfg = base_config(window=160, shock_side=ShockSide.POSITIVE)
-        full = rolling_tables(panel, cfg).index_series()
-        per_window = rolling_tables(panel, cfg, decompose_per_window=True).index_series()
+        full = rolling_tables(panel, cfg)
+        per_window = rolling_tables(panel, cfg, decompose_per_window=True)
         assert full.window_end_dates == per_window.window_end_dates
         assert not np.array_equal(full.index_values, per_window.index_values)
 
@@ -421,8 +415,8 @@ class TestDecompositionScope:
         rng = np.random.default_rng(71)
         panel = random_walk_panel(rng, T=180, m=2)
         cfg = base_config(window=160)
-        a = rolling_tables(panel, cfg).index_series()
-        b = rolling_tables(panel, cfg, decompose_per_window=True).index_series()
+        a = rolling_tables(panel, cfg)
+        b = rolling_tables(panel, cfg, decompose_per_window=True)
         np.testing.assert_array_equal(a.index_values, b.index_values)
 
 
@@ -449,8 +443,8 @@ class TestRandomWalkLevels:
         for rep in range(10):
             rng = np.random.default_rng(3000 + rep)
             panel = random_walk_panel(rng, T=500, m=3)
-            series = rolling_tables(panel, base_config(window=200, step=25)).index_series()
-            finite = [v for v in series.index_values if not np.isnan(v)]
+            tables = rolling_tables(panel, base_config(window=200, step=25))
+            finite = [v for v in tables.index_values if not np.isnan(v)]
             assert finite
             worst = max(worst, max(finite))
         assert worst < 25.0
@@ -486,9 +480,7 @@ class TestMirror:
         # intercept and its own lags, unless a fitted time trend bends it.
         assert any(pos.gap_reasons) == (trend is not TrendSpec.DRIFT_AND_TREND)
         assert np.array_equal(pos.percent, neg.percent, equal_nan=True)
-        assert np.array_equal(
-            pos.index_series().index_values, neg.index_series().index_values, equal_nan=True
-        )
+        assert np.array_equal(pos.index_values, neg.index_values, equal_nan=True)
 
 
 class TestWindowOutcomes:

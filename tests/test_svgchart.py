@@ -9,15 +9,13 @@ import numpy as np
 import pytest
 
 from aspill.decomposition import ShockSide
-from aspill.rolling import SpilloverSeries
 from aspill.svgchart import render_plot, render_svg
+from test_report import index_tables
 
 
 def make_series(values, side=ShockSide.SYMMETRIC, start=dt.date(2007, 3, 1)):
     dates = tuple(start + dt.timedelta(days=i) for i in range(len(values)))
-    return SpilloverSeries(
-        side=side, window_end_dates=dates, index_values=np.asarray(values, dtype=float)
-    )
+    return index_tables(dates, values, side)
 
 
 class TestRenderSvg:
@@ -75,11 +73,8 @@ class TestRenderSvg:
         assert text.count("<polyline ") == 0
 
     def test_empty_series_rejected(self):
-        series = SpilloverSeries(
-            side=ShockSide.SYMMETRIC, window_end_dates=(), index_values=np.array([])
-        )
         with pytest.raises(ValueError):
-            render_svg(series)
+            render_svg(make_series([]))
 
     def test_axis_labels_present(self):
         series = make_series([10.0, 50.0, 90.0])
@@ -91,11 +86,7 @@ class TestRenderSvg:
 
     def test_date_ordinal_spacing(self):
         dates = (dt.date(2007, 3, 1), dt.date(2007, 3, 2), dt.date(2007, 3, 11))
-        series = SpilloverSeries(
-            side=ShockSide.SYMMETRIC,
-            window_end_dates=dates,
-            index_values=np.array([10.0, 20.0, 30.0]),
-        )
+        series = index_tables(dates, [10.0, 20.0, 30.0])
         points = re.search(r'<polyline points="([^"]+)"', render_svg(series)).group(1)
         xs = [float(p.split(",")[0]) for p in points.split()]
         assert (xs[1] - xs[0]) == pytest.approx((xs[2] - xs[0]) / 10.0, abs=0.02)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aspill.errors import InsufficientDataError, SingularDesignError
+from aspill.errors import ConfigError, InsufficientDataError, SingularDesignError
 from aspill.var_engine import (
     _BLOCK_ROWS,
     UnstableVarWarning,
@@ -254,6 +254,22 @@ class TestSelectLag:
         panel = make_panel(rng.normal(size=(10, 3)))
         with pytest.raises(InsufficientDataError):
             select_lag(panel, 4)
+
+    @pytest.mark.parametrize("T", [34, 35])
+    def test_largest_candidate_obeys_the_sample_size_rule(self, T):
+        # 8 lags of 3 series: T - 8 usable rows for 25 regressors leave fewer
+        # than the 3 residual degrees of freedom a positive definite Gamma needs.
+        panel = random_walk_panel(np.random.default_rng(25), T=T, m=3)
+        message = f"^{T} rows give {T - 8} usable observations for 25 regressors and 3 equations$"
+        with pytest.raises(InsufficientDataError, match=message):
+            select_lag(panel, 8)
+        longer = random_walk_panel(np.random.default_rng(25), T=36, m=3)
+        assert 1 <= select_lag(longer, 8) <= 8
+
+    def test_lag_order_below_one_is_a_config_error(self):
+        panel = make_panel(np.random.default_rng(26).normal(size=(100, 2)))
+        with pytest.raises(ConfigError, match="p must be >= 1, got 0"):
+            select_lag(panel, 0)
 
     def test_singular_design_reports_condition(self):
         rng = np.random.default_rng(24)

@@ -101,17 +101,22 @@ def random_walk_panel(
     return make_panel(random_walk_matrix(rng, T, m, drift))
 
 
-def asymmetric_walks(rng: np.random.Generator, planted: ShockSide | None) -> np.ndarray:
-    """1500 log levels of 3 markets; markets 1 and 2 respond to market 0's shocks of one sign.
+def asymmetric_walks(
+    rng: np.random.Generator, planted: ShockSide | None, T: int = 1500, switch_to: ShockSide | None = None
+) -> np.ndarray:
+    """T log levels of 3 markets; markets 1 and 2 respond to market 0's shocks of one sign.
 
     Every increment is a normal shock of standard deviation 0.01; markets
     1 and 2 add 0.5 times market 0's previous shock, clamped to its
     negative part (planted NEGATIVE) or its positive part (POSITIVE).
-    With planted None the walks are independent.
+    With planted None the walks are independent. With switch_to, rows
+    from T // 2 on respond to the switch_to side instead: a planted break.
     """
-    shocks = rng.normal(scale=0.01, size=(1500, 3))
+    shocks = rng.normal(scale=0.01, size=(T, 3))
     increments = shocks.copy()
-    if planted is not None:
-        clamp = {ShockSide.NEGATIVE: np.minimum, ShockSide.POSITIVE: np.maximum}[planted]
-        increments[1:, 1:] += 0.5 * clamp(shocks[:-1, :1], 0.0)
+    clamp = {ShockSide.NEGATIVE: np.minimum, ShockSide.POSITIVE: np.maximum}
+    switch = T if switch_to is None else T // 2
+    for side, rows in ((planted, slice(1, switch)), (switch_to, slice(switch, T))):
+        if side is not None:
+            increments[rows, 1:] += 0.5 * clamp[side](shocks[rows.start - 1 : rows.stop - 1, :1], 0.0)
     return np.cumsum(increments, axis=0)
