@@ -56,13 +56,8 @@ class DecomposedPanel:
     fits: tuple[TrendFit, ...]
 
 
-def _split(
-    g: np.ndarray,
-    spec: TrendSpec,
-    sides: tuple[ShockSide, ...] = (ShockSide.POSITIVE, ShockSide.NEGATIVE),
-    out: tuple[np.ndarray, ...] | None = None,
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """c and d, each (s,), and the components of each of sides of (s, T) C-contiguous walks.
+def _split(g: np.ndarray, spec: TrendSpec, side: ShockSide) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """c and d, each (s,), and the (s, T) components on side of (s, T) C-contiguous walks.
 
     Differencing turns the level recursion into dG_t = c + d t + v_t,
     a plain regression on {1, t}. Variants force c or d to zero rather
@@ -73,9 +68,8 @@ def _split(
     c t + d t(t+1)/2 + G_0 plus its own cumulative shocks; at t=0 both
     sides equal G_0 / 2, and G+ + G- reproduces the walk. Every sum runs
     along one contiguous row, so a walk's bits do not depend on the rows
-    beside it. Work is done in place, into out[k] for sides[k] when out
-    is given (any strides), to keep a decomposition from holding many
-    sample-sized temporaries at once.
+    beside it. The shocks are clamped and summed in place, and the
+    components are built in the array of the half path.
     """
     shocks = g[:, 1:] - g[:, :-1]
     t = np.arange(1, g.shape[1], dtype=float)
@@ -91,37 +85,31 @@ def _split(
     shocks -= c[:, np.newaxis]
     shocks -= d[:, np.newaxis] * t
     t = np.arange(g.shape[1], dtype=float)
-    half = c[:, np.newaxis] * t
-    half += d[:, np.newaxis] * t * (t + 1.0) / 2.0
-    half += g[:, :1]
-    half /= 2.0
-    parts = []
-    for k, side in enumerate(sides):
-        part = np.empty_like(half) if out is None else out[k]
-        clamp = np.maximum if side is ShockSide.POSITIVE else np.minimum
-        running = clamp(shocks, 0.0)
-        np.cumsum(running, axis=1, out=running)
-        # The cumulative shocks start from 0 at t=0: part = [0, running] + half.
-        np.add(half[:, :1], 0.0, out=part[:, :1])
-        np.add(half[:, 1:], running, out=part[:, 1:])
-        parts.append(part)
-    return c, d, parts
+    part = c[:, np.newaxis] * t
+    part += d[:, np.newaxis] * t * (t + 1.0) / 2.0
+    part += g[:, :1]
+    part /= 2.0
+    clamp = np.maximum if side is ShockSide.POSITIVE else np.minimum
+    clamp(shocks, 0.0, out=shocks)
+    np.cumsum(shocks, axis=1, out=shocks)
+    # The cumulative shocks start from 0 at t=0: part = half path + [0, shocks].
+    # Adding that 0 turns a -0.0 first level into +0.0, as the sum does.
+    part[:, :1] += 0.0
+    part[:, 1:] += shocks
+    return c, d, part
 
 
 def component_stack(stack: np.ndarray, spec: TrendSpec, side: ShockSide) -> np.ndarray:
-    """A side's components of every window in a (c, W, m) stack, each anchored at its first row.
+    """The components on side of every window in a (c, W, m) stack, each anchored at its first row.
 
     Each window's series are split as contiguous rows, as decompose_panel
     splits a full sample's, so a window's components are those of the
-    full-sample decomposition of its rows, bit for bit.
+    full-sample decomposition of its rows, bit for bit. side is
+    POSITIVE or NEGATIVE.
     """
-    spec, side = TrendSpec(spec), ShockSide(side)
-    if side is ShockSide.SYMMETRIC:
-        return stack
     c, W, m = stack.shape
     g = np.ascontiguousarray(stack.swapaxes(1, 2)).reshape(c * m, W)
-    (part,) = _split(g, spec, (side,))[2]
-    return part.reshape(c, m, W).swapaxes(1, 2)
+    return _split(g, spec, side)[2].reshape(c, m, W).swapaxes(1, 2)
 
 
 def check_length(panel: Panel) -> None:
@@ -135,39 +123,34 @@ def check_length(panel: Panel) -> None:
         )
 
 
-def _components(
-    panel: Panel, spec: TrendSpec, sides: tuple[ShockSide, ...]
-) -> tuple[list[Panel], list[TrendFit]]:
-    """The component panel of each of sides, and each series' trend fit."""
+def _components(panel: Panel, spec: TrendSpec, side: ShockSide) -> tuple[Panel, list[TrendFit]]:
+    """The component panel of side, and each series' trend fit."""
     check_length(panel)
     # One series at a time, as a (1, T) row whose components are written
-    # straight into column j of the (T, m) outputs: only a few T-length
-    # temporaries, the series' shocks among them, are held beside the
-    # outputs. The sides share one allocation, as they share a lifetime:
-    # one array of 4 MiB or more is one numpy asks the kernel to back with
-    # huge pages, which makes the first, strided writes into it cheaper.
+    # into column j of the (T, m) output: only a few T-length temporaries,
+    # the series' shocks among them, are held beside the output.
     T, m = panel.matrix.shape
-    parts = np.empty((len(sides), T, m))
+    components = np.empty((T, m))
     fits = []
     for j in range(m):
         g = np.ascontiguousarray(panel.matrix[:, j])[np.newaxis]
-        c, d, _ = _split(g, spec, sides, out=tuple(part[np.newaxis, :, j] for part in parts))
+        c, d, components[:, j] = _split(g, spec, side)
         fits.append(TrendFit(c=float(c[0]), d=float(d[0]), g0=float(g[0, 0])))
-    panels = [
-        Panel._on_checked_dates(tuple(f"{name}_{side.value}" for name in panel.names), panel.dates, part)
-        for side, part in zip(sides, parts)
-    ]
-    return panels, fits
+    names = tuple(f"{name}_{side.value}" for name in panel.names)
+    return Panel._on_checked_dates(names, panel.dates, components), fits
 
 
 def decompose_panel(panel: Panel, spec: TrendSpec) -> DecomposedPanel:
     """Split every series of the panel into G+ and G-, which sum back to it.
 
-    fits[j] holds the trend fit of series j. A panel too short for the
-    trend fit names every one of its series in the error. spec is a
-    TrendSpec or its value; any other value raises ValueError.
+    Each side is one split, as split_side makes it. fits[j] holds the
+    trend fit of series j. A panel too short for the trend fit names
+    every one of its series in the error. spec is a TrendSpec or its
+    value; any other value raises ValueError.
     """
-    (plus, minus), fits = _components(panel, TrendSpec(spec), (ShockSide.POSITIVE, ShockSide.NEGATIVE))
+    spec = TrendSpec(spec)
+    plus, fits = _components(panel, spec, ShockSide.POSITIVE)
+    minus, _ = _components(panel, spec, ShockSide.NEGATIVE)
     return DecomposedPanel(plus_panel=plus, minus_panel=minus, fits=tuple(fits))
 
 
@@ -181,8 +164,7 @@ def split_side(panel: Panel, spec: TrendSpec, side: ShockSide) -> Panel:
     spec, side = TrendSpec(spec), ShockSide(side)
     if side is ShockSide.SYMMETRIC:
         return panel
-    (components,), _ = _components(panel, spec, (side,))
-    return components
+    return _components(panel, spec, side)[0]
 
 
 def component_panel(decomposed: DecomposedPanel, source: Panel, side: ShockSide) -> Panel:

@@ -16,9 +16,15 @@ from datetime import date
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .connectedness import ConnectednessTable, compute_fevd, table_from_percent, total_spillovers
+from .connectedness import (
+    SIGMA_SCALINGS,
+    ConnectednessTable,
+    compute_fevd,
+    table_from_percent,
+    total_spillovers,
+)
 from .decomposition import ShockSide, TrendSpec, component_stack, split_side
-from .errors import AllWindowsFailedError, InsufficientDataError
+from .errors import AllWindowsFailedError, ConfigError, InsufficientDataError
 from .panel import Panel
 from .var_engine import (
     UnstableVarWarning,
@@ -58,6 +64,13 @@ class RollingConfig:
         object.__setattr__(self, "shock_side", ShockSide(self.shock_side))
         for name in ("step", "horizon", "window"):
             check_count(name, getattr(self, name))
+        if not isinstance(self.var_spec, VarSpec):
+            raise ConfigError(f"config field 'var_spec' must be a VarSpec, got {self.var_spec!r}")
+        if self.sigma_scaling not in SIGMA_SCALINGS:
+            raise ConfigError(
+                f"config field 'sigma_scaling' must be one of {list(SIGMA_SCALINGS)}, "
+                f"got {self.sigma_scaling!r}"
+            )
 
 
 @dataclass(frozen=True, eq=False)

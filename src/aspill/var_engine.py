@@ -351,10 +351,9 @@ def fit_sample(
         SingularDesignError: collinear regressors.
     """
     lags = spec.p_effective
-    check_sample(len(panel), panel.m, spec)
-    fresh = factor is None or lags > factor.lags
-    r = factor_sample(panel, lags).r if fresh else factor.derived_r(lags)
-    fit = _fit_r(r[np.newaxis], len(panel) - lags, spec)
+    if factor is None or lags > factor.lags:
+        factor = factor_sample(panel, lags)
+    fit = _fit_r(factor.derived_r(lags)[np.newaxis], len(panel) - lags, spec)
     if fit.rank[0] < fit.k:
         raise _rank_deficient(fit.rank[0], fit.singular_values[0])
     if fit.unstable[0]:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aspill.decomposition import TrendSpec, _split, decompose_panel
+from aspill.decomposition import ShockSide, TrendSpec, _split, decompose_panel
 from aspill.errors import (
     AspillError,
     DuplicateDateError,
@@ -379,7 +379,7 @@ class TestFlatPanel:
         panel = make_panel(np.cumsum(rng.normal(size=(40, 3)), axis=0))
         decomposed = decompose_panel(panel, spec)
         g = np.stack([panel.matrix[:, j] for j in range(panel.m)])
-        plus, minus = _split(g, spec)[2]
+        plus, minus = (_split(g, spec, side)[2] for side in (ShockSide.POSITIVE, ShockSide.NEGATIVE))
         sides = (("_pos", decomposed.plus_panel, plus), ("_neg", decomposed.minus_panel, minus))
         for suffix, side, expected in sides:
             assert side.names == tuple(name + suffix for name in panel.names)

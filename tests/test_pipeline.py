@@ -443,9 +443,9 @@ class TestDecompositionReuse:
         in_rolling = []
         split, roll = decomposition._components, pipeline.rolling_tables
 
-        def counting_split(panel, spec, sides):
-            calls.append((sides, bool(in_rolling)))
-            return split(panel, spec, sides)
+        def counting_split(panel, spec, side):
+            calls.append((side, bool(in_rolling)))
+            return split(panel, spec, side)
 
         def marked_roll(*args, **kwargs):
             in_rolling.append(True)
@@ -459,7 +459,7 @@ class TestDecompositionReuse:
         csv_path = tmp_path / "walk.csv"
         write_walk_csv(csv_path)
         run_pipeline(base_config(csv_path, tmp_path / "out", window=220, step=5))
-        assert calls == [((ShockSide.POSITIVE,), False), ((ShockSide.NEGATIVE,), False)]
+        assert calls == [(ShockSide.POSITIVE, False), (ShockSide.NEGATIVE, False)]
 
 
 class TestMemory:

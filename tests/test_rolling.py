@@ -265,6 +265,20 @@ class TestConfig:
             else:
                 base_config(**{"window": 150, field: value})
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("sigma_scaling", "JJ", "config field 'sigma_scaling' must be one of ['jj', 'ii'], got 'JJ'"),
+            ("sigma_scaling", None, "config field 'sigma_scaling' must be one of ['jj', 'ii'], got None"),
+            ("var_spec", 2, "config field 'var_spec' must be a VarSpec, got 2"),
+        ],
+    )
+    def test_bad_setting_is_rejected_when_the_config_is_built(self, field, value, message):
+        # Before any window is fitted, not as a raw error from deep in the run.
+        with pytest.raises(ConfigError) as caught:
+            base_config(**{"window": 150, field: value})
+        assert str(caught.value) == message
+
 
 class TestMemory:
     # Peaks measured at 3.8 (1,901 windows) and 3.9 (7,901) _CHUNK_BYTES;
