@@ -18,12 +18,13 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from .atomic import write_atomic
+from .config import _field_from_json, _to_json
 from .connectedness import SIGMA_SCALINGS
 from .decomposition import ShockSide, TrendSpec, decompose_panel
 from .errors import AspillError, ConfigError, MalformedCsvError, PipelineError
 from .fred import DEFAULT_CACHE_DIR, fetch_fred
 from .panel import Panel, align, check_columns, load_csv, log_transform, parse_date, write_csv
-from .pipeline import RunConfig, _field_from_json, _to_json, config_from_manifest, run_pipeline
+from .pipeline import RunConfig, config_from_manifest, run_pipeline
 from .report import _FORMATS, parse_table_csv, render_table
 from .var_engine import CRITERIA
 from .version import __version__

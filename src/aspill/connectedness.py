@@ -19,6 +19,7 @@ from .errors import DegenerateCovarianceError
 SIGMA_SCALINGS = ("jj", "ii")
 
 _DIAGONAL_NOT_POSITIVE = "covariance diagonal must be strictly positive"
+_DIAGONAL_OUT_OF_RANGE = "covariance diagonal outside 2^-500..2^500: a series is too large or too small"
 _ZERO_FEV = "zero forecast-error variance in at least one equation"
 _ROW_NOT_POSITIVE = "cannot normalize a row with non-positive sum"
 
@@ -82,13 +83,19 @@ def gfevd_stack(
         raise ValueError(f"sigma_scaling must be one of {SIGMA_SCALINGS}, got {sigma_scaling!r}")
     sigma_diag = np.diagonal(gamma, axis1=1, axis2=2)
     c, m = sigma_diag.shape
+    bad_sigma = np.any(sigma_diag <= 0.0, axis=1)
+    # The squares below of a variance beyond 2^±500 (about 1e±150) leave the normal floats.
+    bad_range = ~np.all((sigma_diag >= 2.0**-500) & (sigma_diag <= 2.0**500), axis=1)
+    if bad_range.any():
+        # Such windows, bad_sigma's among them, run on a zero covariance so that they raise no warning.
+        gamma = np.where(bad_range[:, np.newaxis, np.newaxis], 0.0, gamma)
+        sigma_diag = np.diagonal(gamma, axis1=1, axis2=2)
     numerator = np.zeros((c, m, m))
     denominator = np.zeros((c, m))
     for i in range(n + 1):
         A = K[:, i] @ gamma
         numerator += A * A
         denominator += (A * K[:, i]).sum(axis=2)
-    bad_sigma = np.any(sigma_diag <= 0.0, axis=1)
     bad_fev = np.any(denominator <= 0.0, axis=1)
     # Failed windows divide by one so that no warning is raised for them.
     sigma_diag = np.where(sigma_diag <= 0.0, 1.0, sigma_diag)
@@ -98,8 +105,8 @@ def gfevd_stack(
     else:
         numerator = numerator / sigma_diag[:, :, np.newaxis]
     reasons = [
-        _DIAGONAL_NOT_POSITIVE if sigma else _ZERO_FEV if fev else None
-        for sigma, fev in zip(bad_sigma.tolist(), bad_fev.tolist())
+        _DIAGONAL_NOT_POSITIVE if sigma else _DIAGONAL_OUT_OF_RANGE if scale else _ZERO_FEV if fev else None
+        for sigma, scale, fev in zip(bad_sigma.tolist(), bad_range.tolist(), bad_fev.tolist())
     ]
     return numerator / denominator[:, :, np.newaxis], reasons
 

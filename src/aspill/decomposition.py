@@ -14,6 +14,7 @@ from enum import Enum
 
 import numpy as np
 
+from .config import _field_from_json
 from .errors import SeriesTooShortError
 from .panel import Panel
 
@@ -146,9 +147,9 @@ def decompose_panel(panel: Panel, spec: TrendSpec) -> DecomposedPanel:
     Each side is one split, as split_side makes it. fits[j] holds the
     trend fit of series j. A panel too short for the trend fit names
     every one of its series in the error. spec is a TrendSpec or its
-    value; any other value raises ValueError.
+    value; any other value raises ConfigError naming it.
     """
-    spec = TrendSpec(spec)
+    spec = _field_from_json("spec", TrendSpec, spec)
     plus, fits = _components(panel, spec, ShockSide.POSITIVE)
     minus, _ = _components(panel, spec, ShockSide.NEGATIVE)
     return DecomposedPanel(plus_panel=plus, minus_panel=minus, fits=tuple(fits))
@@ -161,7 +162,7 @@ def split_side(panel: Panel, spec: TrendSpec, side: ShockSide) -> Panel:
     panel, not two; it equals component_panel(decompose_panel(panel,
     spec), panel, side) bit for bit. Raises as decompose_panel does.
     """
-    spec, side = TrendSpec(spec), ShockSide(side)
+    spec, side = _field_from_json("spec", TrendSpec, spec), _field_from_json("side", ShockSide, side)
     if side is ShockSide.SYMMETRIC:
         return panel
     return _components(panel, spec, side)[0]
@@ -169,7 +170,7 @@ def split_side(panel: Panel, spec: TrendSpec, side: ShockSide) -> Panel:
 
 def component_panel(decomposed: DecomposedPanel, source: Panel, side: ShockSide) -> Panel:
     """Panel an analysis side runs on: a component panel or the source itself."""
-    side = ShockSide(side)
+    side = _field_from_json("side", ShockSide, side)
     if side is ShockSide.POSITIVE:
         return decomposed.plus_panel
     if side is ShockSide.NEGATIVE:

@@ -14,12 +14,12 @@ import json
 import warnings
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields, replace
-from enum import Enum
 from pathlib import Path
-from typing import Any, Iterator, Literal, get_args, get_origin, get_type_hints
+from typing import Any, Iterator, Literal, get_type_hints
 
 from .atomic import write_atomic
-from .connectedness import SIGMA_SCALINGS, net_measures, table_from_percent
+from .config import _field_from_json, _to_json, check_count
+from .connectedness import SIGMA_SCALINGS, net_measures
 from .decomposition import ShockSide, TrendSpec, check_length, split_side
 from .errors import (
     AspillError,
@@ -30,9 +30,9 @@ from .errors import (
 )
 from .panel import Panel, check_columns, load_csv, log_transform
 from .report import render_net_json, render_rolling_csv, render_table
-from .rolling import RollingConfig, rolling_tables, spillover_shares
+from .rolling import RollingConfig, fit_tables, rolling_tables
 from .svgchart import render_plot
-from .var_engine import CRITERIA, VarSpec, check_count, factor_sample, fit_sample
+from .var_engine import CRITERIA, VarSpec, factor_sample, fit_sample
 from .version import __version__
 
 MANIFEST_NAME = "manifest.json"
@@ -108,55 +108,6 @@ class RunConfig:
         return cls(**data)
 
 
-def _to_json(value: Any) -> Any:
-    """A config value as JSON: an Enum as its value, a tuple or list as a list."""
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, (tuple, list)):
-        return [_to_json(item) for item in value]
-    return value
-
-
-def _field_from_json(name: str, kind: Any, value: Any) -> Any:
-    """A config field read as its annotated type kind, or ConfigError naming it.
-
-    An Enum member or its value gives the member; a tuple or a list gives a tuple.
-    """
-
-    def wrong(expected: str) -> ConfigError:
-        return ConfigError(f"config field {name!r} must be {expected}, got {value!r}")
-
-    if get_origin(kind) is tuple:
-        # Names, or the members or values of an Enum.
-        item = get_args(kind)[0]
-        if not isinstance(value, (list, tuple)) or not all(isinstance(v, (str, item)) for v in value):
-            raise wrong("a list of strings")
-        if issubclass(item, Enum):
-            choices = [member.value for member in item]
-            if not {_to_json(v) for v in value} <= set(choices):
-                raise wrong(f"a list drawn from {choices}")
-        return tuple(item(v) for v in value)
-    if get_origin(kind) is Literal:
-        if value not in get_args(kind):
-            raise wrong(f"one of {list(get_args(kind))}")
-        return value
-    if isinstance(kind, type) and issubclass(kind, Enum):
-        choices = [member.value for member in kind]
-        if not isinstance(value, kind) and value not in choices:
-            raise wrong(f"one of {choices}")
-        return kind(value)
-    nullable = type(None) in get_args(kind)
-    if nullable:
-        if value is None:
-            return value
-        (kind,) = (option for option in get_args(kind) if option is not type(None))
-    # bool is an int to isinstance, but a count written as true is a slip.
-    if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
-        return value
-    expected = {str: "a string", bool: "true or false", int: "an integer"}[kind]
-    raise wrong(expected + (" or null" if nullable else ""))
-
-
 @dataclass(frozen=True)
 class RunManifest:
     """Record of one completed run."""
@@ -213,13 +164,7 @@ def _stage(name: str) -> Iterator[None]:
         raise _StageFailure(name, exc) from exc
 
 
-def _run_side(
-    cfg: RunConfig,
-    side: ShockSide,
-    panel: Panel,
-    labels: tuple[str, ...],
-    out_dir: Path,
-) -> dict[str, Any]:
+def _run_side(cfg: RunConfig, side: ShockSide, panel: Panel, out_dir: Path) -> dict[str, Any]:
     summary: dict[str, Any] = {}
     files: dict[str, str] = {}
     names = _side_outputs(side)
@@ -237,26 +182,21 @@ def _run_side(
                 lag = factor.select(cfg.lag_select)
             # The full sample is the one window that spans it.
             sample_cfg = RollingConfig(
-                window=len(panel),
-                horizon=cfg.horizon,
-                var_spec=VarSpec(p=lag, ty_extra_lags=1 if cfg.ty_augment else 0),
-                trend_spec=cfg.trend,
-                shock_side=side,
-                sigma_scaling=cfg.sigma_scaling,
+                len(panel), cfg.horizon, VarSpec(p=lag, ty_extra_lags=1 if cfg.ty_augment else 0),
+                trend_spec=cfg.trend, shock_side=side, sigma_scaling=cfg.sigma_scaling,
             )
         with _stage("estimate"):
             # The factor that ranks the candidate lags also fits the chosen one.
             fit = fit_sample(side_panel, sample_cfg.var_spec, factor)
         with _stage("fevd"):
-            percent, (reason,) = spillover_shares(fit, sample_cfg)
-            if reason is not None:
-                raise DegenerateCovarianceError(reason)
+            sample = fit_tables(fit, sample_cfg, panel.names, panel.dates[-1:])
+            if sample.gap_reasons[0] is not None:
+                raise DegenerateCovarianceError(sample.gap_reasons[0])
         with _stage("table"):
-            table = table_from_percent(percent[0], labels, row_sum_tol=1e-4)
+            table = sample.table(0)
             net = net_measures(table)
 
-        summary["lag"] = lag
-        summary["total_spillover"] = table.total_spillover
+        summary.update(lag=lag, total_spillover=table.total_spillover)
 
         if cfg.emit_tables:
             with _stage("write-tables"):
@@ -303,8 +243,8 @@ def run_pipeline(cfg: RunConfig) -> RunManifest:
     input_path = Path(cfg.input_path)
     panel, dropped = load_csv(input_path, cfg.date_column, cfg.columns)
     if cfg.log:
-        panel = log_transform(panel)
-    labels = tuple(cfg.columns)
+        # The run names each series by its column, logged or not.
+        panel = Panel._on_checked_dates(cfg.columns, panel.dates, log_transform(panel).matrix)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / MANIFEST_NAME).unlink(missing_ok=True)
@@ -320,7 +260,7 @@ def run_pipeline(cfg: RunConfig) -> RunManifest:
     failed: list[tuple[str, _StageFailure]] = []
     for side in cfg.sides:
         try:
-            side_summaries[side.value] = _run_side(cfg, side, panel, labels, out_dir)
+            side_summaries[side.value] = _run_side(cfg, side, panel, out_dir)
         except _StageFailure as failure:
             failed.append((side.value, failure))
     if failed:

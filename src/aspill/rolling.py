@@ -12,6 +12,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from datetime import date
+from typing import Literal, get_type_hints
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -23,8 +24,9 @@ from .connectedness import (
     table_from_percent,
     total_spillovers,
 )
+from .config import _field_from_json, check_count
 from .decomposition import ShockSide, TrendSpec, component_stack, split_side
-from .errors import AllWindowsFailedError, ConfigError, InsufficientDataError
+from .errors import AllWindowsFailedError, InsufficientDataError
 from .panel import Panel
 from .var_engine import (
     UnstableVarWarning,
@@ -32,8 +34,8 @@ from .var_engine import (
     VarStack,
     _fit_r,
     _r_factor,
+    _rank_deficient,
     _window_blocks,
-    check_count,
     check_sample,
     design_bytes,
     design_row_bytes,
@@ -56,32 +58,25 @@ class RollingConfig:
     trend_spec: TrendSpec = TrendSpec.DRIFT
     shock_side: ShockSide = ShockSide.SYMMETRIC
     step: int = 1
-    sigma_scaling: str = "jj"
+    sigma_scaling: Literal[SIGMA_SCALINGS] = "jj"
 
     def __post_init__(self) -> None:
-        # A value in place of its member is read here once; any other raises ValueError.
-        object.__setattr__(self, "trend_spec", TrendSpec(self.trend_spec))
-        object.__setattr__(self, "shock_side", ShockSide(self.shock_side))
+        # Each field is read as its annotation declares, as RunConfig's are.
+        for name, kind in get_type_hints(RollingConfig).items():
+            object.__setattr__(self, name, _field_from_json(name, kind, getattr(self, name)))
         for name in ("step", "horizon", "window"):
             check_count(name, getattr(self, name))
-        if not isinstance(self.var_spec, VarSpec):
-            raise ConfigError(f"config field 'var_spec' must be a VarSpec, got {self.var_spec!r}")
-        if self.sigma_scaling not in SIGMA_SCALINGS:
-            raise ConfigError(
-                f"config field 'sigma_scaling' must be one of {list(SIGMA_SCALINGS)}, "
-                f"got {self.sigma_scaling!r}"
-            )
 
 
 @dataclass(frozen=True, eq=False)
 class RollingTables:
     """Connectedness of every window, as arrays over the windows.
 
-    percent is the (n, m, m) stack of percent-scaled shares, NaN where a
-    window failed; gap_reasons says why. radius is each fit's companion
-    spectral radius and singular_values the singular values of its
-    regressor matrix (R11), largest first; a rank-deficient window's
-    radius is NaN, since it has no coefficients.
+    A full sample is the record of the one window that spans it. percent
+    is the (n, m, m) stack of percent shares, NaN where a window failed;
+    gap_reasons says why. radius is each fit's companion spectral radius
+    and singular_values those of its column-scaled R11, largest first; a
+    rank-deficient window's radius is NaN, since it has no coefficients.
     """
 
     side: ShockSide
@@ -99,7 +94,8 @@ class RollingTables:
         """The connectedness table of window i, or None where it failed."""
         if self.gap_reasons[i] is not None:
             return None
-        return table_from_percent(self.percent[i], self.labels)
+        # Kernel output: rows sum to 100 within 1e-4 pp, not a published table's 0.5.
+        return table_from_percent(self.percent[i], self.labels, row_sum_tol=1e-4)
 
     @property
     def index_values(self) -> np.ndarray:
@@ -107,17 +103,29 @@ class RollingTables:
         return total_spillovers(self.percent)
 
 
-def spillover_shares(fit: VarStack, cfg: RollingConfig) -> tuple[np.ndarray, list[str | None]]:
-    """Percent-scaled shares of every fit in the stack, and why each failed (None where none did).
+def fit_tables(
+    fit: VarStack, cfg: RollingConfig, labels: tuple[str, ...], window_end_dates: tuple[date, ...]
+) -> RollingTables:
+    """The record of every fit in the stack, fit i being the window that ends on window_end_dates[i].
 
-    A rank-deficient fit's reason comes first; a failed fit's shares are finite filler.
+    A gap's reason is the rank's first, then the generalized FEVD's; its shares are NaN.
     """
     ma = ma_stack(fit.B[:, : fit.p], cfg.horizon)
     fevd = compute_fevd(ma, fit.Gamma, cfg.horizon, cfg.sigma_scaling)
     reasons = list(fevd.gap_reasons)
     for i in np.flatnonzero(fit.rank < fit.k).tolist():
-        reasons[i] = fit.failure(i)
-    return fevd.normalized * 100.0, reasons
+        reasons[i] = str(_rank_deficient(fit.rank[i], fit.singular_values[i]))
+    percent = fevd.normalized * 100.0
+    percent[np.array([reason is not None for reason in reasons])] = np.nan
+    return RollingTables(
+        side=cfg.shock_side,
+        labels=labels,
+        window_end_dates=window_end_dates,
+        percent=percent,
+        gap_reasons=tuple(reasons),
+        radius=np.where(fit.rank < fit.k, np.nan, fit.radius),
+        singular_values=fit.singular_values,
+    )
 
 
 def rolling_tables(
@@ -135,16 +143,18 @@ def rolling_tables(
     side runs on over the full sample, as split_side(panel,
     cfg.trend_spec, cfg.shock_side) returns it, so it is not split again.
 
-    Windows run in two stages under the one _CHUNK_BYTES budget. QR
-    chunks of about _CHUNK_BYTES of design fold each window's augmented
-    design into its R factor. Without decompose_per_window the windows of
-    a chunk are views of design blocks built once over the rows they span;
-    with it, each window's components, and so its design, are its own.
-    Fit batches of whole QR chunks, about _CHUNK_BYTES of R factors, then
-    run the rank, solve, companion radius, MA recursion and generalized
-    FEVD once per batch. Every window folds its own rows in the same
-    blocks and each stacked step treats the windows one by one, so neither
-    the chunk nor the batch size changes a bit of the result.
+    Windows run in two stages under the one _CHUNK_BYTES budget. QR chunks
+    of about _CHUNK_BYTES of design fold each window's augmented design
+    into its R factor. Without decompose_per_window the windows of a chunk
+    are views of design blocks built once over the rows they span; with
+    it, each window's components, and so its design, are its own. Fit
+    batches of whole QR chunks, about _CHUNK_BYTES of R factors, then run
+    the rank, solve, companion radius, MA recursion and generalized FEVD
+    once per batch, whose record fit_tables makes as it makes a full
+    sample's; records label the series by panel.names. Every window folds
+    its own rows in the same blocks and each stacked step treats the
+    windows one by one, so neither the chunk nor the batch size changes a
+    bit of the result.
 
     Raises:
         InsufficientDataError: the panel is shorter than one window.
@@ -184,6 +194,7 @@ def rolling_tables(
     batch = min(count, chunk * max(1, _CHUNK_BYTES // (chunk * r_bytes)))
     r = np.empty((batch, min(n, columns), columns))
 
+    dates = tuple(panel.dates[s + cfg.window - 1] for s in starts)
     percent = np.empty((count, m, m))
     radius = np.empty(count)
     singular_values = np.empty((count, m * p_eff + 1))
@@ -201,12 +212,12 @@ def rolling_tables(
                 windows, stride = rows[np.newaxis], cfg.step
             r[q_lo - lo : q_hi - lo] = _r_factor(_window_blocks(windows, cfg.window, stride, p_eff))
         fit = _fit_r(r[: hi - lo], n, spec)
-        percent[lo:hi], reasons[lo:hi] = spillover_shares(fit, cfg)
         unstable += int(np.count_nonzero(fit.unstable))
-        radius[lo:hi] = np.where(fit.rank < fit.k, np.nan, fit.radius)
-        singular_values[lo:hi] = fit.singular_values
-    failed = np.array([reason is not None for reason in reasons])
-    percent[failed] = np.nan
+        part = fit_tables(fit, cfg, panel.names, dates[lo:hi])
+        percent[lo:hi], radius[lo:hi] = part.percent, part.radius
+        singular_values[lo:hi], reasons[lo:hi] = part.singular_values, part.gap_reasons
+        # Freed before the next batch's QR chunks, so they do not add to its peak.
+        del fit, part
     if unstable:
         # One summary instead of a per-window flood.
         warnings.warn(
@@ -214,14 +225,6 @@ def rolling_tables(
             UnstableVarWarning,
             stacklevel=2,
         )
-    if failed.all():
+    if None not in reasons:
         raise AllWindowsFailedError(f"all {count} windows failed; last reason: {reasons[-1]}")
-    return RollingTables(
-        side=cfg.shock_side,
-        labels=panel.names,
-        window_end_dates=tuple(panel.dates[s + cfg.window - 1] for s in starts),
-        percent=percent,
-        gap_reasons=tuple(reasons),
-        radius=radius,
-        singular_values=singular_values,
-    )
+    return RollingTables(cfg.shock_side, panel.names, dates, percent, tuple(reasons), radius, singular_values)

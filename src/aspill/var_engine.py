@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .config import check_count
 from .errors import (
-    ConfigError,
     DegenerateCovarianceError,
     InsufficientDataError,
     SingularDesignError,
@@ -30,15 +30,6 @@ CRITERIA = ("hjc", "aic", "sic", "hqc")
 
 class UnstableVarWarning(UserWarning):
     """The fitted companion matrix has spectral radius above one."""
-
-
-def check_count(name: str, value: object, minimum: int = 1) -> None:
-    """Raise ConfigError naming the field unless value is an integer of at least minimum."""
-    # bool is an int to isinstance, but a count written as true is a slip.
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"config field {name!r} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -112,12 +103,6 @@ class VarStack:
         """Windows whose fit succeeded with companion radius above one."""
         return (self.rank == self.k) & (self.radius > _UNSTABLE_RADIUS)
 
-    def failure(self, i: int) -> str | None:
-        """Why window i cannot be used, or None."""
-        if self.rank[i] < self.k:
-            return f"regressor matrix is rank deficient ({self.rank[i]} < {self.k})"
-        return None
-
 
 # Usable rows of augmented design per QR step. A window with no more
 # usable rows than this factors in one QR; a longer one folds block after
@@ -162,10 +147,16 @@ def _r_factor(blocks: Iterable[np.ndarray]) -> np.ndarray:
     return r
 
 
-def _lstsq_rank(sv: np.ndarray, rows: int) -> np.ndarray:
-    """lstsq's rank rule: singular values (..., k) above eps * max(rows, k) times the largest."""
+def _rank(r11: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values of each (..., k, k) R11 with its columns scaled to unit norm, and its rank.
+
+    The rank is lstsq's rule on these, so units never decide it: those
+    above eps * max(rows, k) times the largest.
+    """
+    norms = np.sqrt(np.einsum("...ij,...ij->...j", r11, r11))[..., np.newaxis, :]
+    sv = np.linalg.svd(r11 / np.where(norms == 0.0, 1.0, norms), compute_uv=False)
     k = sv.shape[-1]
-    return np.count_nonzero(sv > np.finfo(float).eps * max(rows, k) * sv[..., :1], axis=-1)
+    return sv, np.count_nonzero(sv > np.finfo(float).eps * max(rows, k) * sv[..., :1], axis=-1)
 
 
 def _rank_deficient(rank: int, sv: np.ndarray) -> SingularDesignError:
@@ -212,16 +203,13 @@ def _fit_r(r: np.ndarray, n: int, spec: VarSpec) -> VarStack:
     """Fits from the (c, k + m, k + m) R factors of windows of n usable rows each.
 
     R = [[R11, R12], [0, R22]]: the coefficients solve R11 coef = R12 and
-    R22'R22 is the residual cross product. The rank follows lstsq's rule,
-    counting singular values of R11 (those of X) above eps * max(n, k)
-    times the largest.
+    R22'R22 is the residual cross product; the rank is _rank's, of R11.
     """
     c, columns = r.shape[0], r.shape[2]
     m = (columns - 1) // (spec.p_effective + 1)
     k = columns - m
     r11, r12, r22 = r[:, :k, :k], r[:, :k, k:], r[:, k:, k:]
-    sv = np.linalg.svd(r11, compute_uv=False)
-    rank = _lstsq_rank(sv, n)
+    sv, rank = _rank(r11, n)
     deficient = (rank < k)[:, np.newaxis, np.newaxis]
     if deficient.any():
         # A singular R11 would fail the solve for the whole stack.
@@ -291,10 +279,9 @@ class SampleFactor:
         values = []
         for j in range(1, self.lags + 1):
             k = m * j + 1
-            sv = np.linalg.svd(r[:k, :k], compute_uv=False)
-            rank = int(_lstsq_rank(sv, n))
+            sv, rank = _rank(r[:k, :k], n)
             if rank < k:
-                raise _rank_deficient(rank, sv)
+                raise _rank_deficient(int(rank), sv)
             orthogonal = r[k:, K:]
             gamma_ml = orthogonal.T @ orthogonal / n
             sign, logdet = np.linalg.slogdet(gamma_ml)

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aspill.decomposition import ShockSide, TrendSpec, component_panel, decompose_panel, split_side
-from aspill.errors import SeriesTooShortError
+from aspill.errors import ConfigError, SeriesTooShortError
 from varsim import make_panel, random_walk_matrix
 
 G_EXAMPLE = np.array([10.0, 12.0, 11.0, 14.0])
@@ -233,8 +233,10 @@ class TestDecomposePanel:
         for spec in TrendSpec:
             by_value, by_member = decompose_panel(panel, spec.value), decompose_panel(panel, spec)
             np.testing.assert_array_equal(by_value.plus_panel.matrix, by_member.plus_panel.matrix)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="config field 'spec' must be one of"):
             decompose_panel(panel, "linear")
+        with pytest.raises(ConfigError, match="config field 'spec' must be one of"):
+            split_side(panel, "linear", ShockSide.POSITIVE)
 
     def test_side_given_as_its_value(self):
         rng = np.random.default_rng(15)
@@ -242,8 +244,10 @@ class TestDecomposePanel:
         decomposed = decompose_panel(panel, TrendSpec.DRIFT)
         assert component_panel(decomposed, panel, "pos") is decomposed.plus_panel
         assert component_panel(decomposed, panel, "neg") is decomposed.minus_panel
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="config field 'side' must be one of"):
             component_panel(decomposed, panel, "up")
+        with pytest.raises(ConfigError, match="config field 'side' must be one of"):
+            split_side(panel, TrendSpec.DRIFT, "up")
 
 
 def whole_stack_arithmetic(matrix: np.ndarray, spec: TrendSpec):

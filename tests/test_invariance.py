@@ -7,6 +7,9 @@ and in rolling windows:
 
 - a power-of-two rescale of each column changes no bit of a jj table,
   since every product and sum is rescaled exactly;
+- a rescale by powers of ten up to 1e12 either way moves a jj table by
+  rounding only and fails no fit that the unscaled panel passes: the
+  rank is taken with each regressor column scaled to unit norm;
 - adding a constant to a series moves no table by more than rounding:
   each component takes half of it, and the intercept absorbs that;
 - permuting the columns permutes the table's rows and columns.
@@ -76,6 +79,14 @@ def test_power_of_two_rescale_leaves_jj_tables_exact(case, powers):
     assert moved[2] == reference[2]
     for got, expected in zip(moved[:2], reference[:2]):
         assert np.array_equal(got, expected, equal_nan=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=scenario(sigma_scalings=("jj",)), powers=st.lists(st.integers(-12, 12), min_size=3, max_size=3))
+def test_units_never_decide_a_fit(case, powers):
+    values, cfg, per_window = case
+    scaled = values * 10.0 ** np.array(powers[: values.shape[1]], dtype=float)
+    assert_close(run(scaled, cfg, per_window), run(values, cfg, per_window))
 
 
 @settings(max_examples=40, deadline=None)

@@ -253,6 +253,29 @@ class TestRollingOutputs:
             gap_count += len(gaps)
         assert 0 < gap_count < 3 * len(tables)
 
+    def test_one_run_names_each_series_one_way(self, tmp_path, monkeypatch):
+        # Under --log the rolling record and its tables name each series by
+        # its column, as the full-sample table does, not by the logged name.
+        records = []
+        roll = pipeline.rolling_tables
+
+        def keep(*args, **kwargs):
+            records.append(roll(*args, **kwargs))
+            return records[-1]
+
+        monkeypatch.setattr(pipeline, "rolling_tables", keep)
+        csv_path = tmp_path / "walk.csv"
+        write_walk_csv(csv_path)
+        cfg = base_config(csv_path, tmp_path / "out", log=True, window=220, step=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UnstableVarWarning)
+            run_pipeline(cfg)
+        assert [tables.side for tables in records] == list(cfg.sides)
+        for tables in records:
+            header = parse_table_csv((tmp_path / "out" / f"table_{tables.side.value}.csv").read_text())
+            assert tables.labels == cfg.columns == header.labels
+            assert all(tables.table(i).labels == cfg.columns for i in range(len(tables)))
+
 
 class TestFailFast:
     def test_missing_input_creates_nothing(self, tmp_path):
@@ -346,6 +369,24 @@ class TestPartialFailure:
         assert all("rank deficient" in message for _, _, message in info.value.failures)
         assert (info.value.side, info.value.stage) == ("pos", "lag-select")
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("scale", [1e100, 1e-100])
+    def test_series_out_of_the_decompositions_range_fails_its_stage(self, tmp_path, scale):
+        # Such a series fits, since units never decide the rank, but the
+        # FEVD's squares of its variance would overflow or underflow: every
+        # side fails, none with NaN or silently wrong shares.
+        rng = np.random.default_rng(103)
+        levels = random_walk_matrix(rng, 260, 3) * np.array([scale, 1.0, 1.0])
+        csv_path = tmp_path / "scaled.csv"
+        write_csv(make_panel(levels, ["aa", "bb", "cc"]), csv_path)
+        with pytest.raises(PipelineError) as info:
+            run_pipeline(base_config(csv_path, tmp_path / "out"))
+        assert [(side, stage) for side, stage, _ in info.value.failures] == [
+            ("pos", "fevd"),
+            ("neg", "fevd"),
+            ("sym", "fevd"),
+        ]
+        assert all("a series is too large or too small" in message for _, _, message in info.value.failures)
 
 
 class TestStaleOutputs:

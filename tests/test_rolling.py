@@ -6,6 +6,7 @@ import datetime as dt
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from aspill.connectedness import ConnectednessTable, build_table, compute_fevd
 from aspill.decomposition import ShockSide, TrendSpec, component_panel, decompose_panel
 from aspill.errors import AllWindowsFailedError, ConfigError, InsufficientDataError
 from aspill.panel import Panel
+import aspill.pipeline as pipeline
 import aspill.rolling as rolling
 import aspill.var_engine as var_engine
+from aspill.pipeline import RunConfig
 from aspill.rolling import RollingConfig, rolling_tables
 from aspill.var_engine import (
     _BLOCK_ROWS,
@@ -107,30 +110,73 @@ def full_sample_index(panel, cfg: RollingConfig) -> float:
     return full_sample_table(panel, cfg).total_spillover
 
 
+def run_side_record(panel, cfg: RollingConfig, monkeypatch):
+    """The full-sample record pipeline._run_side builds for cfg's side and model."""
+    records = []
+
+    def keep(*args):
+        records.append(rolling.fit_tables(*args))
+        return records[-1]
+
+    monkeypatch.setattr(pipeline, "fit_tables", keep)
+    run = RunConfig(
+        input_path="unread.csv",
+        columns=panel.names,
+        out_dir="unwritten",
+        trend=cfg.trend_spec,
+        lags=cfg.var_spec.p,
+        ty_augment=cfg.var_spec.ty_extra_lags == 1,
+        sigma_scaling=cfg.sigma_scaling,
+        horizon=cfg.horizon,
+        sides=(cfg.shock_side,),
+        emit_tables=False,
+    )
+    pipeline._run_side(run, cfg.shock_side, panel, Path(run.out_dir))
+    (record,) = records
+    return record
+
+
+SIDES_AND_AUGMENTATION = pytest.mark.parametrize(
+    "side, extra_lags", [(side, extra) for side in ShockSide for extra in (0, 1)]
+)
+
+
 class TestWindowArithmetic:
     @staticmethod
-    def check_single_window_equals_full_sample(panel):
-        cfg = base_config(window=len(panel))
+    def check_single_window_equals_full_sample(panel, monkeypatch, side=ShockSide.SYMMETRIC, extra_lags=0):
+        cfg = base_config(
+            window=len(panel), shock_side=side, var_spec=VarSpec(p=2, ty_extra_lags=extra_lags)
+        )
         tables = quiet_tables(panel, cfg)
         assert len(tables.index_values) == 1
         assert np.array_equal(tables.percent[0], full_sample_table(panel, cfg).matrix)
         assert tables.index_values[0] == full_sample_index(panel, cfg)
         assert tables.window_end_dates[0] == panel.dates[-1]
+        # The run's full sample is the record of this one window, field by field.
+        sample = run_side_record(panel, cfg, monkeypatch)
+        for name in ("side", "labels", "window_end_dates", "gap_reasons"):
+            assert getattr(sample, name) == getattr(tables, name)
+        for name in ("percent", "radius", "singular_values"):
+            assert np.array_equal(getattr(sample, name), getattr(tables, name), equal_nan=True)
 
-    def test_single_window_equals_full_sample(self):
+    @SIDES_AND_AUGMENTATION
+    def test_single_window_equals_full_sample(self, monkeypatch, side, extra_lags):
         rng = np.random.default_rng(60)
-        self.check_single_window_equals_full_sample(random_walk_panel(rng, T=180, m=3))
+        panel = random_walk_panel(rng, T=180, m=3)
+        self.check_single_window_equals_full_sample(panel, monkeypatch, side, extra_lags)
 
-    def test_single_short_window_equals_full_sample(self):
+    @pytest.mark.parametrize("side", list(ShockSide))
+    def test_single_short_window_equals_full_sample(self, monkeypatch, side):
         # 14 rows of 3 series at p=2 leave 5 residual degrees of freedom for 3
         # equations: the full sample fits, so the window spanning it does too.
         rng = np.random.default_rng(67)
-        self.check_single_window_equals_full_sample(random_walk_panel(rng, T=14, m=3))
+        self.check_single_window_equals_full_sample(random_walk_panel(rng, T=14, m=3), monkeypatch, side)
 
-    def test_single_window_over_several_row_blocks_equals_full_sample(self):
+    @SIDES_AND_AUGMENTATION
+    def test_single_window_over_several_row_blocks_equals_full_sample(self, monkeypatch, side, extra_lags):
         rng = np.random.default_rng(66)
-        T = 5 * _BLOCK_ROWS // 2
-        self.check_single_window_equals_full_sample(random_walk_panel(rng, T=T, m=3))
+        panel = random_walk_panel(rng, T=5 * _BLOCK_ROWS // 2, m=3)
+        self.check_single_window_equals_full_sample(panel, monkeypatch, side, extra_lags)
 
     def test_step_one_count(self):
         rng = np.random.default_rng(61)
@@ -243,8 +289,10 @@ class TestConfig:
         a, b = quiet_tables(panel, by_value), quiet_tables(panel, members)
         assert a.side is ShockSide.POSITIVE
         np.testing.assert_array_equal(a.percent, b.percent)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="config field 'shock_side' must be one of"):
             base_config(window=150, shock_side="up")
+        with pytest.raises(ConfigError, match="config field 'trend_spec' must be one of"):
+            base_config(window=150, trend_spec="linear")
 
     @pytest.mark.parametrize(
         "field, value",
@@ -363,6 +411,24 @@ class TestGaps:
         panel = make_panel(np.column_stack([flat, flat + 1.0]), names=["a", "b"], dates=dates)
         with pytest.raises(AllWindowsFailedError):
             quiet_tables(panel, base_config(window=120, trend_spec=TrendSpec.NONE))
+
+    @pytest.mark.parametrize("scale", [1e100, 1e-100])
+    def test_series_out_of_the_decompositions_range_is_a_gap_without_a_warning(self, scale):
+        # Pytest turns a RuntimeWarning into an error, so an overflow or
+        # underflow in the FEVD's squares would fail this test.
+        rng = np.random.default_rng(69)
+        panel = make_panel(random_walk_matrix(rng, 200, 3) * np.array([scale, 1.0, 1.0]))
+        message = r"covariance diagonal outside 2\^-500..2\^500"
+        with pytest.raises(AllWindowsFailedError, match=message):
+            quiet_tables(panel, base_config(window=150, step=10, shock_side=ShockSide.POSITIVE))
+
+    def test_table_checks_rows_at_the_kernel_tolerance(self):
+        rng = np.random.default_rng(70)
+        tables = quiet_tables(random_walk_panel(rng, T=170, m=2), base_config(window=160, step=5))
+        assert tables.table(0) is not None
+        skewed = replace(tables, percent=tables.percent + np.array([[1e-3, 0.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="rows of a percent matrix must sum to 100"):
+            skewed.table(0)
 
 
 class TestValidation:
