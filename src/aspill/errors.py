@@ -30,7 +30,7 @@ class NoOverlapError(AspillError):
 
 
 class MalformedCsvError(AspillError):
-    """A CSV file is not UTF-8 CSV text, or a cell is not a date or finite number."""
+    """A CSV file is not UTF-8 CSV text, its header repeats a selected column, or a cell is malformed."""
 
 
 class NonPositiveValueError(AspillError):

@@ -160,8 +160,6 @@ class Panel:
         return panel
 
     def _assign(self, names: tuple[str, ...], dates: tuple[date, ...], matrix: np.ndarray) -> None:
-        if not names:
-            raise ValueError("panel needs at least one series")
         if matrix.shape[0] == 0:
             raise ValueError("panel needs at least one date")
         # The whole-matrix test is the fast one; the column is found on failure only.
@@ -191,7 +189,9 @@ class Panel:
 
 
 def check_columns(date_column: str | None, value_columns: Sequence[str]) -> None:
-    """Raise ConfigError naming a value column named twice or named as the date column."""
+    """Raise ConfigError unless value columns are named, each once, none as the date column."""
+    if not value_columns:
+        raise ConfigError("at least one value column must be named")
     seen: set[str] = set()
     for column in value_columns:
         if column == date_column:
@@ -414,12 +414,13 @@ def load_csv(path: str | Path, date_column: str, value_columns: Sequence[str]) -
     converted column by column, which drop rows and name bad cells.
 
     Raises:
-        ConfigError: a value column is named twice or is the date column.
+        ConfigError: a value column is named twice or is the date column, or none is.
         FileNotFoundError: the file does not exist.
         UnknownColumnError: a named column is absent from the header.
-        MalformedCsvError: the file is not UTF-8 CSV text, or a kept row has
-            a date or value cell that does not parse; the message names the
-            file, the 1-based row and the column.
+        MalformedCsvError: the header names a selected column twice, the
+            file is not UTF-8 CSV text, or a kept row has a date or value
+            cell that does not parse; the message names the file, the
+            1-based row and the column.
         DuplicateDateError: the same date occurs twice.
         NoUsableRowsError: every row had a missing value.
     """
@@ -442,6 +443,8 @@ def load_csv(path: str | Path, date_column: str, value_columns: Sequence[str]) -
             for column in [date_column, *value_columns]:
                 if column not in header:
                     raise UnknownColumnError(f"{path}: column {column!r} not in header {header}")
+                if header.count(column) > 1:
+                    raise MalformedCsvError(f"{path}: column {column!r} is named twice in header {header}")
                 positions[column] = header.index(column)
 
             value_positions = [positions[c] for c in value_columns]

@@ -70,8 +70,6 @@ class RunConfig:
             object.__setattr__(self, name, _field_from_json(name, kind, getattr(self, name)))
         if not self.sides:
             raise ConfigError("at least one shock side must be requested")
-        if not self.columns:
-            raise ConfigError("at least one value column must be named")
         check_columns(self.date_column, self.columns)
         for k, side in enumerate(self.sides):
             if side in self.sides[:k]:
@@ -146,22 +144,13 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-class _StageFailure(Exception):
-    """An AspillError raised inside a named stage of one side's run."""
-
-    def __init__(self, stage: str, cause: AspillError):
-        super().__init__(f"{stage}: {cause}")
-        self.stage = stage
-        self.cause = cause
-
-
 @contextmanager
-def _stage(name: str) -> Iterator[None]:
-    """Run a block as the named stage: an AspillError leaving it names the stage."""
+def _stage(side: ShockSide, name: str) -> Iterator[None]:
+    """Run a block as the side's named stage: an AspillError leaving it is that stage's PipelineError."""
     try:
         yield
     except AspillError as exc:
-        raise _StageFailure(name, exc) from exc
+        raise PipelineError(side.value, name, exc) from exc
 
 
 def _run_side(cfg: RunConfig, side: ShockSide, panel: Panel, out_dir: Path) -> dict[str, Any]:
@@ -169,13 +158,13 @@ def _run_side(cfg: RunConfig, side: ShockSide, panel: Panel, out_dir: Path) -> d
     files: dict[str, str] = {}
     names = _side_outputs(side)
 
-    with _stage("component"):
+    with _stage(side, "component"):
         # Each side splits its own components, so a run holds one component panel at a time.
         side_panel = split_side(panel, cfg.trend, side)
 
     with warnings.catch_warnings(record=True) as records:
         warnings.simplefilter("always")
-        with _stage("lag-select"):
+        with _stage(side, "lag-select"):
             factor, lag = None, cfg.lags
             if lag is None:
                 factor = factor_sample(side_panel, cfg.max_lags)
@@ -185,21 +174,21 @@ def _run_side(cfg: RunConfig, side: ShockSide, panel: Panel, out_dir: Path) -> d
                 len(panel), cfg.horizon, VarSpec(p=lag, ty_extra_lags=1 if cfg.ty_augment else 0),
                 trend_spec=cfg.trend, shock_side=side, sigma_scaling=cfg.sigma_scaling,
             )
-        with _stage("estimate"):
+        with _stage(side, "estimate"):
             # The factor that ranks the candidate lags also fits the chosen one.
             fit = fit_sample(side_panel, sample_cfg.var_spec, factor)
-        with _stage("fevd"):
+        with _stage(side, "fevd"):
             sample = fit_tables(fit, sample_cfg, panel.names, panel.dates[-1:])
             if sample.gap_reasons[0] is not None:
                 raise DegenerateCovarianceError(sample.gap_reasons[0])
-        with _stage("table"):
+        with _stage(side, "table"):
             table = sample.table(0)
             net = net_measures(table)
 
         summary.update(lag=lag, total_spillover=table.total_spillover)
 
         if cfg.emit_tables:
-            with _stage("write-tables"):
+            with _stage(side, "write-tables"):
                 for fmt, key in (("csv", "table_csv"), ("json", "table_json"), ("markdown", "table_md")):
                     write_atomic(out_dir / names[key], render_table(table, fmt))
                     files[key] = names[key]
@@ -207,10 +196,10 @@ def _run_side(cfg: RunConfig, side: ShockSide, panel: Panel, out_dir: Path) -> d
                 files["net_json"] = names["net_json"]
 
         if cfg.window is not None:
-            with _stage("rolling"):
+            with _stage(side, "rolling"):
                 rolling_cfg = replace(sample_cfg, window=cfg.window, step=cfg.step)
                 windows = rolling_tables(panel, rolling_cfg, cfg.decompose_per_window, side_panel)
-            with _stage("write-rolling"):
+            with _stage(side, "write-rolling"):
                 write_atomic(out_dir / names["rolling_csv"], render_rolling_csv(windows))
                 render_plot(windows, out_dir / names["rolling_svg"])
                 files["rolling_csv"] = names["rolling_csv"]
@@ -257,20 +246,15 @@ def run_pipeline(cfg: RunConfig) -> RunManifest:
         check_length(panel)
 
     side_summaries: dict[str, Any] = {}
-    failed: list[tuple[str, _StageFailure]] = []
+    failed: list[PipelineError] = []
     for side in cfg.sides:
         try:
             side_summaries[side.value] = _run_side(cfg, side, panel, out_dir)
-        except _StageFailure as failure:
-            failed.append((side.value, failure))
+        except PipelineError as error:
+            failed.append(error)
     if failed:
-        first_side, first = failed[0]
-        raise PipelineError(
-            first_side,
-            first.stage,
-            first.cause,
-            failures=[(side, failure.stage, str(failure.cause)) for side, failure in failed],
-        )
+        failures = [f for error in failed for f in error.failures]
+        raise PipelineError(failed[0].side, failed[0].stage, failed[0].cause, failures=failures)
 
     manifest = RunManifest(
         version=__version__,

@@ -82,8 +82,8 @@ class VarStack:
     coef is (c, k, m), one column per equation, regressors ordered
     [1, y_{t-1}, .., y_{t-p_effective}]; B (c, p_effective, m, m) holds
     the lag matrices of coef. A window whose regressors are rank
-    deficient holds zero coefficients so that the stacked steps after it
-    stay finite; callers treat it as failed.
+    deficient holds zero coefficients, covariance and radius so that the
+    stacked steps after it stay finite; callers treat it as failed.
     """
 
     p: int
@@ -100,8 +100,8 @@ class VarStack:
 
     @property
     def unstable(self) -> np.ndarray:
-        """Windows whose fit succeeded with companion radius above one."""
-        return (self.rank == self.k) & (self.radius > _UNSTABLE_RADIUS)
+        """Windows fitted with companion radius above one; a rank-deficient window's radius is zero."""
+        return self.radius > _UNSTABLE_RADIUS
 
 
 # Usable rows of augmented design per QR step. A window with no more
@@ -212,9 +212,10 @@ def _fit_r(r: np.ndarray, n: int, spec: VarSpec) -> VarStack:
     sv, rank = _rank(r11, n)
     deficient = (rank < k)[:, np.newaxis, np.newaxis]
     if deficient.any():
-        # A singular R11 would fail the solve for the whole stack.
+        # A singular R11 would fail the whole stack's solve; a failed window's R22 may overflow squared.
         r11 = np.where(deficient, np.eye(k), r11)
         r12 = np.where(deficient, 0.0, r12)
+        r22 = np.where(deficient, 0.0, r22)
     coef = np.linalg.solve(r11, r12)
     gamma = r22.swapaxes(1, 2) @ r22 / (n - k)
     gamma = (gamma + gamma.swapaxes(1, 2)) / 2.0

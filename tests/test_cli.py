@@ -86,7 +86,7 @@ class TestAnalyze:
         for name, digest in first.items():
             if name != "manifest.json":
                 assert second[name] == digest
-        manifest = json.loads((moved / "manifest.json").read_text())
+        manifest = json.loads((moved / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["config"]["out_dir"] == str(moved)
 
     def test_defaults_are_run_config_defaults(self, tmp_path, capsys):
@@ -95,7 +95,7 @@ class TestAnalyze:
         out = tmp_path / "out"
         code = main(["analyze", "--input", str(csv_path), "--columns", "aa,bb,cc", "--out", str(out)])
         assert code == 0
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         expected = RunConfig(input_path=str(csv_path), columns=("aa", "bb", "cc"), out_dir=str(out))
         assert manifest["config"] == expected.to_dict()
 
@@ -172,10 +172,18 @@ class TestAnalyze:
         assert captured.err.startswith("error [pos/estimate]:")
         assert (out / "table_sym.csv").is_file()
 
-    def test_missing_required_options(self, tmp_path, capsys):
-        code = main(["analyze", "--out", str(tmp_path / "out")])
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("analyze", "--input and --columns are required (or use --from-manifest)"),
+            ("decompose", "--input and --columns are required"),
+        ],
+    )
+    def test_missing_required_options(self, tmp_path, capsys, command, message):
+        code = main([command, "--out", str(tmp_path / "out")])
         assert code == 1
-        assert "required" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "extra",
@@ -206,10 +214,10 @@ class TestAnalyze:
         write_walk_csv(csv_path)
         out = tmp_path / "out"
         assert main(analyze_args(csv_path, out)) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         manifest["config"]["lag_select"] = "bic"
         edited = tmp_path / "edited.json"
-        edited.write_text(json.dumps(manifest))
+        edited.write_text(json.dumps(manifest), encoding="utf-8")
         capsys.readouterr()
         code = main(["analyze", "--from-manifest", str(edited)])
         assert code == 1
@@ -227,6 +235,7 @@ class TestAnalyze:
             (lambda m: m["config"].update(windw=100), "unknown config field 'windw'"),
             (lambda m: m["config"].pop("out_dir"), "config field 'out_dir' is missing"),
             (lambda m: m.pop("config"), "no 'config' object"),
+            (lambda m: m.update(config=[["aa", "bb"]]), "config must be a JSON object, got [['aa', 'bb']]"),
             (lambda m: m["inputs"].pop("sha256"), "'inputs.sha256'"),
             (None, "not a JSON manifest"),
         ],
@@ -241,7 +250,7 @@ class TestAnalyze:
         if edit is None:
             edited.write_text("{not json", encoding="utf-8")
         else:
-            manifest = json.loads((out / "manifest.json").read_text())
+            manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
             edit(manifest)
             edited.write_text(json.dumps(manifest), encoding="utf-8")
         capsys.readouterr()
@@ -287,7 +296,7 @@ class TestOneReader:
         out = tmp_path / "out"
         assert main(analyze_args(csv_path, out)) == 0
         first = tree_digest(out)
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         manifest["config"][field] = raw
         edited = tmp_path / "edited.json"
         edited.write_text(json.dumps(manifest), encoding="utf-8")
@@ -346,17 +355,21 @@ class TestOsErrors:
         csv_path = tmp_path / "walk.csv"
         write_walk_csv(csv_path)
         target = tmp_path / "out"
-        target.write_text("kept\n")
+        target.write_text("kept\n", encoding="utf-8")
         code = main(analyze_args(csv_path, target))
         assert code == 1
         assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{target}'\n"
-        assert target.read_text() == "kept\n"
+        assert target.read_text(encoding="utf-8") == "kept\n"
 
 
 class TestColumnLists:
     @pytest.mark.parametrize(
         "columns, named",
-        [("aa,aa,bb", "column 'aa' is named twice"), ("date,aa", "column 'date' is the date column")],
+        [
+            ("aa,aa,bb", "column 'aa' is named twice"),
+            ("date,aa", "column 'date' is the date column"),
+            (",", "expected a comma-separated list of names, got ','"),
+        ],
     )
     @pytest.mark.parametrize("command", ["analyze", "roll", "decompose"])
     def test_bad_value_columns_are_clean_errors(self, tmp_path, capsys, columns, named, command):
@@ -426,8 +439,28 @@ class TestDecompose:
         np.testing.assert_allclose(
             parts.matrix[:, 0] + parts.matrix[:, 1], source.matrix[:, 0], atol=1e-9
         )
-        header = out_csv.read_text().splitlines()[0]
+        header = out_csv.read_text(encoding="utf-8").splitlines()[0]
         assert header == "date,aa_pos,aa_neg,bb_pos,bb_neg"
+
+    def test_log_components_sum_to_the_log(self, tmp_path, capsys):
+        csv_path = tmp_path / "walk.csv"
+        write_walk_csv(csv_path, m=2, seed=105)
+        out_csv = tmp_path / "parts.csv"
+        code = main([
+            "decompose",
+            "--input", str(csv_path),
+            "--columns", "aa,bb",
+            "--log",
+            "--out", str(out_csv),
+        ])
+        assert code == 0
+        header = out_csv.read_text(encoding="utf-8").splitlines()[0]
+        assert header == "date,aa_log_pos,aa_log_neg,bb_log_pos,bb_log_neg"
+        parts, _ = load_csv(out_csv, "date", header.split(",")[1:])
+        source, _ = load_csv(csv_path, "date", ("aa", "bb"))
+        assert parts.dates == source.dates
+        pairs = parts.matrix[:, 0::2] + parts.matrix[:, 1::2]
+        np.testing.assert_allclose(pairs, np.log(source.matrix), atol=1e-9)
 
 
 class TestFetch:
@@ -466,9 +499,9 @@ class TestFetch:
         cache = tmp_path / "cache"
         self.warm_cache(cache, "AAA", [1.0, 2.0, 3.0])
         (path,) = cache.glob("*.txt")
-        lines = path.read_text().splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines()
         lines[2] = "2020-01-02"
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         code = main([
             "fetch",
             "--series", "AAA",
@@ -485,9 +518,9 @@ class TestFetch:
         cache = tmp_path / "cache"
         self.warm_cache(cache, "AAA", [1.0, 2.0, 3.0])
         (path,) = cache.glob("*.txt")
-        lines = path.read_text().splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines()
         lines[2], lines[3] = lines[3], lines[2]
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         code = main([
             "fetch",
             "--series", "AAA",
@@ -559,17 +592,31 @@ class TestReport:
         write_walk_csv(csv_path)
         out = tmp_path / "out"
         main(analyze_args(csv_path, out, "--sides", "sym"))
-        lines = (out / "table_sym.csv").read_text().splitlines()
+        lines = (out / "table_sym.csv").read_text(encoding="utf-8").splitlines()
         cells = lines[2].split(",")
         cells[2] = "abc"
         lines[2] = ",".join(cells)
         bad = tmp_path / "bad.csv"
-        bad.write_text("\n".join(lines) + "\n")
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
         capsys.readouterr()
         code = main(["report", "--table", str(bad)])
         err = capsys.readouterr().err
         assert code == 1
         assert err == f"error: {bad}: row 3, column 3 (bb): 'abc' is not a finite number\n"
+
+    def test_short_data_row_is_clean_error(self, tmp_path, capsys):
+        csv_path = tmp_path / "walk.csv"
+        write_walk_csv(csv_path)
+        out = tmp_path / "out"
+        main(analyze_args(csv_path, out, "--sides", "sym"))
+        lines = (out / "table_sym.csv").read_text(encoding="utf-8").splitlines()
+        lines[1] = ",".join(lines[1].split(",")[:3])
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        code = main(["report", "--table", str(bad)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {bad}: row 2 has 3 cells, expected 5\n"
 
     def test_undecodable_table_is_clean_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -618,6 +665,6 @@ class TestImport:
             "print(sorted(m for m in ('urllib.request', 'http.client', 'ssl') if m in sys.modules))"
         )
         done = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+            [sys.executable, "-c", probe], env=env, capture_output=True, encoding="utf-8", check=True
         )
         assert done.stdout.strip() == "[]"

@@ -195,9 +195,9 @@ class TestMalformedCache:
     def test_bad_line_names_file_and_line(self, tmp_path, line):
         fetch_fred("VXO", api_key="k", cache_dir=tmp_path, transport=RecordingTransport())
         (path,) = tmp_path.glob("*.txt")
-        lines = path.read_text().splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[1:] == ["2020-01-01 1.5", "2020-01-03 2.25"]
-        path.write_text("\n".join([lines[0], lines[1], line, lines[2]]) + "\n")
+        path.write_text("\n".join([lines[0], lines[1], line, lines[2]]) + "\n", encoding="utf-8")
         with pytest.raises(MalformedCacheError) as caught:
             fetch_fred("VXO", cache_dir=tmp_path, transport=refusing_transport)
         assert str(path) in str(caught.value)
@@ -208,8 +208,8 @@ class TestMalformedCache:
     def test_date_not_after_the_previous_names_file_and_line(self, tmp_path, line):
         fetch_fred("VXO", api_key="k", cache_dir=tmp_path, transport=RecordingTransport())
         (path,) = tmp_path.glob("*.txt")
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join([lines[0], lines[1], line, lines[2]]) + "\n")
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join([lines[0], lines[1], line, lines[2]]) + "\n", encoding="utf-8")
         with pytest.raises(MalformedCacheError) as caught:
             fetch_fred("VXO", cache_dir=tmp_path, transport=refusing_transport)
         assert str(path) in str(caught.value)

@@ -372,3 +372,24 @@ def test_cell_starting_like_a_missing_token_keeps_loadtxt_path(cell, tmp_path, m
     expected = outcome(reference_load_csv, path, ["a"])
     monkeypatch.setattr(panel_module, "_row_blocks", row_blocks_unused)
     assert outcome(load_csv, path, ["a"]) == expected
+
+
+@pytest.mark.parametrize("missing", [False, True], ids=["clean", "dirty"])
+def test_selected_column_named_twice_in_the_header_is_an_error(missing, tmp_path, monkeypatch):
+    # Both ingest paths read the header's one lookup: a clean file never
+    # reaches the row-blocked parser, and a file with a missing cell never
+    # reaches np.loadtxt.
+    path = tmp_path / "data.csv"
+    second = "." if missing else "4"
+    path.write_text(f"date,a,a,b\n2020-01-01,1,2,3\n2020-01-02,{second},5,6\n", encoding="utf-8")
+    if missing:
+        monkeypatch.setattr(np, "loadtxt", loadtxt_unused)
+    else:
+        monkeypatch.setattr(panel_module, "_row_blocks", row_blocks_unused)
+    with pytest.raises(MalformedCsvError) as info:
+        load_csv(path, "date", ["b", "a"])
+    assert str(info.value) == f"{path}: column 'a' is named twice in header ['date', 'a', 'a', 'b']"
+    # A column the load does not select may be named twice.
+    panel, dropped = load_csv(path, "date", ["b"])
+    assert dropped == 0
+    np.testing.assert_array_equal(panel.matrix, [[3.0], [6.0]])

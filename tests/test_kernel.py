@@ -18,8 +18,13 @@ import pytest
 
 import test_rolling
 from aspill.connectedness import compute_fevd, gfevd_stack
-from aspill.decomposition import ShockSide, TrendSpec
-from aspill.errors import DegenerateCovarianceError, PipelineError
+from aspill.decomposition import ShockSide, TrendSpec, split_side
+from aspill.errors import (
+    AllWindowsFailedError,
+    DegenerateCovarianceError,
+    PipelineError,
+    SingularDesignError,
+)
 from aspill.panel import write_csv
 from aspill.pipeline import RunConfig, run_pipeline
 from aspill.report import parse_table_csv
@@ -28,10 +33,13 @@ from aspill.var_engine import (
     _BLOCK_ROWS,
     UnstableVarWarning,
     VarSpec,
+    _fit_r,
     design_bytes,
+    factor_sample,
+    fit_sample,
     ma_stack,
 )
-from varsim import make_panel, random_walk_panel
+from varsim import make_panel, random_walk_matrix, random_walk_panel
 
 TOLERANCE = 1e-10
 
@@ -339,7 +347,8 @@ def test_run_tables_match_loop_oracle(tmp_path, lags, ty_augment, sigma_scaling)
     for side in cfg.sides:
         record = manifest.sides[side.value]
         want, reason, _ = oracle_side(panel, cfg, side, record["lag"])
-        table = parse_table_csv((tmp_path / "out" / f"table_{side.value}.csv").read_text())
+        table_csv = tmp_path / "out" / f"table_{side.value}.csv"
+        table = parse_table_csv(table_csv.read_text(encoding="utf-8"))
         assert reason is None
         assert abs(table.total_spillover - want) < TOLERANCE
 
@@ -356,3 +365,25 @@ def test_constant_column_fails_the_run_with_the_spanning_window_reason(tmp_path)
     ]
     assert info.value.failures == expected
     assert expected[0][2] == "regressor matrix is rank deficient (5 < 7)"
+
+
+@pytest.mark.parametrize("exponent", [153, 156, 160])
+@pytest.mark.parametrize("side", list(ShockSide))
+def test_series_too_large_to_square_is_rank_deficient_without_a_warning(side, exponent):
+    # A rank-deficient window holds zero coefficients, covariance and radius,
+    # so no stacked step squares the residuals of a series near the float limit.
+    matrix = random_walk_matrix(np.random.default_rng(85), 400, 3)
+    matrix[:, 1] *= 10.0**exponent
+    panel = make_panel(matrix)
+    components = split_side(panel, TrendSpec.DRIFT, side)
+    spec = VarSpec(p=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AllWindowsFailedError, match="reason: regressor matrix is rank deficient"):
+            rolling_tables(panel, make_config(window=120, step=20, shock_side=side))
+        with pytest.raises(SingularDesignError, match="^regressor matrix is rank deficient"):
+            fit_sample(components, spec)
+        fit = _fit_r(factor_sample(components, 2).r[np.newaxis], len(panel) - 2, spec)
+    assert fit.rank[0] < fit.k
+    assert not fit.coef.any() and not fit.Gamma.any() and not fit.radius.any()
+    assert not fit.unstable[0]

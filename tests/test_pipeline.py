@@ -78,7 +78,7 @@ class TestFullRun:
                 assert (out / name).is_file(), name
         assert (out / "manifest.json").is_file()
 
-        payload = json.loads((out / "manifest.json").read_text())
+        payload = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert payload["inputs"]["sha256"] == hashlib.sha256(csv_path.read_bytes()).hexdigest()
         assert payload["inputs"]["rows_loaded"] == 260
         assert set(payload["sides"]) == {"pos", "neg", "sym"}
@@ -87,7 +87,7 @@ class TestFullRun:
             assert 0.0 <= side_summary["total_spillover"] <= 100.0
             assert side_summary["rolling"]["windows"] == 7
         assert "timestamp" not in payload
-        assert manifest.to_json() == (out / "manifest.json").read_text()
+        assert manifest.to_json() == (out / "manifest.json").read_text(encoding="utf-8")
 
     def test_symmetric_table_matches_direct_computation(self, tmp_path):
         csv_path = tmp_path / "walk.csv"
@@ -101,7 +101,7 @@ class TestFullRun:
         fevd = compute_fevd(ma_coefficients(fit, 10), fit.Gamma, 10)
         expected = build_table(fevd.normalized, panel.names)
 
-        parsed = parse_table_csv((out / "table_sym.csv").read_text())
+        parsed = parse_table_csv((out / "table_sym.csv").read_text(encoding="utf-8"))
         np.testing.assert_array_equal(parsed.matrix, expected.matrix)
         assert parsed.total_spillover == expected.total_spillover
 
@@ -155,7 +155,7 @@ class TestOneFactorPerSide:
             fit = estimate_var(side_panel, VarSpec(p=lag, ty_extra_lags=1 if cfg.ty_augment else 0))
             fevd = compute_fevd(ma_coefficients(fit, cfg.horizon), fit.Gamma, cfg.horizon)
             expected = build_table(fevd.normalized, panel.names)
-            parsed = parse_table_csv((out / f"table_{side.value}.csv").read_text())
+            parsed = parse_table_csv((out / f"table_{side.value}.csv").read_text(encoding="utf-8"))
             np.testing.assert_allclose(parsed.matrix, expected.matrix, rtol=0, atol=1e-10)
         return factored
 
@@ -272,7 +272,8 @@ class TestRollingOutputs:
             run_pipeline(cfg)
         assert [tables.side for tables in records] == list(cfg.sides)
         for tables in records:
-            header = parse_table_csv((tmp_path / "out" / f"table_{tables.side.value}.csv").read_text())
+            table_csv = tmp_path / "out" / f"table_{tables.side.value}.csv"
+            header = parse_table_csv(table_csv.read_text(encoding="utf-8"))
             assert tables.labels == cfg.columns == header.labels
             assert all(tables.table(i).labels == cfg.columns for i in range(len(tables)))
 
@@ -654,6 +655,7 @@ class TestConfigValidation:
             (("aa", "bb", "aa"), "date", "column 'aa' is named twice"),
             (("date", "aa"), "date", "column 'date' is the date column"),
             (("aa", "day"), "day", "column 'day' is the date column"),
+            ((), "date", "^at least one value column must be named$"),
         ],
     )
     def test_bad_value_columns_rejected(self, tmp_path, columns, date_column, named):
