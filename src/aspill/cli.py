@@ -2,7 +2,7 @@
 
 Subcommands compose the library stages: fetch (remote data to CSV),
 decompose (component export), analyze (tables, net measures, optional
-rolling), roll (rolling outputs only), and report (re-render a table).
+rolling), roll (analyze with its tables off) and report (re-render a table).
 """
 
 from __future__ import annotations
@@ -82,37 +82,11 @@ def _choices(values) -> str:
     return "{" + ",".join(values) + "}"
 
 
-def _add_model_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--trend", metavar=_choices(t.value for t in TrendSpec),
-                        help="deterministic part of the walk")
-    parser.add_argument("--lags", help="fixed lag order; omit to select by criterion")
-    parser.add_argument("--lag-select", metavar=_choices(CRITERIA),
-                        help="criterion used when --lags is omitted")
-    parser.add_argument("--max-lags",
-                        help="largest candidate order for lag selection")
-    parser.add_argument("--ty-augment", action="store_true", default=None,
-                        help="estimate one extra unrestricted lag kept out of the propagation")
-    parser.add_argument("--sigma-scaling", metavar=_choices(SIGMA_SCALINGS),
-                        help="variance scaling the shares: jj is the standard generalized form; "
-                             "ii depends on the units of the input: rescaling a series "
-                             "moves the shares")
-    parser.add_argument("--horizon", help="forecast horizon n")
-    parser.add_argument("--sides", help="comma-separated subset of " + ",".join(s.value for s in ShockSide))
-
-
-def _add_rolling_options(parser: argparse.ArgumentParser, required: bool) -> None:
-    parser.add_argument("--window", required=required,
-                        help="observations per rolling window")
-    parser.add_argument("--step", help="stride between windows")
-    parser.add_argument("--decompose-per-window", action="store_true", default=None,
-                        help="re-anchor the component transform inside every window")
-
-
-def _config_from_args(args: argparse.Namespace, emit_tables: bool) -> RunConfig:
+def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.input is None or args.columns is None:
         raise AspillError("--input and --columns are required (or use --from-manifest)")
-    # The options given, as JSON-shaped values for the reader a manifest
-    # goes through; an option left out is None and keeps RunConfig's default.
+    # The options given, roll's emit_tables among them, as JSON-shaped values for
+    # the reader a manifest goes through; an option left out keeps RunConfig's default.
     given = {
         name: int(value) if int in (kind, *get_args(kind)) and _INTEGER.fullmatch(value) else value
         for name, kind in get_type_hints(RunConfig).items()
@@ -122,24 +96,10 @@ def _config_from_args(args: argparse.Namespace, emit_tables: bool) -> RunConfig:
         input_path=args.input,
         columns=_columns_arg(args.columns),
         out_dir=args.out if args.out is not None else "./results",
-        emit_tables=emit_tables,
     )
     if args.sides is not None:
         given["sides"] = _columns_arg(args.sides)
     return RunConfig.from_dict(given)
-
-
-def _run_and_report(cfg: RunConfig) -> int:
-    manifest = run_pipeline(cfg)
-    for side in cfg.sides:
-        summary = manifest.sides[side.value]
-        line = f"{side.value}: lag={summary['lag']} index={summary['total_spillover']:.2f}%"
-        if "rolling" in summary:
-            rolling = summary["rolling"]
-            line += f" windows={rolling['windows']} gaps={rolling['gaps']}"
-        print(line)
-    print(f"wrote {Path(cfg.out_dir) / 'manifest.json'}")
-    return 0
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -158,13 +118,17 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         if args.out is not None:
             cfg = dataclasses.replace(cfg, out_dir=args.out)
     else:
-        cfg = _config_from_args(args, emit_tables=True)
-    return _run_and_report(cfg)
-
-
-def _cmd_roll(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args, emit_tables=False)
-    return _run_and_report(cfg)
+        cfg = _config_from_args(args)
+    manifest = run_pipeline(cfg)
+    for side in cfg.sides:
+        summary = manifest.sides[side.value]
+        line = f"{side.value}: lag={summary['lag']} index={summary['total_spillover']:.2f}%"
+        if "rolling" in summary:
+            rolling = summary["rolling"]
+            line += f" windows={rolling['windows']} gaps={rolling['gaps']}"
+        print(line)
+    print(f"wrote {Path(cfg.out_dir) / 'manifest.json'}")
+    return 0
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
@@ -229,32 +193,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    analyze = sub.add_parser(
-        "analyze",
-        help="full pipeline: tables, net measures, optional rolling outputs",
-        epilog=_DIRECTIONAL_NOTE,
-    )
-    _add_panel_options(analyze)
-    _add_model_options(analyze)
-    _add_rolling_options(analyze, required=False)
-    analyze.add_argument("--out", help="output directory (default ./results)")
-    analyze.add_argument(
-        "--from-manifest",
-        help="re-run the configuration stored in a manifest; an explicit "
-        "--out redirects the outputs",
-    )
-    analyze.set_defaults(func=_cmd_analyze)
-
-    roll = sub.add_parser(
-        "roll",
-        help="rolling spillover index and chart only",
-        epilog=_DIRECTIONAL_NOTE,
-    )
-    _add_panel_options(roll)
-    _add_model_options(roll)
-    _add_rolling_options(roll, required=True)
-    roll.add_argument("--out", help="output directory (default ./results)")
-    roll.set_defaults(func=_cmd_roll)
+    # roll is analyze with its tables off, and it cannot re-run a manifest.
+    for name, help_text, rolling in (
+        ("analyze", "full pipeline: tables, net measures, optional rolling outputs", False),
+        ("roll", "rolling spillover index and chart only", True),
+    ):
+        command = sub.add_parser(name, help=help_text, epilog=_DIRECTIONAL_NOTE)
+        _add_panel_options(command)
+        command.add_argument("--trend", metavar=_choices(t.value for t in TrendSpec),
+                             help="deterministic part of the walk")
+        command.add_argument("--lags", help="fixed lag order; omit to select by criterion")
+        command.add_argument("--lag-select", metavar=_choices(CRITERIA),
+                             help="criterion used when --lags is omitted")
+        command.add_argument("--max-lags", help="largest candidate order for lag selection")
+        command.add_argument("--ty-augment", action="store_true", default=None,
+                             help="estimate one extra unrestricted lag kept out of the propagation")
+        command.add_argument("--sigma-scaling", metavar=_choices(SIGMA_SCALINGS),
+                             help="variance scaling the shares: jj is the standard generalized form; "
+                                  "ii depends on the units of the input: rescaling a series "
+                                  "moves the shares")
+        command.add_argument("--horizon", help="forecast horizon n")
+        command.add_argument("--sides",
+                             help="comma-separated subset of " + ",".join(s.value for s in ShockSide))
+        command.add_argument("--window", required=rolling, help="observations per rolling window")
+        command.add_argument("--step", help="stride between windows")
+        command.add_argument("--decompose-per-window", action="store_true", default=None,
+                             help="re-anchor the component transform inside every window")
+        command.add_argument("--out", help="output directory (default ./results)")
+        command.set_defaults(func=_cmd_analyze)
+        if rolling:
+            command.set_defaults(emit_tables=False, from_manifest=None)
+        else:
+            command.add_argument("--from-manifest", help="re-run the configuration stored in a manifest; "
+                                 "an explicit --out redirects the outputs")
 
     decompose = sub.add_parser(
         "decompose", help="export positive/negative components as CSV"

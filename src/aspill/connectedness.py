@@ -23,6 +23,9 @@ _DIAGONAL_OUT_OF_RANGE = "covariance diagonal outside 2^-500..2^500: a series is
 _ZERO_FEV = "zero forecast-error variance in at least one equation"
 _ROW_NOT_POSITIVE = "cannot normalize a row with non-positive sum"
 
+# Percentage points a row of the kernel's shares may miss 100 by; published tables get a looser default.
+KERNEL_ROW_SUM_TOL = 1e-4
+
 
 @dataclass(frozen=True, eq=False)
 class FevdResult:
@@ -171,9 +174,8 @@ def total_spillovers(matrix_pct: np.ndarray) -> np.ndarray:
 
 
 def build_table(normalized: np.ndarray, labels: Sequence[str]) -> ConnectednessTable:
-    """Assemble the spillover table from shares whose rows sum to 1 within 1e-6."""
-    percent = np.asarray(normalized, dtype=float) * 100.0
-    return table_from_percent(percent, labels, 1e-6 * 100.0)
+    """Assemble the spillover table from shares whose rows sum to 1 as the kernel's do."""
+    return table_from_percent(np.asarray(normalized, dtype=float) * 100.0, labels, KERNEL_ROW_SUM_TOL)
 
 
 def table_from_percent(

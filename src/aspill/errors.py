@@ -73,6 +73,10 @@ class InsufficientDataError(AspillError):
     """Too few rows to estimate the requested lag structure."""
 
 
+class SeriesScaleError(AspillError):
+    """A series is too large or too small for its sum of squares to be a positive float."""
+
+
 class SingularDesignError(AspillError):
     """The regressor matrix is numerically rank deficient."""
 

@@ -32,7 +32,7 @@ from .panel import Panel, check_columns, load_csv, log_transform
 from .report import render_net_json, render_rolling_csv, render_table
 from .rolling import RollingConfig, fit_tables, rolling_tables
 from .svgchart import render_plot
-from .var_engine import CRITERIA, VarSpec, factor_sample, fit_sample
+from .var_engine import CRITERIA, VarSpec, check_squares, factor_sample, fit_sample
 from .version import __version__
 
 MANIFEST_NAME = "manifest.json"
@@ -181,13 +181,12 @@ def _run_side(cfg: RunConfig, side: ShockSide, panel: Panel, out_dir: Path) -> d
             sample = fit_tables(fit, sample_cfg, panel.names, panel.dates[-1:])
             if sample.gap_reasons[0] is not None:
                 raise DegenerateCovarianceError(sample.gap_reasons[0])
-        with _stage(side, "table"):
-            table = sample.table(0)
-            net = net_measures(table)
-
-        summary.update(lag=lag, total_spillover=table.total_spillover)
+        summary.update(lag=lag, total_spillover=float(sample.index_values[0]))
 
         if cfg.emit_tables:
+            with _stage(side, "table"):
+                table = sample.table(0)
+                net = net_measures(table)
             with _stage(side, "write-tables"):
                 for fmt, key in (("csv", "table_csv"), ("json", "table_json"), ("markdown", "table_md")):
                     write_atomic(out_dir / names[key], render_table(table, fmt))
@@ -244,6 +243,8 @@ def run_pipeline(cfg: RunConfig) -> RunManifest:
     # every series, before any side runs.
     if any(side is not ShockSide.SYMMETRIC for side in cfg.sides):
         check_length(panel)
+    # So does a series whose squares leave the floats, which no fit could tell from collinearity.
+    check_squares(panel)
 
     side_summaries: dict[str, Any] = {}
     failed: list[PipelineError] = []

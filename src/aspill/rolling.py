@@ -18,6 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .connectedness import (
+    KERNEL_ROW_SUM_TOL,
     SIGMA_SCALINGS,
     ConnectednessTable,
     compute_fevd,
@@ -29,6 +30,7 @@ from .decomposition import ShockSide, TrendSpec, component_stack, split_side
 from .errors import AllWindowsFailedError, InsufficientDataError
 from .panel import Panel
 from .var_engine import (
+    _UNSTABLE_RADIUS,
     UnstableVarWarning,
     VarSpec,
     VarStack,
@@ -94,8 +96,7 @@ class RollingTables:
         """The connectedness table of window i, or None where it failed."""
         if self.gap_reasons[i] is not None:
             return None
-        # Kernel output: rows sum to 100 within 1e-4 pp, not a published table's 0.5.
-        return table_from_percent(self.percent[i], self.labels, row_sum_tol=1e-4)
+        return table_from_percent(self.percent[i], self.labels, KERNEL_ROW_SUM_TOL)
 
     @property
     def index_values(self) -> np.ndarray:
@@ -199,7 +200,6 @@ def rolling_tables(
     radius = np.empty(count)
     singular_values = np.empty((count, m * p_eff + 1))
     reasons: list[str | None] = [None] * count
-    unstable = 0
     for lo in range(0, count, batch):
         hi = min(lo + batch, count)
         for q_lo in range(lo, hi, chunk):
@@ -212,14 +212,14 @@ def rolling_tables(
                 windows, stride = rows[np.newaxis], cfg.step
             r[q_lo - lo : q_hi - lo] = _r_factor(_window_blocks(windows, cfg.window, stride, p_eff))
         fit = _fit_r(r[: hi - lo], n, spec)
-        unstable += int(np.count_nonzero(fit.unstable))
         part = fit_tables(fit, cfg, panel.names, dates[lo:hi])
         percent[lo:hi], radius[lo:hi] = part.percent, part.radius
         singular_values[lo:hi], reasons[lo:hi] = part.singular_values, part.gap_reasons
         # Freed before the next batch's QR chunks, so they do not add to its peak.
         del fit, part
+    # One summary instead of a per-window flood; a rank-deficient window's NaN radius never counts.
+    unstable = int(np.count_nonzero(radius > _UNSTABLE_RADIUS))
     if unstable:
-        # One summary instead of a per-window flood.
         warnings.warn(
             f"{unstable} of {count} windows fitted with companion spectral radius above 1",
             UnstableVarWarning,

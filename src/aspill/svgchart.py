@@ -24,6 +24,7 @@ _MARGIN_TOP = 34
 _MARGIN_BOTTOM = 42
 # Top of the value axis: a spillover index is a percentage.
 _Y_MAX = 100.0
+_DATE_TICKS = 6
 
 _SIDE_TITLES = {
     "pos": "Spillover index, positive shocks",
@@ -40,10 +41,10 @@ def _x_positions(dates: tuple[date, ...], x0: float, x1: float) -> list[float]:
     return (x0 + (ordinals - ordinals[0]) / span * (x1 - x0)).tolist()
 
 
-def _tick_indices(count: int, want: int = 6) -> list[int]:
-    if count <= want:
+def _tick_indices(count: int) -> list[int]:
+    if count <= _DATE_TICKS:
         return list(range(count))
-    positions = np.linspace(0, count - 1, want)
+    positions = np.linspace(0, count - 1, _DATE_TICKS)
     return sorted({int(round(p)) for p in positions})
 
 

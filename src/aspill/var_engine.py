@@ -21,6 +21,7 @@ from .config import check_count
 from .errors import (
     DegenerateCovarianceError,
     InsufficientDataError,
+    SeriesScaleError,
     SingularDesignError,
 )
 from .panel import Panel
@@ -97,11 +98,6 @@ class VarStack:
     @property
     def k(self) -> int:
         return self.coef.shape[1]
-
-    @property
-    def unstable(self) -> np.ndarray:
-        """Windows fitted with companion radius above one; a rank-deficient window's radius is zero."""
-        return self.radius > _UNSTABLE_RADIUS
 
 
 # Usable rows of augmented design per QR step. A window with no more
@@ -187,6 +183,20 @@ def check_sample(rows: int, m: int, spec: VarSpec) -> None:
         raise InsufficientDataError(
             f"{rows} rows give {T_eff} usable observations for {k} regressors and {m} equations"
         )
+
+
+def check_squares(panel: Panel) -> None:
+    """Raise SeriesScaleError naming each series whose squares sum to inf, or to 0 though not all zero."""
+    with np.errstate(over="ignore", under="ignore"):
+        squares = np.einsum("ij,ij->j", panel.matrix, panel.matrix).tolist()
+    peaks = np.maximum(panel.matrix.max(axis=0), -panel.matrix.min(axis=0)).tolist()
+    failures = [
+        f"series {name!r}: squares {'overflow' if square else 'underflow'} at largest |value| {peak:.3g}"
+        for name, square, peak in zip(panel.names, squares, peaks)
+        if square in (0.0, float("inf")) and peak > 0.0
+    ]
+    if failures:
+        raise SeriesScaleError("; ".join(failures))
 
 
 def design_row_bytes(m: int, spec: VarSpec) -> int:
@@ -344,7 +354,7 @@ def fit_sample(
     fit = _fit_r(factor.derived_r(lags)[np.newaxis], len(panel) - lags, spec)
     if fit.rank[0] < fit.k:
         raise _rank_deficient(fit.rank[0], fit.singular_values[0])
-    if fit.unstable[0]:
+    if fit.radius[0] > _UNSTABLE_RADIUS:
         warnings.warn(
             f"companion spectral radius {fit.radius[0]:.4f} exceeds 1; "
             "impulse responses may diverge",

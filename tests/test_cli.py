@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -13,11 +14,13 @@ import numpy as np
 import pytest
 
 import aspill
+import aspill.pipeline as pipeline
 from aspill.cli import main
 from aspill.errors import ConfigError
 from aspill.fred import fetch_fred
 from aspill.panel import load_csv, write_csv
 from aspill.pipeline import RunConfig
+from aspill.rolling import RollingTables
 from varsim import make_panel, random_walk_matrix
 from test_pipeline import tree_digest, write_decreasing_csv, write_walk_csv
 
@@ -141,6 +144,24 @@ class TestAnalyze:
         assert capsys.readouterr().err == "error: " + "; ".join(
             f"series {name!r}: length 3 < 4 needed for trend fit" for name in ("aa", "bb", "cc")
         ) + "\n"
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("exponent, fault", [(200, "overflow"), (-200, "underflow")])
+    def test_series_too_large_or_small_to_square_is_one_error(self, tmp_path, capsys, exponent, fault):
+        # Left to the fits, every side would fail as rank deficient, which names the wrong cause.
+        matrix = random_walk_matrix(np.random.default_rng(85), 400, 3) + 50.0
+        matrix[:, 1] *= 10.0**exponent
+        csv_path = tmp_path / "scaled.csv"
+        write_csv(make_panel(matrix, ["aa", "bb", "cc"]), csv_path)
+        peak = np.max(np.abs(load_csv(csv_path, "date", ["bb"])[0].matrix))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(analyze_args(csv_path, out))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: series 'bb': squares {fault} at largest |value| {peak:.3g}\n"
+        )
         assert not (out / "manifest.json").exists()
 
     def test_too_few_rows_for_the_largest_lag_fail_every_side_in_lag_select(self, tmp_path, capsys):
@@ -420,6 +441,31 @@ class TestRoll:
         with pytest.raises(SystemExit) as info:
             main(["roll", "--input", "x.csv", "--columns", "aa,bb"])
         assert info.value.code == 2
+
+    def test_roll_builds_no_table_and_records_what_analyze_records(self, tmp_path, capsys, monkeypatch):
+        csv_path = tmp_path / "walk.csv"
+        write_walk_csv(csv_path)
+        calls = []
+
+        def counted(function):
+            def wrapper(*args, **kwargs):
+                calls.append(function.__name__)
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(pipeline, "net_measures", counted(pipeline.net_measures))
+        monkeypatch.setattr(RollingTables, "table", counted(RollingTables.table))
+        options = ["--input", str(csv_path), "--columns", "aa,bb,cc", "--lags", "2", "--window", "220", "--step", "5"]
+        keys = ("lag", "total_spillover", "rolling", "warnings")
+        records = {}
+        for command, built in (("roll", []), ("analyze", ["table", "net_measures"] * 3)):
+            calls.clear()
+            out = tmp_path / command
+            assert main([command, *options, "--out", str(out)]) == 0
+            assert calls == built
+            sides = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["sides"]
+            records[command] = {side: {key: record[key] for key in keys} for side, record in sides.items()}
+        assert records["roll"] == records["analyze"]
 
 
 class TestDecompose:

@@ -31,6 +31,7 @@ from aspill.report import parse_table_csv
 from aspill.rolling import RollingConfig, rolling_tables
 from aspill.var_engine import (
     _BLOCK_ROWS,
+    _UNSTABLE_RADIUS,
     UnstableVarWarning,
     VarSpec,
     _fit_r,
@@ -386,4 +387,4 @@ def test_series_too_large_to_square_is_rank_deficient_without_a_warning(side, ex
         fit = _fit_r(factor_sample(components, 2).r[np.newaxis], len(panel) - 2, spec)
     assert fit.rank[0] < fit.k
     assert not fit.coef.any() and not fit.Gamma.any() and not fit.radius.any()
-    assert not fit.unstable[0]
+    assert not fit.radius[0] > _UNSTABLE_RADIUS
