@@ -26,18 +26,13 @@ from datetime import date
 
 from aspill import (
     Panel,
+    RollingConfig,
     ShockSide,
-    TrendSpec,
     VarSpec,
     align,
-    build_table,
-    component_panel,
-    compute_fevd,
-    decompose_panel,
-    estimate_var,
     fetch_fred,
     log_transform,
-    ma_coefficients,
+    rolling_tables,
 )
 
 HORIZON = 10
@@ -46,11 +41,9 @@ RANGE = (date(1999, 1, 1), date(2023, 12, 31))
 
 
 def spillover_index(panel: Panel, side: ShockSide) -> float:
-    decomposed = decompose_panel(panel, TrendSpec.DRIFT)
-    component = component_panel(decomposed, panel, side)
-    fit = estimate_var(component, VarSpec(p=LAGS))
-    fevd = compute_fevd(ma_coefficients(fit, HORIZON), fit.Gamma, HORIZON)
-    return build_table(fevd.normalized, component.names).total_spillover
+    """The side's total spillover over the whole sample: the one window that spans it."""
+    cfg = RollingConfig(len(panel), HORIZON, VarSpec(p=LAGS), shock_side=side)
+    return float(rolling_tables(panel, cfg).index_values[0])
 
 
 def main(argv: list[str] | None = None) -> int:

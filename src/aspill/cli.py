@@ -20,7 +20,7 @@ import numpy as np
 from .atomic import write_atomic
 from .config import _field_from_json, _to_json
 from .connectedness import SIGMA_SCALINGS
-from .decomposition import ShockSide, TrendSpec, decompose_panel
+from .decomposition import ShockSide, TrendSpec, split_side
 from .errors import AspillError, ConfigError, MalformedCsvError, PipelineError
 from .fred import DEFAULT_CACHE_DIR, fetch_fred
 from .panel import Panel, align, check_columns, load_csv, log_transform, parse_date, write_csv
@@ -84,7 +84,8 @@ def _choices(values) -> str:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.input is None or args.columns is None:
-        raise AspillError("--input and --columns are required (or use --from-manifest)")
+        hint = "" if args.command == "roll" else " (or use --from-manifest)"
+        raise AspillError(f"--input and --columns are required{hint}")
     # The options given, roll's emit_tables among them, as JSON-shaped values for
     # the reader a manifest goes through; an option left out keeps RunConfig's default.
     given = {
@@ -137,8 +138,8 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     panel, dropped = load_csv(args.input, args.date_column, _columns_arg(args.columns))
     if args.log:
         panel = log_transform(panel)
-    decomposed = decompose_panel(panel, _field_from_json("trend", TrendSpec, args.trend))
-    plus, minus = decomposed.plus_panel, decomposed.minus_panel
+    trend = _field_from_json("trend", TrendSpec, args.trend)
+    plus, minus = (split_side(panel, trend, side) for side in (ShockSide.POSITIVE, ShockSide.NEGATIVE))
     names = [name for pair in zip(plus.names, minus.names) for name in pair]
     interleaved = np.stack([plus.matrix, minus.matrix], axis=2).reshape(len(panel), -1)
     out_path = Path(args.out)
@@ -193,12 +194,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # roll is analyze with its tables off, and it cannot re-run a manifest.
+    # roll is analyze with its tables off: it writes no net measures and cannot re-run a manifest.
     for name, help_text, rolling in (
         ("analyze", "full pipeline: tables, net measures, optional rolling outputs", False),
         ("roll", "rolling spillover index and chart only", True),
     ):
-        command = sub.add_parser(name, help=help_text, epilog=_DIRECTIONAL_NOTE)
+        command = sub.add_parser(name, help=help_text, epilog=None if rolling else _DIRECTIONAL_NOTE)
         _add_panel_options(command)
         command.add_argument("--trend", metavar=_choices(t.value for t in TrendSpec),
                              help="deterministic part of the walk")

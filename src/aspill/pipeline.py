@@ -32,7 +32,7 @@ from .panel import Panel, check_columns, load_csv, log_transform
 from .report import render_net_json, render_rolling_csv, render_table
 from .rolling import RollingConfig, fit_tables, rolling_tables
 from .svgchart import render_plot
-from .var_engine import CRITERIA, VarSpec, check_squares, factor_sample, fit_sample
+from .var_engine import CRITERIA, UnstableVarWarning, VarSpec, check_squares, factor_sample, fit_sample
 from .version import __version__
 
 MANIFEST_NAME = "manifest.json"
@@ -162,8 +162,9 @@ def _run_side(cfg: RunConfig, side: ShockSide, panel: Panel, out_dir: Path) -> d
         # Each side splits its own components, so a run holds one component panel at a time.
         side_panel = split_side(panel, cfg.trend, side)
 
+    # The manifest lists every unstable fit's warning; any other warning meets the caller's filters.
     with warnings.catch_warnings(record=True) as records:
-        warnings.simplefilter("always")
+        warnings.simplefilter("always", UnstableVarWarning)
         with _stage(side, "lag-select"):
             factor, lag = None, cfg.lags
             if lag is None:

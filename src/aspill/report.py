@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import math
-from datetime import date
 
 import numpy as np
 
@@ -138,16 +137,3 @@ def render_rolling_csv(tables: RollingTables) -> str:
         for when, value in zip(tables.window_end_dates, tables.index_values.tolist())
     ]
     return "\n".join(["date,index", *rows]) + "\n"
-
-
-def parse_rolling_csv(text: str) -> tuple[tuple[date, ...], np.ndarray]:
-    """Read a date,index rendering back into dates and values (NaN gaps)."""
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0][:2] != ["date", "index"]:
-        raise ValueError("rolling CSV must start with a date,index header")
-    dates: list[date] = []
-    values: list[float] = []
-    for row in rows[1:]:
-        dates.append(date.fromisoformat(row[0]))
-        values.append(float(row[1]) if row[1] else float("nan"))
-    return tuple(dates), np.asarray(values)

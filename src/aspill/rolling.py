@@ -190,12 +190,12 @@ def rolling_tables(
     # step of new rows to the design segment the views share.
     window_bytes = max(design_bytes(cfg.window, m, spec), cfg.step * design_row_bytes(m, spec))
     chunk = max(1, _CHUNK_BYTES // window_bytes)
-    # A fit batch is whole QR chunks; a window's R factor is far smaller than its design.
-    r_bytes = min(n, columns) * design_row_bytes(m, spec)
+    # A fit batch is whole QR chunks; a window's square R factor (n >= columns) is far smaller than its design.
+    r_bytes = columns * design_row_bytes(m, spec)
     batch = min(count, chunk * max(1, _CHUNK_BYTES // (chunk * r_bytes)))
-    r = np.empty((batch, min(n, columns), columns))
+    r = np.empty((batch, columns, columns))
 
-    dates = tuple(panel.dates[s + cfg.window - 1] for s in starts)
+    dates = panel.dates[cfg.window - 1 :: cfg.step]
     percent = np.empty((count, m, m))
     radius = np.empty(count)
     singular_values = np.empty((count, m * p_eff + 1))

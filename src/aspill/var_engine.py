@@ -67,10 +67,6 @@ class VarFit:
     Gamma: np.ndarray
     T_effective: int
 
-    @property
-    def m(self) -> int:
-        return len(self.names)
-
 
 # The fit warns when the companion spectral radius exceeds this.
 _UNSTABLE_RADIUS = 1.0 + 1e-6

@@ -14,13 +14,17 @@ import numpy as np
 import pytest
 
 import aspill
+import aspill.connectedness as connectedness
+import aspill.decomposition as decomposition
 import aspill.pipeline as pipeline
+import aspill.var_engine as var_engine
 from aspill.cli import main
 from aspill.errors import ConfigError
 from aspill.fred import fetch_fred
 from aspill.panel import load_csv, write_csv
 from aspill.pipeline import RunConfig
 from aspill.rolling import RollingTables
+from aspill.var_engine import UnstableVarWarning
 from varsim import make_panel, random_walk_matrix
 from test_pipeline import tree_digest, write_decreasing_csv, write_walk_csv
 
@@ -198,10 +202,13 @@ class TestAnalyze:
         [
             ("analyze", "--input and --columns are required (or use --from-manifest)"),
             ("decompose", "--input and --columns are required"),
+            ("roll", "--input and --columns are required"),
         ],
     )
     def test_missing_required_options(self, tmp_path, capsys, command, message):
-        code = main([command, "--out", str(tmp_path / "out")])
+        # roll cannot re-run a manifest, so its message offers no --from-manifest.
+        window = ["--window", "5"] if command == "roll" else []
+        code = main([command, *window, "--out", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
@@ -442,6 +449,12 @@ class TestRoll:
             main(["roll", "--input", "x.csv", "--columns", "aa,bb"])
         assert info.value.code == 2
 
+    def test_from_manifest_is_not_a_roll_option(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["roll", "--window", "5", "--from-manifest", str(tmp_path / "manifest.json")])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --from-manifest" in capsys.readouterr().err
+
     def test_roll_builds_no_table_and_records_what_analyze_records(self, tmp_path, capsys, monkeypatch):
         csv_path = tmp_path / "walk.csv"
         write_walk_csv(csv_path)
@@ -507,6 +520,47 @@ class TestDecompose:
         assert parts.dates == source.dates
         pairs = parts.matrix[:, 0::2] + parts.matrix[:, 1::2]
         np.testing.assert_allclose(pairs, np.log(source.matrix), atol=1e-9)
+
+
+# The single-model path, captured before any test rebinds a name.
+SINGLE_MODEL = (
+    decomposition.decompose_panel,
+    decomposition.component_panel,
+    var_engine.estimate_var,
+    var_engine.ma_coefficients,
+    var_engine.select_lag,
+    connectedness.build_table,
+)
+
+
+class TestKernelOnly:
+    """Every command runs the kernel's records, not the single-model functions."""
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("analyze", ["--lags", "2", "--window", "220", "--step", "5", "--out", "out"]),
+            ("roll", ["--lags", "2", "--window", "220", "--step", "5", "--decompose-per-window", "--out", "out"]),
+            ("decompose", ["--trend", "trend", "--out", "parts.csv"]),
+        ],
+        ids=["analyze", "roll", "decompose"],
+    )
+    def test_command_calls_no_single_model_function(self, tmp_path, capsys, monkeypatch, command, extra):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a command called a single-model function")
+
+        for name, module in list(sys.modules.items()):
+            if name == "aspill" or name.startswith("aspill."):
+                for attr, value in list(vars(module).items()):
+                    if any(value is function for function in SINGLE_MODEL):
+                        monkeypatch.setattr(module, attr, refuse)
+        csv_path = tmp_path / "walk.csv"
+        write_walk_csv(csv_path)
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UnstableVarWarning)
+            code = main([command, "--input", str(csv_path), "--columns", "aa,bb,cc", *extra])
+        assert code == 0
 
 
 class TestFetch:
@@ -700,6 +754,14 @@ class TestParser:
         text = capsys.readouterr().out
         assert "received/transmitted" in text
         assert "identically" in text
+
+    def test_roll_help_has_no_directional_note(self, capsys):
+        # roll writes no net measures, so the convention they follow is not its help.
+        with pytest.raises(SystemExit):
+            main(["roll", "--help"])
+        text = capsys.readouterr().out
+        assert "--window" in text
+        assert "received/transmitted" not in text
 
 
 class TestImport:

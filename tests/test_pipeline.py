@@ -125,6 +125,36 @@ class TestFullRun:
         assert 1 <= manifest.sides["sym"]["lag"] <= 4
 
 
+class TestWarnings:
+    """The manifest lists every unstable fit; any other warning meets the caller's filters."""
+
+    def test_unstable_fits_are_listed_under_an_ignore_filter(self, tmp_path):
+        csv_path = tmp_path / "walk.csv"
+        write_walk_csv(csv_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            manifest = run_pipeline(base_config(csv_path, tmp_path / "out", window=200, step=10))
+        listed = [text for summary in manifest.sides.values() for text in summary["warnings"]]
+        assert any("spectral radius" in text for text in listed), listed
+
+    def test_runtime_warning_under_an_error_filter_fails_the_run(self, tmp_path, monkeypatch):
+        csv_path = tmp_path / "walk.csv"
+        write_walk_csv(csv_path)
+        measures = pipeline.net_measures
+
+        def dividing(table):
+            np.ones(1) / np.zeros(1)
+            return measures(table)
+
+        monkeypatch.setattr(pipeline, "net_measures", dividing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UnstableVarWarning)
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning, match="divide by zero"):
+                run_pipeline(base_config(csv_path, tmp_path / "out"))
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 class TestOneFactorPerSide:
     """With lags=None, one R factor per side selects the lag and fits the model."""
 
