@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
@@ -32,7 +31,7 @@ from .panel import Panel, check_columns, load_csv, log_transform
 from .report import render_net_json, render_rolling_csv, render_table
 from .rolling import RollingConfig, fit_tables, rolling_tables
 from .svgchart import render_plot
-from .var_engine import CRITERIA, UnstableVarWarning, VarSpec, check_squares, factor_sample, fit_sample
+from .var_engine import CRITERIA, VarSpec, _diverging, check_squares, factor_sample, fit_sample
 from .version import __version__
 
 MANIFEST_NAME = "manifest.json"
@@ -162,57 +161,61 @@ def _run_side(cfg: RunConfig, side: ShockSide, panel: Panel, out_dir: Path) -> d
         # Each side splits its own components, so a run holds one component panel at a time.
         side_panel = split_side(panel, cfg.trend, side)
 
-    # The manifest lists every unstable fit's warning; any other warning meets the caller's filters.
-    with warnings.catch_warnings(record=True) as records:
-        warnings.simplefilter("always", UnstableVarWarning)
-        with _stage(side, "lag-select"):
-            factor, lag = None, cfg.lags
-            if lag is None:
-                factor = factor_sample(side_panel, cfg.max_lags)
-                lag = factor.select(cfg.lag_select)
-            # The full sample is the one window that spans it.
-            sample_cfg = RollingConfig(
-                len(panel), cfg.horizon, VarSpec(p=lag, ty_extra_lags=1 if cfg.ty_augment else 0),
-                trend_spec=cfg.trend, shock_side=side, sigma_scaling=cfg.sigma_scaling,
-            )
-        with _stage(side, "estimate"):
-            # The factor that ranks the candidate lags also fits the chosen one.
-            fit = fit_sample(side_panel, sample_cfg.var_spec, factor)
-        with _stage(side, "fevd"):
-            sample = fit_tables(fit, sample_cfg, panel.names, panel.dates[-1:])
-            if sample.gap_reasons[0] is not None:
-                raise DegenerateCovarianceError(sample.gap_reasons[0])
-        summary.update(lag=lag, total_spillover=float(sample.index_values[0]))
+    with _stage(side, "lag-select"):
+        factor, lag = None, cfg.lags
+        if lag is None:
+            factor = factor_sample(side_panel, cfg.max_lags)
+            lag = factor.select(cfg.lag_select)
+        # The full sample is the one window that spans it.
+        sample_cfg = RollingConfig(
+            len(panel), cfg.horizon, VarSpec(p=lag, ty_extra_lags=1 if cfg.ty_augment else 0),
+            trend_spec=cfg.trend, shock_side=side, sigma_scaling=cfg.sigma_scaling,
+        )
+    with _stage(side, "estimate"):
+        # The factor that ranks the candidate lags also fits the chosen one.
+        fit = fit_sample(side_panel, sample_cfg.var_spec, factor)
+    with _stage(side, "fevd"):
+        sample = fit_tables(fit, sample_cfg, panel.names, panel.dates[-1:])
+        if sample.gap_reasons[0] is not None:
+            raise DegenerateCovarianceError(sample.gap_reasons[0])
+    summary.update(lag=lag, total_spillover=float(sample.index_values[0]))
+    # The manifest lists every unstable fit from the records; any other warning meets the caller's filters.
+    unstable = [_diverging(sample.radius[0])] if sample.unstable else []
 
-        if cfg.emit_tables:
-            with _stage(side, "table"):
-                table = sample.table(0)
-                net = net_measures(table)
-            with _stage(side, "write-tables"):
-                for fmt, key in (("csv", "table_csv"), ("json", "table_json"), ("markdown", "table_md")):
-                    write_atomic(out_dir / names[key], render_table(table, fmt))
-                    files[key] = names[key]
-                write_atomic(out_dir / names["net_json"], render_net_json(net))
-                files["net_json"] = names["net_json"]
+    if cfg.emit_tables:
+        with _stage(side, "table"):
+            table = sample.table(0)
+            net = net_measures(table)
+        with _stage(side, "write-tables"):
+            for fmt, key in (("csv", "table_csv"), ("json", "table_json"), ("markdown", "table_md")):
+                write_atomic(out_dir / names[key], render_table(table, fmt))
+                files[key] = names[key]
+            write_atomic(out_dir / names["net_json"], render_net_json(net))
+            files["net_json"] = names["net_json"]
 
-        if cfg.window is not None:
-            with _stage(side, "rolling"):
-                rolling_cfg = replace(sample_cfg, window=cfg.window, step=cfg.step)
-                windows = rolling_tables(panel, rolling_cfg, cfg.decompose_per_window, side_panel)
-            with _stage(side, "write-rolling"):
-                write_atomic(out_dir / names["rolling_csv"], render_rolling_csv(windows))
-                render_plot(windows, out_dir / names["rolling_svg"])
-                files["rolling_csv"] = names["rolling_csv"]
-                files["rolling_svg"] = names["rolling_svg"]
-                gaps = {
-                    when.isoformat(): reason
-                    for when, reason in zip(windows.window_end_dates, windows.gap_reasons)
-                    if reason is not None
-                }
-                summary["rolling"] = {"windows": len(windows), "gaps": len(gaps), "gap_reasons": gaps}
+    if cfg.window is not None:
+        with _stage(side, "rolling"):
+            rolling_cfg = replace(sample_cfg, window=cfg.window, step=cfg.step)
+            windows = rolling_tables(panel, rolling_cfg, cfg.decompose_per_window, side_panel)
+        with _stage(side, "write-rolling"):
+            write_atomic(out_dir / names["rolling_csv"], render_rolling_csv(windows))
+            render_plot(windows, out_dir / names["rolling_svg"])
+            files["rolling_csv"] = names["rolling_csv"]
+            files["rolling_svg"] = names["rolling_svg"]
+            gaps = {
+                when.isoformat(): reason
+                for when, reason in zip(windows.window_end_dates, windows.gap_reasons)
+                if reason is not None
+            }
+            summary["rolling"] = {"windows": len(windows), "gaps": len(gaps), "gap_reasons": gaps}
+            count = windows.unstable
+            if count:
+                unstable.append(
+                    f"{count} of {len(windows)} windows fitted with companion spectral radius above 1"
+                )
 
     summary["files"] = files
-    summary["warnings"] = sorted({str(r.message) for r in records})
+    summary["warnings"] = sorted(unstable)
     return summary
 
 

@@ -9,7 +9,6 @@ window and step sizes.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from datetime import date
 from typing import Literal, get_type_hints
@@ -31,7 +30,6 @@ from .errors import AllWindowsFailedError, InsufficientDataError
 from .panel import Panel
 from .var_engine import (
     _UNSTABLE_RADIUS,
-    UnstableVarWarning,
     VarSpec,
     VarStack,
     _fit_r,
@@ -79,6 +77,7 @@ class RollingTables:
     gap_reasons says why. radius is each fit's companion spectral radius
     and singular_values those of its column-scaled R11, largest first; a
     rank-deficient window's radius is NaN, since it has no coefficients.
+    Nothing warns of an unstable fit: unstable counts them.
     """
 
     side: ShockSide
@@ -102,6 +101,11 @@ class RollingTables:
     def index_values(self) -> np.ndarray:
         """The total spillover index of every window, NaN where it failed."""
         return total_spillovers(self.percent)
+
+    @property
+    def unstable(self) -> int:
+        """The number of fits whose radius exceeds _UNSTABLE_RADIUS; a NaN radius never counts."""
+        return int(np.count_nonzero(self.radius > _UNSTABLE_RADIUS))
 
 
 def fit_tables(
@@ -155,7 +159,8 @@ def rolling_tables(
     sample's; records label the series by panel.names. Every window folds
     its own rows in the same blocks and each stacked step treats the
     windows one by one, so neither the chunk nor the batch size changes a
-    bit of the result.
+    bit of the result. It never warns of an unstable fit: the record's
+    unstable and radius give the count and the radii.
 
     Raises:
         InsufficientDataError: the panel is shorter than one window.
@@ -217,14 +222,6 @@ def rolling_tables(
         singular_values[lo:hi], reasons[lo:hi] = part.singular_values, part.gap_reasons
         # Freed before the next batch's QR chunks, so they do not add to its peak.
         del fit, part
-    # One summary instead of a per-window flood; a rank-deficient window's NaN radius never counts.
-    unstable = int(np.count_nonzero(radius > _UNSTABLE_RADIUS))
-    if unstable:
-        warnings.warn(
-            f"{unstable} of {count} windows fitted with companion spectral radius above 1",
-            UnstableVarWarning,
-            stacklevel=2,
-        )
     if None not in reasons:
         raise AllWindowsFailedError(f"all {count} windows failed; last reason: {reasons[-1]}")
     return RollingTables(cfg.shock_side, panel.names, dates, percent, tuple(reasons), radius, singular_values)

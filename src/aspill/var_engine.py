@@ -68,8 +68,13 @@ class VarFit:
     T_effective: int
 
 
-# The fit warns when the companion spectral radius exceeds this.
+# A fit whose companion spectral radius exceeds this is unstable.
 _UNSTABLE_RADIUS = 1.0 + 1e-6
+
+
+def _diverging(radius: float) -> str:
+    """An unstable full-sample fit's report: estimate_var's warning and the manifest's entry."""
+    return f"companion spectral radius {radius:.4f} exceeds 1; impulse responses may diverge"
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,14 +336,12 @@ def factor_sample(panel: Panel, lags: int) -> SampleFactor:
     return SampleFactor(panel, lags, r)
 
 
-def fit_sample(
-    panel: Panel, spec: VarSpec, factor: SampleFactor | None = None, stacklevel: int = 2
-) -> VarStack:
+def fit_sample(panel: Panel, spec: VarSpec, factor: SampleFactor | None = None) -> VarStack:
     """The model's least-squares fit over the panel's common sample, as a stack of one.
 
     A factor of the panel with at least spec.p_effective lags gives the
-    model's R factor; otherwise the panel is factored afresh. An unstable
-    fit warns with UnstableVarWarning at the given stacklevel.
+    model's R factor; otherwise the panel is factored afresh. It never
+    warns: the fit's radius says whether it is unstable.
 
     Raises:
         InsufficientDataError: fewer usable observations than regressors plus equations.
@@ -350,19 +353,17 @@ def fit_sample(
     fit = _fit_r(factor.derived_r(lags)[np.newaxis], len(panel) - lags, spec)
     if fit.rank[0] < fit.k:
         raise _rank_deficient(fit.rank[0], fit.singular_values[0])
-    if fit.radius[0] > _UNSTABLE_RADIUS:
-        warnings.warn(
-            f"companion spectral radius {fit.radius[0]:.4f} exceeds 1; "
-            "impulse responses may diverge",
-            UnstableVarWarning,
-            stacklevel=stacklevel,
-        )
     return fit
 
 
 def estimate_var(panel: Panel, spec: VarSpec) -> VarFit:
-    """fit_sample's fit of the model as a VarFit; it raises and warns as fit_sample does."""
-    fit = fit_sample(panel, spec, stacklevel=3)
+    """fit_sample's fit of the model as a VarFit; it raises as fit_sample does.
+
+    It alone warns of an unstable fit, with UnstableVarWarning; a run reads the fits' radii instead.
+    """
+    fit = fit_sample(panel, spec)
+    if fit.radius[0] > _UNSTABLE_RADIUS:
+        warnings.warn(_diverging(fit.radius[0]), UnstableVarWarning, stacklevel=2)
     return VarFit(
         names=panel.names,
         p=spec.p,

@@ -304,21 +304,18 @@ def test_criterion_8_rolling_gap_changes_sign_at_a_planted_break():
     before, after = starts + 600 <= T // 2, starts >= T // 2
     start = time.perf_counter()
     medians = {}
-    with warnings.catch_warnings():
-        # Components are integrated, so the fitted radius sits near 1.
-        warnings.simplefilter("ignore")
-        for per_window in (False, True):
-            gaps = [
-                rolling_gaps(
-                    asymmetric_walks(np.random.default_rng(seed), ShockSide.NEGATIVE, T, ShockSide.POSITIVE),
-                    per_window,
-                )
-                for seed in range(20)
-            ]
-            medians[per_window] = (
-                np.array([np.median(gap[before]) for gap in gaps]),
-                np.array([np.median(gap[after]) for gap in gaps]),
+    for per_window in (False, True):
+        gaps = [
+            rolling_gaps(
+                asymmetric_walks(np.random.default_rng(seed), ShockSide.NEGATIVE, T, ShockSide.POSITIVE),
+                per_window,
             )
+            for seed in range(20)
+        ]
+        medians[per_window] = (
+            np.array([np.median(gap[before]) for gap in gaps]),
+            np.array([np.median(gap[after]) for gap in gaps]),
+        )
     elapsed = time.perf_counter() - start
     ok = elapsed < 10.0
     detail = []
@@ -377,9 +374,7 @@ def test_criterion_9_rolling_consistency():
     )
     panel = random_walk_panel(rng, T=500, m=3)
     start = time.perf_counter()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        dense = rolling_tables(panel, cfg)
+    dense = rolling_tables(panel, cfg)
     elapsed = time.perf_counter() - start
 
     single_cfg = RollingConfig(window=500, horizon=10, var_spec=VarSpec(p=2))

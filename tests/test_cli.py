@@ -24,7 +24,6 @@ from aspill.fred import fetch_fred
 from aspill.panel import load_csv, write_csv
 from aspill.pipeline import RunConfig
 from aspill.rolling import RollingTables
-from aspill.var_engine import UnstableVarWarning
 from varsim import make_panel, random_walk_matrix
 from test_pipeline import tree_digest, write_decreasing_csv, write_walk_csv
 
@@ -557,9 +556,7 @@ class TestKernelOnly:
         csv_path = tmp_path / "walk.csv"
         write_walk_csv(csv_path)
         monkeypatch.chdir(tmp_path)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UnstableVarWarning)
-            code = main([command, "--input", str(csv_path), "--columns", "aa,bb,cc", *extra])
+        code = main([command, "--input", str(csv_path), "--columns", "aa,bb,cc", *extra])
         assert code == 0
 
 

@@ -10,7 +10,6 @@ are compared within 1e-10 percent; gap reasons must match byte for byte.
 
 from __future__ import annotations
 
-import re
 import warnings
 
 import numpy as np
@@ -32,7 +31,6 @@ from aspill.rolling import RollingConfig, rolling_tables
 from aspill.var_engine import (
     _BLOCK_ROWS,
     _UNSTABLE_RADIUS,
-    UnstableVarWarning,
     VarSpec,
     _fit_r,
     design_bytes,
@@ -128,16 +126,8 @@ def oracle_rolling(panel, cfg: RollingConfig, per_window: bool):
 
 def run_kernel(panel, cfg: RollingConfig, per_window: bool):
     """Index values, gap reasons and the unstable-window count of rolling_tables."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = rolling_tables(panel, cfg, per_window)
-    counts = [
-        int(re.match(r"(\d+) of", str(w.message)).group(1))
-        for w in caught
-        if issubclass(w.category, UnstableVarWarning)
-    ]
-    assert len(counts) <= 1
-    return result.index_values, result.gap_reasons, sum(counts)
+    result = rolling_tables(panel, cfg, per_window)
+    return result.index_values, result.gap_reasons, result.unstable
 
 
 def drifting_panel():
@@ -342,9 +332,7 @@ def test_run_tables_match_loop_oracle(tmp_path, lags, ty_augment, sigma_scaling)
     # against lstsq and the triple-loop GFEVD.
     panel = drifting_panel()
     cfg = run_config(tmp_path, panel, lags=lags, ty_augment=ty_augment, sigma_scaling=sigma_scaling)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UnstableVarWarning)
-        manifest = run_pipeline(cfg)
+    manifest = run_pipeline(cfg)
     for side in cfg.sides:
         record = manifest.sides[side.value]
         want, reason, _ = oracle_side(panel, cfg, side, record["lag"])

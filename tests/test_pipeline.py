@@ -97,7 +97,9 @@ class TestFullRun:
         run_pipeline(cfg)
 
         panel, _ = load_csv(csv_path, "date", ("aa", "bb", "cc"))
-        fit = estimate_var(panel, VarSpec(p=2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UnstableVarWarning)
+            fit = estimate_var(panel, VarSpec(p=2))
         fevd = compute_fevd(ma_coefficients(fit, 10), fit.Gamma, 10)
         expected = build_table(fevd.normalized, panel.names)
 
@@ -126,20 +128,20 @@ class TestFullRun:
 
 
 class TestWarnings:
-    """The manifest lists every unstable fit; any other warning meets the caller's filters."""
+    """The manifest lists every unstable fit from the records; any other warning meets the caller's filters."""
 
-    def test_unstable_fits_are_listed_under_an_ignore_filter(self, tmp_path):
+    @pytest.mark.parametrize("action", ["ignore", "error"])
+    def test_unstable_fits_are_listed_under_an_ignore_filter(self, tmp_path, action):
         csv_path = tmp_path / "walk.csv"
         write_walk_csv(csv_path)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter(action)
             manifest = run_pipeline(base_config(csv_path, tmp_path / "out", window=200, step=10))
         listed = [text for summary in manifest.sides.values() for text in summary["warnings"]]
         assert any("spectral radius" in text for text in listed), listed
 
-    def test_runtime_warning_under_an_error_filter_fails_the_run(self, tmp_path, monkeypatch):
-        csv_path = tmp_path / "walk.csv"
-        write_walk_csv(csv_path)
+    @staticmethod
+    def divide_by_zero_in_net_measures(monkeypatch):
         measures = pipeline.net_measures
 
         def dividing(table):
@@ -147,8 +149,26 @@ class TestWarnings:
             return measures(table)
 
         monkeypatch.setattr(pipeline, "net_measures", dividing)
+
+    def test_runtime_warning_under_the_default_filters_reaches_the_caller(self, tmp_path, monkeypatch):
+        csv_path = tmp_path / "walk.csv"
+        write_walk_csv(csv_path)
+        self.divide_by_zero_in_net_measures(monkeypatch)
+        with warnings.catch_warnings(record=True) as caught:
+            # No filter: every warning meets Python's default action, as under the CLI.
+            warnings.resetwarnings()
+            manifest = run_pipeline(base_config(csv_path, tmp_path / "out"))
+        for summary in manifest.sides.values():
+            assert not any("divide by zero" in text for text in summary["warnings"]), summary["warnings"]
+        assert any(
+            issubclass(w.category, RuntimeWarning) and "divide by zero" in str(w.message) for w in caught
+        ), caught
+
+    def test_runtime_warning_under_an_error_filter_fails_the_run(self, tmp_path, monkeypatch):
+        csv_path = tmp_path / "walk.csv"
+        write_walk_csv(csv_path)
+        self.divide_by_zero_in_net_measures(monkeypatch)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UnstableVarWarning)
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(RuntimeWarning, match="divide by zero"):
                 run_pipeline(base_config(csv_path, tmp_path / "out"))
@@ -182,7 +202,9 @@ class TestOneFactorPerSide:
             side_panel = panel if side is ShockSide.SYMMETRIC else component_panel(decomposed, panel, side)
             lag = select_lag(side_panel, cfg.max_lags, cfg.lag_select)
             assert manifest.sides[side.value]["lag"] == lag
-            fit = estimate_var(side_panel, VarSpec(p=lag, ty_extra_lags=1 if cfg.ty_augment else 0))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UnstableVarWarning)
+                fit = estimate_var(side_panel, VarSpec(p=lag, ty_extra_lags=1 if cfg.ty_augment else 0))
             fevd = compute_fevd(ma_coefficients(fit, cfg.horizon), fit.Gamma, cfg.horizon)
             expected = build_table(fevd.normalized, panel.names)
             parsed = parse_table_csv((out / f"table_{side.value}.csv").read_text(encoding="utf-8"))
@@ -211,10 +233,7 @@ class TestSingleWindowPromise:
             trend_spec=cfg.trend,
             shock_side=side,
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UnstableVarWarning)
-            tables = rolling_tables(panel, rolling_cfg, per_window)
-        return float(tables.index_values[0])
+        return float(rolling_tables(panel, rolling_cfg, per_window).index_values[0])
 
     @pytest.mark.parametrize("per_window", [False, True], ids=["anchored", "per-window"])
     def test_selected_lag_is_within_1e_11_and_a_given_lag_is_exact(self, tmp_path, per_window):
@@ -252,9 +271,7 @@ class TestRollingOutputs:
         cfg = base_config(
             csv_path, tmp_path / "out", trend=TrendSpec.NONE, window=120, step=3, decompose_per_window=per_window
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UnstableVarWarning)
-            manifest = run_pipeline(cfg)
+        manifest = run_pipeline(cfg)
         panel, _ = load_csv(csv_path, "date", cfg.columns)
         gap_count = 0
         for side in cfg.sides:
@@ -267,9 +284,7 @@ class TestRollingOutputs:
                 step=cfg.step,
                 sigma_scaling=cfg.sigma_scaling,
             )
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UnstableVarWarning)
-                tables = rolling_tables(panel, rolling_cfg, per_window)
+            tables = rolling_tables(panel, rolling_cfg, per_window)
             out = Path(cfg.out_dir)
             assert (out / f"rolling_{side.value}.csv").read_bytes() == render_rolling_csv(tables).encode()
             assert (out / f"rolling_{side.value}.svg").read_bytes() == render_svg(tables).encode()
@@ -297,9 +312,7 @@ class TestRollingOutputs:
         csv_path = tmp_path / "walk.csv"
         write_walk_csv(csv_path)
         cfg = base_config(csv_path, tmp_path / "out", log=True, window=220, step=5)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UnstableVarWarning)
-            run_pipeline(cfg)
+        run_pipeline(cfg)
         assert [tables.side for tables in records] == list(cfg.sides)
         for tables in records:
             table_csv = tmp_path / "out" / f"table_{tables.side.value}.csv"

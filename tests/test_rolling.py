@@ -24,6 +24,7 @@ from aspill.pipeline import RunConfig
 from aspill.rolling import RollingConfig, rolling_tables
 from aspill.var_engine import (
     _BLOCK_ROWS,
+    _UNSTABLE_RADIUS,
     UnstableVarWarning,
     VarSpec,
     design_bytes,
@@ -33,16 +34,10 @@ from aspill.var_engine import (
 from varsim import make_panel, random_walk_matrix, random_walk_panel
 
 
-def quiet_tables(panel, cfg, per_window=False):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UnstableVarWarning)
-        return rolling_tables(panel, cfg, per_window)
-
-
 def budget_run(panel, cfg, per_window, chunk_bytes, monkeypatch):
     """rolling_tables under a _CHUNK_BYTES of chunk_bytes.
 
-    Returns the tables, the unstable-window warnings, and the window
+    Returns the tables, their unstable-window count, and the window
     counts of the QR chunks and of the fit batches, in order.
     """
     chunks, batches = [], []
@@ -60,16 +55,13 @@ def budget_run(panel, cfg, per_window, chunk_bytes, monkeypatch):
     monkeypatch.setattr(rolling, "_CHUNK_BYTES", chunk_bytes)
     monkeypatch.setattr(rolling, "_r_factor", chunk_r_factor)
     monkeypatch.setattr(rolling, "_fit_r", batch_fit_r)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = rolling_tables(panel, cfg, per_window)
-    unstable = [str(w.message) for w in caught if issubclass(w.category, UnstableVarWarning)]
+    result = rolling_tables(panel, cfg, per_window)
     assert sum(chunks) == sum(batches) == len(result)
-    return result, unstable, chunks, batches
+    return result, result.unstable, chunks, batches
 
 
 def assert_same_run(run, reference):
-    """Two budget_run results hold the same bits and the same warnings."""
+    """Two budget_run results hold the same bits and the same unstable-window count."""
     (tables, unstable), (want, want_unstable) = run[:2], reference[:2]
     assert np.array_equal(tables.percent, want.percent, equal_nan=True)
     assert np.array_equal(tables.radius, want.radius, equal_nan=True)
@@ -147,7 +139,7 @@ class TestWindowArithmetic:
         cfg = base_config(
             window=len(panel), shock_side=side, var_spec=VarSpec(p=2, ty_extra_lags=extra_lags)
         )
-        tables = quiet_tables(panel, cfg)
+        tables = rolling_tables(panel, cfg)
         assert len(tables.index_values) == 1
         assert np.array_equal(tables.percent[0], full_sample_table(panel, cfg).matrix)
         assert tables.index_values[0] == full_sample_index(panel, cfg)
@@ -188,7 +180,7 @@ class TestWindowArithmetic:
     def test_step_ten_count(self):
         rng = np.random.default_rng(62)
         panel = random_walk_panel(rng, T=250, m=2)
-        result = quiet_tables(panel, base_config(window=150, step=10))
+        result = rolling_tables(panel, base_config(window=150, step=10))
         assert len(result) == len(result.percent) == 11
         assert result.window_end_dates == panel.dates[149::10]
 
@@ -204,7 +196,7 @@ class TestWindowArithmetic:
     def test_index_values_are_each_window_total_spillover(self):
         rng = np.random.default_rng(64)
         panel = random_walk_panel(rng, T=170, m=2)
-        tables = quiet_tables(panel, base_config(window=160, step=2))
+        tables = rolling_tables(panel, base_config(window=160, step=2))
         assert tables.side is ShockSide.SYMMETRIC
         totals = [tables.table(i).total_spillover for i in range(len(tables))]
         assert tables.index_values.tolist() == totals
@@ -239,7 +231,7 @@ class TestDesignViews:
     def test_every_window_equals_the_full_sample_fit_of_its_rows(self, name):
         panel, cfg = self.setup(name)
         component = component_panel(decompose_panel(panel, cfg.trend_spec), panel, cfg.shock_side)
-        result = quiet_tables(panel, cfg)
+        result = rolling_tables(panel, cfg)
         values = result.index_values
         assert len(result) == len(range(0, len(panel) - cfg.window + 1, cfg.step)) >= 3
         for i, start in enumerate(range(0, len(panel) - cfg.window + 1, cfg.step)):
@@ -252,14 +244,14 @@ class TestDesignViews:
     def test_single_window_equals_full_sample(self, name):
         panel, cfg = self.setup(name)
         single = replace(cfg, window=len(panel))
-        (value,) = quiet_tables(panel, single).index_values
+        (value,) = rolling_tables(panel, single).index_values
         assert value == full_sample_index(panel, single)
 
     @pytest.mark.parametrize("name", sorted(GEOMETRIES))
     def test_strided_run_equals_dense_run_subsampled(self, name):
         panel, cfg = self.setup(name)
-        dense = quiet_tables(panel, replace(cfg, step=1))
-        strided = quiet_tables(panel, cfg)
+        dense = rolling_tables(panel, replace(cfg, step=1))
+        strided = rolling_tables(panel, cfg)
         assert np.array_equal(strided.percent, dense.percent[:: cfg.step], equal_nan=True)
         assert strided.window_end_dates == dense.window_end_dates[:: cfg.step]
         assert np.array_equal(strided.index_values, dense.index_values[:: cfg.step])
@@ -286,7 +278,7 @@ class TestConfig:
         by_value = base_config(window=150, trend_spec="none", shock_side="pos")
         members = base_config(window=150, trend_spec=TrendSpec.NONE, shock_side=ShockSide.POSITIVE)
         assert by_value == members
-        a, b = quiet_tables(panel, by_value), quiet_tables(panel, members)
+        a, b = rolling_tables(panel, by_value), rolling_tables(panel, members)
         assert a.side is ShockSide.POSITIVE
         np.testing.assert_array_equal(a.percent, b.percent)
         with pytest.raises(ConfigError, match="config field 'shock_side' must be one of"):
@@ -339,7 +331,7 @@ class TestMemory:
         cfg = base_config(window=100)
         tracemalloc.start()
         try:
-            result = quiet_tables(panel, cfg)
+            result = rolling_tables(panel, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -388,7 +380,7 @@ class TestGaps:
     def test_failed_windows_become_nan_with_reason(self):
         panel = self.flat_start_panel()
         cfg = base_config(window=120, trend_spec=TrendSpec.NONE)
-        result = quiet_tables(panel, cfg)
+        result = rolling_tables(panel, cfg)
         assert len(result) == 101
         values = result.index_values
         bad = np.isnan(values)
@@ -410,7 +402,7 @@ class TestGaps:
         flat = np.full(T, 10.0)
         panel = make_panel(np.column_stack([flat, flat + 1.0]), names=["a", "b"], dates=dates)
         with pytest.raises(AllWindowsFailedError):
-            quiet_tables(panel, base_config(window=120, trend_spec=TrendSpec.NONE))
+            rolling_tables(panel, base_config(window=120, trend_spec=TrendSpec.NONE))
 
     @pytest.mark.parametrize("scale", [1e100, 1e-100])
     def test_series_out_of_the_decompositions_range_is_a_gap_without_a_warning(self, scale):
@@ -420,11 +412,11 @@ class TestGaps:
         panel = make_panel(random_walk_matrix(rng, 200, 3) * np.array([scale, 1.0, 1.0]))
         message = r"covariance diagonal outside 2\^-500..2\^500"
         with pytest.raises(AllWindowsFailedError, match=message):
-            quiet_tables(panel, base_config(window=150, step=10, shock_side=ShockSide.POSITIVE))
+            rolling_tables(panel, base_config(window=150, step=10, shock_side=ShockSide.POSITIVE))
 
     def test_table_checks_rows_at_the_kernel_tolerance(self):
         rng = np.random.default_rng(70)
-        tables = quiet_tables(random_walk_panel(rng, T=170, m=2), base_config(window=160, step=5))
+        tables = rolling_tables(random_walk_panel(rng, T=170, m=2), base_config(window=160, step=5))
         assert tables.table(0) is not None
         skewed = replace(tables, percent=tables.percent + np.array([[1e-3, 0.0], [0.0, 0.0]]))
         with pytest.raises(ValueError, match="rows of a percent matrix must sum to 100"):
@@ -439,7 +431,7 @@ class TestValidation:
         cfg = base_config(window=35, var_spec=VarSpec(p=3))
         with pytest.raises(AllWindowsFailedError, match="all 86 windows failed.*25 regressors and 8 equations"):
             rolling_tables(panel, cfg)
-        assert len(quiet_tables(panel, replace(cfg, window=36))) == 85
+        assert len(rolling_tables(panel, replace(cfg, window=36))) == 85
 
     def test_window_longer_than_sample(self):
         rng = np.random.default_rng(68)
@@ -484,7 +476,7 @@ class TestDecompositionScope:
         log_levels = np.cumsum(np.random.default_rng(81).normal(scale=0.02, size=(260, 3)), axis=0)
         panel = make_panel(log_levels)
         cfg = base_config(window=window, step=step, trend_spec=trend, shock_side=side)
-        result = quiet_tables(panel, cfg, per_window=True)
+        result = rolling_tables(panel, cfg, decompose_per_window=True)
         starts = range(0, len(panel) - window + 1, step)
         assert len(result) == len(starts)
         for i, start in enumerate(starts):
@@ -502,19 +494,16 @@ class TestDecompositionScope:
 
 class TestWarningDiscipline:
     def test_unstable_windows_reported_once(self):
-        rng = np.random.default_rng(72)
-        T = 200
-        dates = tuple(dt.date(2010, 1, 4) + dt.timedelta(days=i) for i in range(T))
-        drifting = np.cumsum(rng.normal(0.2, 0.05, size=T)) ** 2 + 50.0
-        other = random_walk_matrix(rng, T, 1)[:, 0]
-        panel = make_panel(np.column_stack([drifting, other]), names=["a", "b"], dates=dates)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rolling_tables(panel, base_config(window=150))
-        unstable = [w for w in caught if issubclass(w.category, UnstableVarWarning)]
-        assert len(unstable) <= 1
-        if unstable:
-            assert "windows" in str(unstable[0].message)
+        # The record counts unstable fits once, as a number; nothing warns.
+        # The stale stretch, longer than a window, makes rank-deficient gaps.
+        values = random_walk_matrix(np.random.default_rng(72), T=400, m=2)
+        values[100:300, 0] = values[100, 0]
+        cfg = base_config(window=150, step=10, shock_side=ShockSide.POSITIVE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UnstableVarWarning)
+            tables = rolling_tables(make_panel(values), cfg)
+        assert np.isnan(tables.radius).any()
+        assert tables.unstable == np.count_nonzero(tables.radius > _UNSTABLE_RADIUS) > 0
 
 
 class TestRandomWalkLevels:
@@ -553,8 +542,8 @@ class TestMirror:
         assert np.array_equal(pos_table.matrix, neg_table.matrix)
         assert pos_table.total_spillover == neg_table.total_spillover
 
-        pos = quiet_tables(y, replace(pos_cfg, window=150, step=7))
-        neg = quiet_tables(minus_y, replace(neg_cfg, window=150, step=7))
+        pos = rolling_tables(y, replace(pos_cfg, window=150, step=7))
+        neg = rolling_tables(minus_y, replace(neg_cfg, window=150, step=7))
         assert pos.gap_reasons == neg.gap_reasons
         # The stale stretch leaves a linear component, collinear with the
         # intercept and its own lags, unless a fitted time trend bends it.
@@ -595,9 +584,7 @@ class TestWindowOutcomes:
             window, var_spec=VarSpec(p=p), shock_side=side, trend_spec=trend, step=step
         )
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UnstableVarWarning)
-                result = rolling_tables(make_panel(values), cfg, decompose_per_window=per_window)
+            result = rolling_tables(make_panel(values), cfg, decompose_per_window=per_window)
         except AllWindowsFailedError:
             return
         assert len(result) == len(result.gap_reasons) == len(range(0, T - window + 1, step))
