@@ -11,20 +11,12 @@ from .connectedness import (
     ConnectednessTable,
     FevdResult,
     NetMeasures,
-    build_table,
     compute_fevd,
     directional,
     net_measures,
     table_from_percent,
 )
-from .decomposition import (
-    DecomposedPanel,
-    ShockSide,
-    TrendFit,
-    TrendSpec,
-    component_panel,
-    decompose_panel,
-)
+from .decomposition import ShockSide, TrendSpec
 from .errors import AspillError
 from .fred import fetch_fred
 from .panel import Panel, align, load_csv, log_transform, write_csv
@@ -32,19 +24,12 @@ from .pipeline import RunConfig, RunManifest, config_from_manifest, run_pipeline
 from .report import parse_table_csv, render_net_json, render_rolling_csv, render_table
 from .rolling import RollingConfig, RollingTables, rolling_tables
 from .svgchart import render_plot, render_svg
-from .var_engine import (
-    VarFit,
-    VarSpec,
-    estimate_var,
-    ma_coefficients,
-    select_lag,
-)
+from .var_engine import VarSpec
 from .version import __version__
 
 __all__ = [
     "AspillError",
     "ConnectednessTable",
-    "DecomposedPanel",
     "FevdResult",
     "NetMeasures",
     "Panel",
@@ -53,23 +38,16 @@ __all__ = [
     "RunConfig",
     "RunManifest",
     "ShockSide",
-    "TrendFit",
     "TrendSpec",
-    "VarFit",
     "VarSpec",
     "__version__",
     "align",
-    "build_table",
-    "component_panel",
     "compute_fevd",
     "config_from_manifest",
-    "decompose_panel",
     "directional",
-    "estimate_var",
     "fetch_fred",
     "load_csv",
     "log_transform",
-    "ma_coefficients",
     "net_measures",
     "parse_table_csv",
     "render_net_json",
@@ -79,7 +57,6 @@ __all__ = [
     "render_table",
     "rolling_tables",
     "run_pipeline",
-    "select_lag",
     "table_from_percent",
     "write_csv",
 ]

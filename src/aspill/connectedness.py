@@ -174,7 +174,7 @@ def total_spillovers(matrix_pct: np.ndarray) -> np.ndarray:
 
 
 def build_table(normalized: np.ndarray, labels: Sequence[str]) -> ConnectednessTable:
-    """Assemble the spillover table from shares whose rows sum to 1 as the kernel's do."""
+    """The table of shares whose rows sum to 1 as the kernel's do: the verifier's reference, not exported."""
     return table_from_percent(np.asarray(normalized, dtype=float) * 100.0, labels, KERNEL_ROW_SUM_TOL)
 
 

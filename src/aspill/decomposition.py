@@ -41,7 +41,7 @@ class ShockSide(Enum):
 
 @dataclass(frozen=True)
 class TrendFit:
-    """Estimated deterministic part c + d t of the differences, and the first level g0."""
+    """A series' c + d t of the differences and first level g0: the verifier's reference, not exported."""
 
     c: float
     d: float
@@ -50,7 +50,7 @@ class TrendFit:
 
 @dataclass(frozen=True, eq=False)
 class DecomposedPanel:
-    """Per-series components reassembled into aligned panels."""
+    """decompose_panel's two component panels: the benchmark verifier's reference, not exported."""
 
     plus_panel: Panel
     minus_panel: Panel
@@ -147,7 +147,8 @@ def decompose_panel(panel: Panel, spec: TrendSpec) -> DecomposedPanel:
     Each side is one split, as split_side makes it. fits[j] holds the
     trend fit of series j. A panel too short for the trend fit names
     every one of its series in the error. spec is a TrendSpec or its
-    value; any other value raises ConfigError naming it.
+    value; any other value raises ConfigError naming it. The benchmark
+    verifier's reference path, not exported from aspill; a run calls split_side.
     """
     spec = _field_from_json("spec", TrendSpec, spec)
     plus, fits = _components(panel, spec, ShockSide.POSITIVE)
@@ -169,7 +170,7 @@ def split_side(panel: Panel, spec: TrendSpec, side: ShockSide) -> Panel:
 
 
 def component_panel(decomposed: DecomposedPanel, source: Panel, side: ShockSide) -> Panel:
-    """Panel an analysis side runs on: a component panel or the source itself."""
+    """decompose_panel's panel of side, or source for sym: the benchmark verifier's reference, not exported."""
     side = _field_from_json("side", ShockSide, side)
     if side is ShockSide.POSITIVE:
         return decomposed.plus_panel

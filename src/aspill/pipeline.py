@@ -31,7 +31,7 @@ from .panel import Panel, check_columns, load_csv, log_transform
 from .report import render_net_json, render_rolling_csv, render_table
 from .rolling import RollingConfig, fit_tables, rolling_tables
 from .svgchart import render_plot
-from .var_engine import CRITERIA, VarSpec, _diverging, check_squares, factor_sample, fit_sample
+from .var_engine import CRITERIA, VarSpec, check_squares, factor_sample, fit_sample
 from .version import __version__
 
 MANIFEST_NAME = "manifest.json"
@@ -150,6 +150,11 @@ def _stage(side: ShockSide, name: str) -> Iterator[None]:
         yield
     except AspillError as exc:
         raise PipelineError(side.value, name, exc) from exc
+
+
+def _diverging(radius: float) -> str:
+    """An unstable full-sample fit's manifest entry, in digits enough to read any flagged radius above 1."""
+    return f"companion spectral radius {radius:.6f} exceeds 1; impulse responses may diverge"
 
 
 def _run_side(cfg: RunConfig, side: ShockSide, panel: Panel, out_dir: Path) -> dict[str, Any]:

@@ -10,7 +10,6 @@ recursion, so long-memory levels data can be used without differencing.
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -27,10 +26,6 @@ from .errors import (
 from .panel import Panel
 
 CRITERIA = ("hjc", "aic", "sic", "hqc")
-
-
-class UnstableVarWarning(UserWarning):
-    """The fitted companion matrix has spectral radius above one."""
 
 
 @dataclass(frozen=True)
@@ -51,7 +46,7 @@ class VarSpec:
 
 @dataclass(frozen=True, eq=False)
 class VarFit:
-    """Estimated coefficients and residual moments.
+    """estimate_var's coefficients and residual moments: the benchmark verifier's reference, not exported.
 
     B holds p_effective matrices; only the first p enter the MA
     recursion. Gamma is degrees-of-freedom corrected and stored exactly
@@ -70,11 +65,6 @@ class VarFit:
 
 # A fit whose companion spectral radius exceeds this is unstable.
 _UNSTABLE_RADIUS = 1.0 + 1e-6
-
-
-def _diverging(radius: float) -> str:
-    """An unstable full-sample fit's report: estimate_var's warning and the manifest's entry."""
-    return f"companion spectral radius {radius:.4f} exceeds 1; impulse responses may diverge"
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,11 +349,9 @@ def fit_sample(panel: Panel, spec: VarSpec, factor: SampleFactor | None = None) 
 def estimate_var(panel: Panel, spec: VarSpec) -> VarFit:
     """fit_sample's fit of the model as a VarFit; it raises as fit_sample does.
 
-    It alone warns of an unstable fit, with UnstableVarWarning; a run reads the fits' radii instead.
+    The benchmark verifier's reference path, not exported from aspill. It never warns: a run reads the radius.
     """
     fit = fit_sample(panel, spec)
-    if fit.radius[0] > _UNSTABLE_RADIUS:
-        warnings.warn(_diverging(fit.radius[0]), UnstableVarWarning, stacklevel=2)
     return VarFit(
         names=panel.names,
         p=spec.p,
@@ -379,7 +367,8 @@ def select_lag(panel: Panel, p_max: int, criterion: str = "hjc") -> int:
     """Pick the lag order 1..p_max minimizing an information criterion.
 
     All candidates are fitted on the rows left after dropping p_max
-    initial observations. Ties resolve to the smallest order.
+    initial observations. Ties resolve to the smallest order. The
+    benchmark verifier's reference path, not exported from aspill.
     """
     return factor_sample(panel, p_max).select(criterion)
 
@@ -401,7 +390,8 @@ def ma_coefficients(fit: VarFit, horizon: int) -> np.ndarray:
     """K_0..K_horizon of the recursion K_i = sum_s B_s K_{i-s}, as (horizon + 1, m, m).
 
     Only the first p coefficient matrices propagate; an augmentation lag
-    is excluded by construction.
+    is excluded by construction. The benchmark verifier's reference path,
+    not exported from aspill.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")

@@ -17,7 +17,6 @@ and in rolling windows:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +25,7 @@ from hypothesis import strategies as st
 
 from aspill.decomposition import ShockSide, TrendSpec
 from aspill.rolling import rolling_tables
-from aspill.var_engine import UnstableVarWarning, VarSpec
+from aspill.var_engine import VarSpec
 from test_rolling import base_config, full_sample_table
 from varsim import make_panel, random_walk_matrix
 
@@ -55,10 +54,8 @@ def scenario(draw, sigma_scalings=("jj", "ii")):
 def run(values: np.ndarray, cfg, per_window: bool, names: list[str] | None = None):
     """The full-sample table and the rolling percent stack and gap reasons."""
     panel = make_panel(values, names)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UnstableVarWarning)
-        table = full_sample_table(panel, replace(cfg, window=len(panel)))
-        windows = rolling_tables(panel, cfg, decompose_per_window=per_window)
+    table = full_sample_table(panel, replace(cfg, window=len(panel)))
+    windows = rolling_tables(panel, cfg, decompose_per_window=per_window)
     return table.matrix, windows.percent, windows.gap_reasons
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
@@ -23,7 +24,7 @@ from aspill.report import parse_table_csv, render_rolling_csv
 from aspill.rolling import RollingConfig, rolling_tables
 from aspill.svgchart import render_svg
 import aspill.var_engine as var_engine
-from aspill.var_engine import UnstableVarWarning, VarSpec, estimate_var, ma_coefficients, select_lag
+from aspill.var_engine import VarSpec, estimate_var, ma_coefficients, select_lag
 from varsim import make_panel, random_walk_matrix
 
 
@@ -97,9 +98,7 @@ class TestFullRun:
         run_pipeline(cfg)
 
         panel, _ = load_csv(csv_path, "date", ("aa", "bb", "cc"))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UnstableVarWarning)
-            fit = estimate_var(panel, VarSpec(p=2))
+        fit = estimate_var(panel, VarSpec(p=2))
         fevd = compute_fevd(ma_coefficients(fit, 10), fit.Gamma, 10)
         expected = build_table(fevd.normalized, panel.names)
 
@@ -139,6 +138,22 @@ class TestWarnings:
             manifest = run_pipeline(base_config(csv_path, tmp_path / "out", window=200, step=10))
         listed = [text for summary in manifest.sides.values() for text in summary["warnings"]]
         assert any("spectral radius" in text for text in listed), listed
+
+    def test_every_listed_radius_reads_above_one(self, tmp_path):
+        # Seeded so that the neg side's full-sample fit is flagged at radius 1.0000333.
+        csv_path = tmp_path / "walk.csv"
+        values = np.cumsum(np.random.default_rng(9).normal(scale=0.02, size=(400, 3)), axis=0)
+        write_csv(make_panel(values, ["aa", "bb", "cc"]), csv_path)
+        manifest = run_pipeline(base_config(csv_path, tmp_path / "out", lags=1))
+        radius = re.compile(r"companion spectral radius (\S+) exceeds 1")
+        listed = [
+            float(match.group(1))
+            for summary in manifest.sides.values()
+            for text in summary["warnings"]
+            if (match := radius.match(text))
+        ]
+        assert listed and all(value > 1.0 for value in listed), listed
+        assert float(radius.match(pipeline._diverging(1.0 + 1.1e-6)).group(1)) > 1.0
 
     @staticmethod
     def divide_by_zero_in_net_measures(monkeypatch):
@@ -202,9 +217,7 @@ class TestOneFactorPerSide:
             side_panel = panel if side is ShockSide.SYMMETRIC else component_panel(decomposed, panel, side)
             lag = select_lag(side_panel, cfg.max_lags, cfg.lag_select)
             assert manifest.sides[side.value]["lag"] == lag
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UnstableVarWarning)
-                fit = estimate_var(side_panel, VarSpec(p=lag, ty_extra_lags=1 if cfg.ty_augment else 0))
+            fit = estimate_var(side_panel, VarSpec(p=lag, ty_extra_lags=1 if cfg.ty_augment else 0))
             fevd = compute_fevd(ma_coefficients(fit, cfg.horizon), fit.Gamma, cfg.horizon)
             expected = build_table(fevd.normalized, panel.names)
             parsed = parse_table_csv((out / f"table_{side.value}.csv").read_text(encoding="utf-8"))

@@ -25,7 +25,6 @@ from aspill.rolling import RollingConfig, rolling_tables
 from aspill.var_engine import (
     _BLOCK_ROWS,
     _UNSTABLE_RADIUS,
-    UnstableVarWarning,
     VarSpec,
     design_bytes,
     estimate_var,
@@ -84,9 +83,7 @@ def base_config(window: int, **kw) -> RollingConfig:
 
 def fitted_table(panel, cfg: RollingConfig) -> ConnectednessTable:
     """The table of a full-sample fit of panel as it is, with cfg's model."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UnstableVarWarning)
-        fit = estimate_var(panel, cfg.var_spec)
+    fit = estimate_var(panel, cfg.var_spec)
     fevd = compute_fevd(
         ma_coefficients(fit, cfg.horizon), fit.Gamma, cfg.horizon, cfg.sigma_scaling
     )
@@ -500,7 +497,7 @@ class TestWarningDiscipline:
         values[100:300, 0] = values[100, 0]
         cfg = base_config(window=150, step=10, shock_side=ShockSide.POSITIVE)
         with warnings.catch_warnings():
-            warnings.simplefilter("error", UnstableVarWarning)
+            warnings.simplefilter("error")
             tables = rolling_tables(make_panel(values), cfg)
         assert np.isnan(tables.radius).any()
         assert tables.unstable == np.count_nonzero(tables.radius > _UNSTABLE_RADIUS) > 0

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from aspill.errors import ConfigError, InsufficientDataError, SingularDesignError
 from aspill.var_engine import (
     _BLOCK_ROWS,
-    UnstableVarWarning,
+    _UNSTABLE_RADIUS,
     VarFit,
     VarSpec,
     estimate_var,
@@ -122,9 +122,7 @@ class TestEstimateVar:
         with pytest.raises(InsufficientDataError, match=message):
             estimate_var(panel, VarSpec(p=3))
         # One row more leaves 8, and Gamma is positive definite.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UnstableVarWarning)
-            fit = estimate_var(random_walk_panel(np.random.default_rng(0), T=36, m=8), VarSpec(p=3))
+        fit = estimate_var(random_walk_panel(np.random.default_rng(0), T=36, m=8), VarSpec(p=3))
         assert fit.T_effective == 33 and np.linalg.eigvalsh(fit.Gamma)[0] > 0.0
 
     def test_single_series_rejected(self):
@@ -173,7 +171,7 @@ class TestEstimateVar:
         np.testing.assert_allclose(fit_p.Gamma, fit.Gamma[np.ix_(perm, perm)], atol=1e-10)
         np.testing.assert_allclose(fit_p.B0, fit.B0[perm], atol=1e-10)
 
-    def test_warns_on_explosive_fit(self):
+    def test_explosive_fit_reads_unstable_and_does_not_warn(self):
         rng = np.random.default_rng(77)
         T, m = 150, 2
         B = np.array([[1.05, 0.0], [0.1, 0.5]])
@@ -181,14 +179,17 @@ class TestEstimateVar:
         y[0] = (1.0, 1.0)
         for t in range(1, T):
             y[t] = B @ y[t - 1] + 0.05 * rng.standard_normal(m)
-        with pytest.warns(UnstableVarWarning):
+        assert fit_sample(make_panel(y), VarSpec(p=1)).radius[0] > _UNSTABLE_RADIUS
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             estimate_var(make_panel(y), VarSpec(p=1))
 
     def test_stationary_fit_does_not_warn(self):
         rng = np.random.default_rng(7)
         y = simulate_var(rng, random_stable_coefficients(rng, 2, 1, radius=0.5), 300)
+        assert fit_sample(make_panel(y), VarSpec(p=1)).radius[0] <= _UNSTABLE_RADIUS
         with warnings.catch_warnings():
-            warnings.simplefilter("error", UnstableVarWarning)
+            warnings.simplefilter("error")
             estimate_var(make_panel(y), VarSpec(p=1))
 
     def test_ty_augmentation_estimates_extra_lag(self):
@@ -437,7 +438,5 @@ class TestRandomWalkLevels:
     def test_levels_fit_runs_without_error(self):
         rng = np.random.default_rng(36)
         panel = random_walk_panel(rng, 300, 3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UnstableVarWarning)
-            fit = estimate_var(panel, VarSpec(p=2))
+        fit = estimate_var(panel, VarSpec(p=2))
         assert fit.T_effective == 298
