@@ -9,6 +9,7 @@ first of the month.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
@@ -16,7 +17,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from datetime import date
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter, lt
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
@@ -37,24 +38,15 @@ from .errors import (
 # Strings treated as a missing observation in CSV cells.
 _MISSING_TOKENS = {"", ".", "na", "nan", "null", "none", "#n/a"}
 
-# Non-blank CSV rows parsed per block. It bounds the cell strings held at
-# once, so ingest memory is the float matrix plus one block of text; the
-# heap that text leaves behind also stays under the fits that follow.
-# Each block's fixed cost is small next to 512 rows of parsing.
+# Lines per np.loadtxt block, and non-blank CSV rows per row-blocked one.
+# It bounds the text held at once, so ingest memory is the float matrix
+# plus one block of text; the heap that text leaves behind also stays
+# under the fits that follow. Each block's fixed cost is small next to
+# 512 rows of parsing.
 _BLOCK_ROWS = 512
 
 # Bytes that keep a file off the np.loadtxt path; see _loadtxt_fits.
-_UNSAFE_BYTES = (b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-
-# Byte tables for _has_missing_cell: the bytes that end a cell, the first
-# bytes of the missing-value tokens in either case, and a lower-casing map.
-_CELL_END = np.zeros(256, dtype=bool)
-_CELL_END[list(b",\r\n")] = True
-_MISSING_FIRST = _CELL_END.copy()
-_MISSING_FIRST[[ord(c) for t in _MISSING_TOKENS for c in t[:1] + t[:1].upper()]] = True
-_LOWER = np.arange(256, dtype=np.uint8)
-_LOWER[ord("A") : ord("Z") + 1] += ord("a") - ord("A")
-_MISSING_CODES = [np.frombuffer(t.encode(), dtype=np.uint8) for t in sorted(_MISSING_TOKENS)]
+_UNSAFE_BYTES = (b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f", b'"')
 
 # The day and month forms parse_date accepts: ASCII digits only, so that
 # neither an interpreter's wider date.fromisoformat grammar nor int()'s
@@ -70,14 +62,11 @@ def parse_date(text: str) -> date:
         ValueError: the text is not such a date.
     """
     raw = text.strip()
-    try:
-        if _ISO_DAY.fullmatch(raw):
-            return date.fromisoformat(raw)
-        month = _ISO_MONTH.fullmatch(raw)
-        if month:
-            return date(int(month[1]), int(month[2]), 1)
-    except OverflowError:
-        raise ValueError(f"date out of range: {text!r}") from None
+    if _ISO_DAY.fullmatch(raw):
+        return date.fromisoformat(raw)
+    month = _ISO_MONTH.fullmatch(raw)
+    if month:
+        return date(int(month[1]), int(month[2]), 1)
     raise ValueError(f"not a YYYY-MM-DD or YYYY-MM date: {text!r}")
 
 
@@ -227,105 +216,65 @@ def _row_blocks(reader: Any) -> Iterator[tuple[list[list[str]], list[int]]]:
         raise error
 
 
-def _has_missing_cell(window: bytes) -> bool:
-    """Whether the bytes hold a cell after a comma that reads as missing.
-
-    Only cells whose first byte could start a missing-value token are
-    compared, lower-cased, against each token followed by a cell end.
-    Padded or quoted forms go unseen, and so does a cell that the
-    window's end cuts short.
-    """
-    codes = np.frombuffer(window, dtype=np.uint8)
-    starts = np.flatnonzero(codes[:-1] == ord(",")) + 1
-    starts = starts[_MISSING_FIRST[codes[starts]]]
-    if not starts.size:
-        return False
-    width = max(map(len, _MISSING_CODES)) + 1
-    padded = np.concatenate([codes, np.zeros(width, dtype=np.uint8)])
-    heads = _LOWER[padded[starts[:, np.newaxis] + np.arange(width)]]
-    return any(
-        ((heads[:, : len(token)] == token).all(axis=1) & _CELL_END[heads[:, len(token)]]).any()
-        for token in _MISSING_CODES
-    )
-
-
 def _loadtxt_fits(path: Path) -> bool:
-    """Whether the np.loadtxt pass is worth trying on the file, judged from its bytes.
+    """Whether np.loadtxt reads each cell of the file as the csv module and float() do.
 
-    Two kinds of file go straight to the row-blocked parser. In the first,
-    np.loadtxt and the csv module plus float() could read a cell apart.
     np.loadtxt strips the bytes 0x1c-0x1f around a number, which float()
     does not, and it has no field size limit; the csv module rejects NUL
-    before Python 3.11. The row-blocked parser reports the error. Without
-    a quote character no field spans lines, so a line break in every
-    aligned stretch of limit // 2 + 1 bytes keeps each field within
-    csv.field_size_limit(); a file holding a quote must be within the
-    limit as a whole. In the second kind, a cell in any column reads as
-    missing. np.loadtxt would only find it after parsing every row before
-    it, and the row-blocked parser would then read the file again. A
-    missing cell this check does not see costs that second pass, never a
-    different result.
+    before Python 3.11. A quote character could make a field span lines,
+    and so a block boundary. Without one no field spans lines, so a line
+    break in every aligned stretch of limit // 2 + 1 bytes keeps each
+    field within csv.field_size_limit(). A byte that is not UTF-8 would
+    cut a block short, while the row-blocked parser checks the rows
+    before it first. Any such file is read by the row-blocked parser
+    from its first row, which reports the error.
     """
-    limit = csv.field_size_limit()
-    small = path.stat().st_size <= limit
-    size = min(limit // 2 + 1, 1 << 16)
-    tail = b""
+    size = min(csv.field_size_limit() // 2 + 1, 1 << 16)
+    decoder = codecs.getincrementaldecoder("utf-8")()
     with path.open("rb") as handle:
-        while chunk := handle.read(size):
-            if any(byte in chunk for byte in _UNSAFE_BYTES):
-                return False
-            if not small and (b'"' in chunk or (len(chunk) == size and b"\n" not in chunk)):
-                return False
-            # The bytes carried over, enough for a comma, the longest token
-            # and a cell end, find a cell split between chunks.
-            window = tail + chunk
-            if _has_missing_cell(window):
-                return False
-            tail = window[-8:]
-    # The file's last cell, which no cell end may follow.
-    return not _has_missing_cell(tail + b"\n")
+        try:
+            while chunk := handle.read(size):
+                if any(byte in chunk for byte in _UNSAFE_BYTES) or (len(chunk) == size and b"\n" not in chunk):
+                    return False
+                decoder.decode(chunk)
+            decoder.decode(b"", final=True)
+        except UnicodeDecodeError:
+            return False
+    return True
 
 
 def _load_clean(
-    path: Path, skip: int, date_position: int, value_positions: list[int]
+    lines: list[str], date_position: int, value_positions: list[int]
 ) -> tuple[list[date], np.ndarray] | None:
-    """Dates and (T, m) values of a file whose rows are all clean, or None.
+    """Dates and (n, m) values of a block of lines that are all clean, or None.
 
-    One np.loadtxt pass parses the rows after the first skip lines in C.
-    A file is clean when every selected value parses as a finite float
-    and every date parses; any other file, or one with no rows, gives
-    None and is left to the row-blocked parser, which drops rows and
-    reports errors. Floats are parsed by the same routine as float(), so
-    a clean file's values are the row-blocked parser's to the bit.
+    One np.loadtxt pass parses the lines in C. A block is clean when every
+    selected value parses as a finite float and every date parses; any
+    other gives None and is left to the row-blocked parser, which drops
+    rows and reports errors. Floats are parsed by the same routine as
+    float(), so a clean block's values are the row-blocked parser's to
+    the bit.
     """
-    if not _loadtxt_fits(path):
-        return None
     m = len(value_positions)
     dtype = np.dtype([("date", object), *[(f"v{j}", float) for j in range(m)]])
     try:
         with warnings.catch_warnings():
-            # A file with no rows is not clean; it is left to the row-blocked parser.
+            # A block of blank lines is clean and holds no rows.
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             table = np.loadtxt(
-                path,
+                lines,
                 dtype=dtype,
                 delimiter=",",
-                quotechar='"',
                 comments=None,
                 usecols=[date_position, *value_positions],
-                skiprows=skip,
-                encoding="utf-8-sig",
                 ndmin=1,
             )
-    # A bad row raises ValueError, UnicodeDecodeError included. TypeError
-    # would be a numpy whose np.loadtxt rejects these arguments; the
-    # row-blocked parser reads the file all the same.
-    except (TypeError, ValueError):
+    except ValueError:
         return None
     values = np.empty((len(table), m))
     for j in range(m):
         values[:, j] = table[f"v{j}"]
-    if not len(table) or not np.isfinite(values).all():
+    if not np.isfinite(values).all():
         return None
     try:
         dates = list(map(parse_date, table["date"]))
@@ -408,10 +357,12 @@ def load_csv(path: str | Path, date_column: str, value_columns: Sequence[str]) -
     """Read selected columns of a CSV file into a date-sorted Panel.
 
     Rows where any selected value is missing are dropped; the count of
-    dropped rows is returned alongside the panel. A clean file, one whose
-    every row holds a date and finite numbers, is parsed in one
-    np.loadtxt pass; any other is read in blocks of _BLOCK_ROWS rows, each
-    converted column by column, which drop rows and name bad cells.
+    dropped rows is returned alongside the panel. The file is read
+    _BLOCK_ROWS lines at a time, each block in one np.loadtxt pass, while
+    every row holds a date and finite numbers. From the first block that
+    does not, and from the first row of a file _loadtxt_fits rejects, the
+    rest is read in blocks of _BLOCK_ROWS rows, each converted column by
+    column, which drop rows and name bad cells.
 
     Raises:
         ConfigError: a value column is named twice or is the date column, or none is.
@@ -431,6 +382,8 @@ def load_csv(path: str | Path, date_column: str, value_columns: Sequence[str]) -
     dates: list[date] = []
     blocks: list[np.ndarray] = []
     dropped = 0
+    # Lines read before the first line of the current csv reader.
+    read = 0
     with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
@@ -447,21 +400,32 @@ def load_csv(path: str | Path, date_column: str, value_columns: Sequence[str]) -
                     raise MalformedCsvError(f"{path}: column {column!r} is named twice in header {header}")
                 positions[column] = header.index(column)
 
+            date_position = positions[date_column]
             value_positions = [positions[c] for c in value_columns]
-            clean = _load_clean(path, reader.line_num, positions[date_column], value_positions)
-            if clean is not None:
-                dates, block = clean
-                blocks.append(block)
-            else:
+            read = reader.line_num
+            rest: Iterator[str] | None = handle
+            if _loadtxt_fits(path):
+                rest = None
+                while lines := list(islice(handle, _BLOCK_ROWS)):
+                    clean = _load_clean(lines, date_position, value_positions)
+                    if clean is None:
+                        rest = chain(lines, handle)
+                        break
+                    dates += clean[0]
+                    blocks.append(clean[1])
+                    read += len(lines)
+            if rest is not None:
+                reader = csv.reader(rest)
                 for rows, ends in _row_blocks(reader):
+                    ends = [read + end for end in ends]
                     block_dates, block, block_dropped = _parse_block(
-                        path, rows, ends, date_column, value_columns, positions[date_column], value_positions
+                        path, rows, ends, date_column, value_columns, date_position, value_positions
                     )
                     dates += block_dates
                     blocks.append(block)
                     dropped += block_dropped
         except csv.Error as exc:
-            raise MalformedCsvError(f"{path}: row {reader.line_num}: {exc}") from None
+            raise MalformedCsvError(f"{path}: row {read + reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise MalformedCsvError(
                 f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"

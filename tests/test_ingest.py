@@ -4,8 +4,9 @@ reference_load_csv is the loader as it was before ingest was blocked:
 one (date, values) tuple per row, a missing check and a parse per cell.
 load_csv must return a bit-identical matrix, the same dates and the same
 dropped count, or raise the same exception type with the same message,
-whatever the block size and whichever path reads the file: one
-np.loadtxt pass for a clean file, the row-blocked parser for any other.
+whatever the block size and whichever path reads each block: one
+np.loadtxt pass per clean block, the row-blocked parser from the first
+block that is not clean, or from the first row of a file holding a quote.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import csv
 import math
 import warnings
 from contextlib import contextmanager
-from datetime import date
+from datetime import date, timedelta
 from pathlib import Path
 from typing import Sequence
 
@@ -206,9 +207,9 @@ def test_row_with_missing_value_and_bad_date_is_dropped(block, tmp_path):
     np.testing.assert_array_equal(panel.matrix, [[1.0, 2.0], [4.0, 5.0]])
 
 
-# Clean files: every row a date and finite numbers, so np.loadtxt reads
-# them, in any column order, with unselected text columns, quoting and
-# padding the csv module and float() both accept.
+# Clean files: every row a date and finite numbers, in any column order,
+# with unselected text columns, quoting and padding the csv module and
+# float() both accept. np.loadtxt reads those without a quote.
 pad = st.sampled_from(["", "", " ", "  ", "\t", "\xa0"])
 quoted = st.sampled_from(["", "", '"'])
 
@@ -229,12 +230,12 @@ date_text = st.one_of(
     # A small pool, so that duplicate dates come up.
     st.sampled_from(DATES[:3]),
 )
-# A note never reads as missing: a missing cell in any column sends the
-# file to the row-blocked parser (see test_missing_cell_skips_loadtxt).
+# A note may read as missing: only the selected cells decide whether a
+# block is clean (see test_missing_cell_reparses_only_its_block).
 note_text = st.one_of(
     st.text(st.characters(whitelist_categories=("L", "N", "Zs")), max_size=6),
-    st.sampled_from(['"x,y"', '"say ""hi"""', '"two\nlines"', "#", "#n/ab", "nana", "n"]),
-).filter(lambda text: not _is_missing(text))
+    st.sampled_from(['"x,y"', '"say ""hi"""', '"two\nlines"', "#", "#n/ab", "nana", "n", "NA", "."]),
+)
 
 
 @st.composite
@@ -270,7 +271,9 @@ def test_clean_file_takes_loadtxt_path_and_matches_reference(data, columns, tmp_
     path.write_bytes(data)
     expected = outcome(reference_load_csv, path, columns)
     saved = panel_module._row_blocks
-    panel_module._row_blocks = row_blocks_unused
+    # A quote sends a file to the row-blocked parser from its first row.
+    if b'"' not in data:
+        panel_module._row_blocks = row_blocks_unused
     try:
         assert outcome(load_csv, path, columns) == expected
     finally:
@@ -345,24 +348,75 @@ def test_file_the_csv_module_rejects_keeps_its_error(row, tmp_path):
 
 
 def loadtxt_unused(*args, **kwargs):
-    raise AssertionError("np.loadtxt read a file with a missing cell")
+    raise AssertionError("np.loadtxt read a file holding a quote")
+
+
+def record_parse_block(monkeypatch) -> list[list[int]]:
+    """The lines of the rows each _parse_block call sees, in call order."""
+    calls: list[list[int]] = []
+    original = panel_module._parse_block
+
+    def recording(path, rows, ends, *args):
+        calls.append(list(ends))
+        return original(path, rows, ends, *args)
+
+    monkeypatch.setattr(panel_module, "_parse_block", recording)
+    return calls
+
+
+def monthly_file(path: Path, last: dict[str, str | None], end: str = "\n") -> None:
+    """Twelve monthly rows on lines 2-13 of date,a,b,note; last replaces cells of the last row, None cuts them."""
+    rows = [{"date": f"2020-{month:02d}", "a": str(month), "b": "0.5", "note": "ok"} for month in range(1, 13)]
+    rows[-1].update(last)
+    lines = ["date,a,b,note", *[",".join(v for v in row.values() if v is not None) for row in rows]]
+    path.write_bytes((end or "\n").join(lines).encode() + end.encode())
 
 
 @pytest.mark.parametrize("cell", ["", ".", "NA", "nan", "NaN", "#N/A", "null", "None"])
 @pytest.mark.parametrize("where", ["a", "b", "note"])
 @pytest.mark.parametrize("end", ["\n", "\r\n", ""])
-def test_missing_cell_skips_loadtxt(cell, where, end, tmp_path, monkeypatch):
-    # Found in the file's bytes, a missing cell late in the file costs
-    # no np.loadtxt pass before the row-blocked one; in an unselected
-    # column it sends the file there all the same.
-    rows = [{"date": f"2020-{month:02d}", "a": str(month), "b": "0.5", "note": "ok"} for month in range(1, 13)]
-    rows[-1][where] = cell
-    lines = ["date,a,b,note", *[",".join(row.values()) for row in rows]]
+def test_missing_cell_reparses_only_its_block(cell, where, end, tmp_path, monkeypatch):
+    # The blocks before it stay with np.loadtxt, so the row-blocked parser
+    # reads only rows 9-12; a missing cell in an unselected column costs
+    # it nothing.
     path = tmp_path / "data.csv"
-    path.write_bytes((end or "\n").join(lines).encode() + end.encode())
+    monthly_file(path, {where: cell}, end)
+    expected = outcome(reference_load_csv, path, ["a", "b"])
+    calls = record_parse_block(monkeypatch)
+    with block_rows(4):
+        assert outcome(load_csv, path, ["a", "b"]) == expected
+    assert calls == ([] if where == "note" else [[10, 11, 12, 13]])
+
+
+@pytest.mark.parametrize(
+    "last",
+    [{"b": None, "note": None}, {"a": " NA "}, {"b": "\tna"}, {"a": "abc"}],
+    ids=["short-row", "padded-NA", "tab-na", "bad-cell"],
+)
+def test_late_row_the_byte_check_cannot_see_reparses_only_its_block(last, tmp_path, monkeypatch):
+    path = tmp_path / "data.csv"
+    monthly_file(path, last)
+    expected = outcome(reference_load_csv, path, ["a", "b"])
+    calls = record_parse_block(monkeypatch)
+    with block_rows(4):
+        assert outcome(load_csv, path, ["a", "b"]) == expected
+    assert calls == [[10, 11, 12, 13]]
+
+
+@pytest.mark.parametrize(
+    "last",
+    [{"a": '"NA"'}, {"note": '"two\nlines"'}, {"note": '"two\nlines"', "a": "abc"}],
+    ids=["quoted-NA", "note-across-blocks", "bad-cell-after-note"],
+)
+def test_file_holding_a_quote_takes_the_row_blocked_parser_throughout(last, tmp_path, monkeypatch):
+    # A block boundary could cut a quoted field; under block_rows(4) the
+    # note's second line starts a block of its own.
+    path = tmp_path / "data.csv"
+    monthly_file(path, last)
     expected = outcome(reference_load_csv, path, ["a", "b"])
     monkeypatch.setattr(np, "loadtxt", loadtxt_unused)
-    assert outcome(load_csv, path, ["a", "b"]) == expected
+    with block_rows(4):
+        assert outcome(load_csv, path, ["a", "b"]) == expected
 
 
 @pytest.mark.parametrize("cell", [".5", "nana", "Nan1", "#n/ab", "nul", "n"])
@@ -374,17 +428,34 @@ def test_cell_starting_like_a_missing_token_keeps_loadtxt_path(cell, tmp_path, m
     assert outcome(load_csv, path, ["a"]) == expected
 
 
+@pytest.mark.parametrize(
+    "bad_bytes", [(300, b"some", b"s\xffme"), (399, b"text", b"text\xe2")], ids=["row-300", "cut-at-end"]
+)
+@pytest.mark.parametrize("cell", ["1", "", "abc"], ids=["clean", "missing", "bad"])
+def test_rows_before_a_late_decode_error_are_read_first(cell, bad_bytes, tmp_path):
+    # The text layer decodes 8 KiB at a time, so a byte that is not UTF-8
+    # in row 300, or a character cut short at the end, is met after the
+    # first lines are read. Those rows are still parsed, and a bad cell
+    # in row 50 is the error reported.
+    rows = [f"{date(2000, 1, 1) + timedelta(days=i)},{i}.25,{i}.5,some unselected text".encode() for i in range(400)]
+    rows[50] = rows[50].replace(b",50.25,", f",{cell},".encode())
+    row, old, new = bad_bytes
+    rows[row] = rows[row].replace(old, new)
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"\n".join([b"date,a,b,note", *rows]))
+    expected = outcome(reference_load_csv, path, ["a", "b"])
+    assert expected[0] is MalformedCsvError and ("UTF-8" in expected[1]) == (cell != "abc")
+    assert outcome(load_csv, path, ["a", "b"]) == expected
+
+
 @pytest.mark.parametrize("missing", [False, True], ids=["clean", "dirty"])
 def test_selected_column_named_twice_in_the_header_is_an_error(missing, tmp_path, monkeypatch):
     # Both ingest paths read the header's one lookup: a clean file never
-    # reaches the row-blocked parser, and a file with a missing cell never
-    # reaches np.loadtxt.
+    # reaches the row-blocked parser, and a file with a missing cell does.
     path = tmp_path / "data.csv"
     second = "." if missing else "4"
     path.write_text(f"date,a,a,b\n2020-01-01,1,2,3\n2020-01-02,{second},5,6\n", encoding="utf-8")
-    if missing:
-        monkeypatch.setattr(np, "loadtxt", loadtxt_unused)
-    else:
+    if not missing:
         monkeypatch.setattr(panel_module, "_row_blocks", row_blocks_unused)
     with pytest.raises(MalformedCsvError) as info:
         load_csv(path, "date", ["b", "a"])

@@ -57,6 +57,10 @@ class TestParseDate:
             "+2020-01",
             "2020-13",
             "2020-00",
+            # Out of date's range: ValueError too, never OverflowError.
+            "0000-01-01",
+            "0000-01",
+            "9999-99-99",
         ],
     )
     def test_only_padded_ascii_months_parse(self, text):
