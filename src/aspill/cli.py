@@ -71,6 +71,8 @@ def _add_panel_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--columns", help="comma-separated value columns")
     parser.add_argument("--date-column", help="name of the date column")
     parser.add_argument("--log", action="store_true", default=None, help="use natural logs of the values")
+    parser.add_argument("--trend", metavar=_choices(t.value for t in TrendSpec),
+                        help="deterministic part of the walk")
 
 
 def _choices(values) -> str:
@@ -201,8 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         command = sub.add_parser(name, help=help_text, epilog=None if rolling else _DIRECTIONAL_NOTE)
         _add_panel_options(command)
-        command.add_argument("--trend", metavar=_choices(t.value for t in TrendSpec),
-                             help="deterministic part of the walk")
         command.add_argument("--lags", help="fixed lag order; omit to select by criterion")
         command.add_argument("--lag-select", metavar=_choices(CRITERIA),
                              help="criterion used when --lags is omitted")
@@ -232,8 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
         "decompose", help="export positive/negative components as CSV"
     )
     _add_panel_options(decompose)
-    decompose.add_argument("--trend", metavar=_choices(t.value for t in TrendSpec),
-                           help="deterministic part of the walk")
     decompose.add_argument("--out", required=True, help="output CSV path")
     # decompose builds no RunConfig, so its options take RunConfig's defaults here.
     defaults = {f.name: _to_json(f.default) for f in dataclasses.fields(RunConfig)}

@@ -125,6 +125,8 @@ def _parse_observations(series_id: str, body: bytes) -> Panel:
                 continue
             dates.append(parse_date(row["date"]))
             values.append(float(raw))
+            if not math.isfinite(values[-1]):
+                raise ValueError(raw)
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise MalformedResponseError(f"{series_id}: malformed observation {row!r}") from exc
     if not dates:

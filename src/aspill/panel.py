@@ -9,7 +9,6 @@ first of the month.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import io
 import math
@@ -45,8 +44,8 @@ _MISSING_TOKENS = {"", ".", "na", "nan", "null", "none", "#n/a"}
 # 512 rows of parsing.
 _BLOCK_ROWS = 512
 
-# Bytes that keep a file off the np.loadtxt path; see _loadtxt_fits.
-_UNSAFE_BYTES = (b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f", b'"')
+# Characters that keep a block off the np.loadtxt path; see _load_clean.
+_CSV_ONLY_CHARS = ('"', "\0", "\x1c", "\x1d", "\x1e", "\x1f")
 
 # The day and month forms parse_date accepts: ASCII digits only, so that
 # neither an interpreter's wider date.fromisoformat grammar nor int()'s
@@ -199,7 +198,6 @@ def _row_blocks(reader: Any) -> Iterator[tuple[list[list[str]], list[int]]]:
     """
     rows: list[list[str]] = []
     ends: list[int] = []
-    error: Exception | None = None
     try:
         for line in reader:
             if "".join(line).strip():
@@ -208,53 +206,51 @@ def _row_blocks(reader: Any) -> Iterator[tuple[list[list[str]], list[int]]]:
                 if len(rows) == _BLOCK_ROWS:
                     yield rows, ends
                     rows, ends = [], []
-    except (csv.Error, UnicodeDecodeError) as exc:
-        error = exc
+    except (csv.Error, UnicodeDecodeError):
+        if rows:
+            yield rows, ends
+        raise
     if rows:
         yield rows, ends
-    if error is not None:
-        raise error
 
 
-def _loadtxt_fits(path: Path) -> bool:
-    """Whether np.loadtxt reads each cell of the file as the csv module and float() do.
+def _line_blocks(lines: Iterator[str]) -> Iterator[list[str]]:
+    """Lists of up to _BLOCK_ROWS lines.
 
-    np.loadtxt strips the bytes 0x1c-0x1f around a number, which float()
-    does not, and it has no field size limit; the csv module rejects NUL
-    before Python 3.11. A quote character could make a field span lines,
-    and so a block boundary. Without one no field spans lines, so a line
-    break in every aligned stretch of limit // 2 + 1 bytes keeps each
-    field within csv.field_size_limit(). A byte that is not UTF-8 would
-    cut a block short, while the row-blocked parser checks the rows
-    before it first. Any such file is read by the row-blocked parser
-    from its first row, which reports the error.
+    A UnicodeDecodeError is raised only after the lines read before it
+    are yielded: list.extend keeps what it took before the error.
     """
-    size = min(csv.field_size_limit() // 2 + 1, 1 << 16)
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    with path.open("rb") as handle:
+    while True:
+        block: list[str] = []
         try:
-            while chunk := handle.read(size):
-                if any(byte in chunk for byte in _UNSAFE_BYTES) or (len(chunk) == size and b"\n" not in chunk):
-                    return False
-                decoder.decode(chunk)
-            decoder.decode(b"", final=True)
+            block.extend(islice(lines, _BLOCK_ROWS))
         except UnicodeDecodeError:
-            return False
-    return True
+            if block:
+                yield block
+            raise
+        if not block:
+            return
+        yield block
 
 
 def _load_clean(
-    lines: list[str], date_position: int, value_positions: list[int]
+    text: str, lines: list[str], date_position: int, value_positions: list[int]
 ) -> tuple[list[date], np.ndarray] | None:
-    """Dates and (n, m) values of a block of lines that are all clean, or None.
+    """Dates and (n, m) values of a block of lines that are all clean, or None; text joins the lines.
 
     One np.loadtxt pass parses the lines in C. A block is clean when every
     selected value parses as a finite float and every date parses; any
     other gives None and is left to the row-blocked parser, which drops
     rows and reports errors. Floats are parsed by the same routine as
     float(), so a clean block's values are the row-blocked parser's to
-    the bit.
+    the bit. Nor is a block clean that holds a quote, which can make a
+    field span lines; 0x1c-0x1f, which np.loadtxt strips around a number
+    and float() does not; NUL, which the csv module rejects before Python
+    3.11; or a line over csv.field_size_limit(), which np.loadtxt ignores.
     """
+    limit = csv.field_size_limit()
+    if any(char in text for char in _CSV_ONLY_CHARS) or (len(text) > limit and max(map(len, lines)) > limit):
+        return None
     m = len(value_positions)
     dtype = np.dtype([("date", object), *[(f"v{j}", float) for j in range(m)]])
     try:
@@ -357,12 +353,12 @@ def load_csv(path: str | Path, date_column: str, value_columns: Sequence[str]) -
     """Read selected columns of a CSV file into a date-sorted Panel.
 
     Rows where any selected value is missing are dropped; the count of
-    dropped rows is returned alongside the panel. The file is read
-    _BLOCK_ROWS lines at a time, each block in one np.loadtxt pass, while
-    every row holds a date and finite numbers. From the first block that
-    does not, and from the first row of a file _loadtxt_fits rejects, the
-    rest is read in blocks of _BLOCK_ROWS rows, each converted column by
-    column, which drop rows and name bad cells.
+    dropped rows is returned alongside the panel. The file is read once,
+    _BLOCK_ROWS lines at a time, each block in one np.loadtxt pass when
+    every row holds a date and finite numbers. The csv module reads any
+    other block, and the blocks from the first quote on, since a quoted
+    field can span lines; its rows are converted column by column, which
+    drops rows and names bad cells.
 
     Raises:
         ConfigError: a value column is named twice or is the date column, or none is.
@@ -403,27 +399,25 @@ def load_csv(path: str | Path, date_column: str, value_columns: Sequence[str]) -
             date_position = positions[date_column]
             value_positions = [positions[c] for c in value_columns]
             read = reader.line_num
-            rest: Iterator[str] | None = handle
-            if _loadtxt_fits(path):
-                rest = None
-                while lines := list(islice(handle, _BLOCK_ROWS)):
-                    clean = _load_clean(lines, date_position, value_positions)
-                    if clean is None:
-                        rest = chain(lines, handle)
-                        break
+            line_blocks = _line_blocks(handle)
+            for lines in line_blocks:
+                text = "".join(lines)
+                clean = _load_clean(text, lines, date_position, value_positions)
+                if clean is not None:
                     dates += clean[0]
                     blocks.append(clean[1])
-                    read += len(lines)
-            if rest is not None:
-                reader = csv.reader(rest)
-                for rows, ends in _row_blocks(reader):
-                    ends = [read + end for end in ends]
-                    block_dates, block, block_dropped = _parse_block(
-                        path, rows, ends, date_column, value_columns, date_position, value_positions
-                    )
-                    dates += block_dates
-                    blocks.append(block)
-                    dropped += block_dropped
+                else:
+                    # A quoted field can span lines, so from a quote the csv module reads the rest.
+                    reader = csv.reader(chain(lines, chain.from_iterable(line_blocks)) if '"' in text else lines)
+                    for rows, ends in _row_blocks(reader):
+                        ends = [read + end for end in ends]
+                        block_dates, block, block_dropped = _parse_block(
+                            path, rows, ends, date_column, value_columns, date_position, value_positions
+                        )
+                        dates += block_dates
+                        blocks.append(block)
+                        dropped += block_dropped
+                read += len(lines)
         except csv.Error as exc:
             raise MalformedCsvError(f"{path}: row {read + reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:

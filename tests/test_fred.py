@@ -155,13 +155,26 @@ class TestFailureModes:
                 transport=RecordingTransport(body=json.dumps({"count": 3}).encode()),
             )
 
-    def test_malformed_observation_row(self, tmp_path):
-        body = body_for([{"date": "2020-01-01"}])
-        with pytest.raises(MalformedResponseError):
+    @pytest.mark.parametrize(
+        "row",
+        [
+            {"date": "2020-01-01"},
+            # float() reads these; a panel holds finite values only.
+            {"date": "2020-01-01", "value": "inf"},
+            {"date": "2020-01-01", "value": "NaN"},
+            {"date": "2020-01-01", "value": "1e999"},
+        ],
+        ids=["no-value", "inf", "NaN", "1e999"],
+    )
+    def test_malformed_observation_row(self, row, tmp_path):
+        body = body_for([row])
+        with pytest.raises(MalformedResponseError) as info:
             fetch_fred(
                 "VXO", api_key="k", cache_dir=tmp_path,
                 transport=RecordingTransport(body=body),
             )
+        assert str(info.value) == f"VXO: malformed observation {row!r}"
+        assert list(tmp_path.glob("*.txt")) == []
 
     def test_empty_observations_means_unknown(self, tmp_path):
         with pytest.raises(SeriesNotFoundError):

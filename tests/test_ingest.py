@@ -5,8 +5,8 @@ one (date, values) tuple per row, a missing check and a parse per cell.
 load_csv must return a bit-identical matrix, the same dates and the same
 dropped count, or raise the same exception type with the same message,
 whatever the block size and whichever path reads each block: one
-np.loadtxt pass per clean block, the row-blocked parser from the first
-block that is not clean, or from the first row of a file holding a quote.
+np.loadtxt pass per clean block, the row-blocked parser for a block that
+is not clean, and for the rest of the file from a block holding a quote.
 """
 
 from __future__ import annotations
@@ -271,7 +271,7 @@ def test_clean_file_takes_loadtxt_path_and_matches_reference(data, columns, tmp_
     path.write_bytes(data)
     expected = outcome(reference_load_csv, path, columns)
     saved = panel_module._row_blocks
-    # A quote sends a file to the row-blocked parser from its first row.
+    # From the block holding a quote, the row-blocked parser reads the rest.
     if b'"' not in data:
         panel_module._row_blocks = row_blocks_unused
     try:
@@ -307,9 +307,8 @@ def test_only_dirty_files_reach_row_blocked_parser(tmp_path, monkeypatch):
     "row", ["2020-01-02, NaN ", "2020-01-02,inf", "2020-01-02,-1e999", "2020-13-01,3", "2020,3"]
 )
 def test_file_loadtxt_parses_but_not_clean_matches_reference(row, tmp_path):
-    # np.loadtxt reads every cell of these files, the byte check passes
-    # them, and the non-finite value or the date sends them on to the
-    # row-blocked parser.
+    # np.loadtxt reads every cell of these files, and the non-finite value
+    # or the date sends their block on to the row-blocked parser.
     path = tmp_path / "data.csv"
     path.write_text(f"date,a\n2020-01-01,1\n{row}\n2020-01-03,4\n", encoding="utf-8")
     assert outcome(load_csv, path, ["a"]) == outcome(reference_load_csv, path, ["a"])
@@ -347,8 +346,17 @@ def test_file_the_csv_module_rejects_keeps_its_error(row, tmp_path):
         assert outcome(load_csv, path, ["a"]) == expected
 
 
-def loadtxt_unused(*args, **kwargs):
-    raise AssertionError("np.loadtxt read a file holding a quote")
+def record_loadtxt(monkeypatch) -> list[list[str]]:
+    """The lines each np.loadtxt call is given, in call order."""
+    calls: list[list[str]] = []
+    original = np.loadtxt
+
+    def recording(lines, *args, **kwargs):
+        calls.append(list(lines))
+        return original(lines, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", recording)
+    return calls
 
 
 def record_parse_block(monkeypatch) -> list[list[int]]:
@@ -364,12 +372,17 @@ def record_parse_block(monkeypatch) -> list[list[int]]:
     return calls
 
 
-def monthly_file(path: Path, last: dict[str, str | None], end: str = "\n") -> None:
-    """Twelve monthly rows on lines 2-13 of date,a,b,note; last replaces cells of the last row, None cuts them."""
-    rows = [{"date": f"2020-{month:02d}", "a": str(month), "b": "0.5", "note": "ok"} for month in range(1, 13)]
-    rows[-1].update(last)
+def monthly_file(path: Path, cells: dict[str, str | None], end: str = "\n", month: int = 12) -> list[str]:
+    """Twelve monthly rows on lines 2-13 of date,a,b,note, and the file's lines.
+
+    cells replaces cells of the given month's row; None cuts them.
+    """
+    rows = [{"date": f"2020-{i:02d}", "a": str(i), "b": "0.5", "note": "ok"} for i in range(1, 13)]
+    rows[month - 1].update(cells)
     lines = ["date,a,b,note", *[",".join(v for v in row.values() if v is not None) for row in rows]]
-    path.write_bytes((end or "\n").join(lines).encode() + end.encode())
+    data = (end or "\n").join(lines).encode() + end.encode()
+    path.write_bytes(data)
+    return data.decode().splitlines(keepends=True)
 
 
 @pytest.mark.parametrize("cell", ["", ".", "NA", "nan", "NaN", "#N/A", "null", "None"])
@@ -393,7 +406,7 @@ def test_missing_cell_reparses_only_its_block(cell, where, end, tmp_path, monkey
     [{"b": None, "note": None}, {"a": " NA "}, {"b": "\tna"}, {"a": "abc"}],
     ids=["short-row", "padded-NA", "tab-na", "bad-cell"],
 )
-def test_late_row_the_byte_check_cannot_see_reparses_only_its_block(last, tmp_path, monkeypatch):
+def test_late_row_loadtxt_rejects_reparses_only_its_block(last, tmp_path, monkeypatch):
     path = tmp_path / "data.csv"
     monthly_file(path, last)
     expected = outcome(reference_load_csv, path, ["a", "b"])
@@ -403,20 +416,85 @@ def test_late_row_the_byte_check_cannot_see_reparses_only_its_block(last, tmp_pa
     assert calls == [[10, 11, 12, 13]]
 
 
-@pytest.mark.parametrize(
-    "last",
-    [{"a": '"NA"'}, {"note": '"two\nlines"'}, {"note": '"two\nlines"', "a": "abc"}],
-    ids=["quoted-NA", "note-across-blocks", "bad-cell-after-note"],
-)
-def test_file_holding_a_quote_takes_the_row_blocked_parser_throughout(last, tmp_path, monkeypatch):
-    # A block boundary could cut a quoted field; under block_rows(4) the
-    # note's second line starts a block of its own.
+@pytest.mark.parametrize("cell", ["", ".", "NA"])
+def test_early_missing_cell_hands_the_next_block_back_to_loadtxt(cell, tmp_path, monkeypatch):
     path = tmp_path / "data.csv"
-    monthly_file(path, last)
+    lines = monthly_file(path, {"b": cell}, month=2)
     expected = outcome(reference_load_csv, path, ["a", "b"])
-    monkeypatch.setattr(np, "loadtxt", loadtxt_unused)
+    loadtxt_calls = record_loadtxt(monkeypatch)
+    calls = record_parse_block(monkeypatch)
     with block_rows(4):
         assert outcome(load_csv, path, ["a", "b"]) == expected
+    assert loadtxt_calls == [lines[1:5], lines[5:9], lines[9:13]]
+    assert calls == [[2, 3, 4, 5]]
+
+
+@pytest.mark.parametrize(
+    "last, ends",
+    [
+        ({"a": "\x1c12"}, [10, 11, 12, 13]),
+        ({"note": "ok\x1c"}, [10, 11, 12, 13]),
+        # The csv module raises on the long field before yielding its row.
+        ({"note": "x" * 40}, [10, 11, 12]),
+        ({"note": "y," * 20}, [10, 11, 12, 13]),
+    ],
+    ids=["selected-0x1c", "unselected-0x1c", "long-field", "long-line"],
+)
+def test_late_control_byte_or_long_line_reparses_only_its_block(last, ends, tmp_path, monkeypatch):
+    # np.loadtxt would strip the 0x1c and read the field over the limit;
+    # a long line of short fields is the csv module's too, and loads.
+    path = tmp_path / "data.csv"
+    lines = monthly_file(path, last)
+    loadtxt_calls = record_loadtxt(monkeypatch)
+    calls = record_parse_block(monkeypatch)
+    with field_size_limit(32):
+        expected = outcome(reference_load_csv, path, ["a", "b"])
+        with block_rows(4):
+            assert outcome(load_csv, path, ["a", "b"]) == expected
+    assert loadtxt_calls == [lines[1:5], lines[5:9]]
+    assert calls == [ends]
+
+
+def test_load_csv_opens_its_input_once(tmp_path, monkeypatch):
+    path = tmp_path / "data.csv"
+    monthly_file(path, {})
+    opened = []
+    original = Path.open
+
+    def counting(self, *args, **kwargs):
+        opened.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counting)
+    load_csv(path, "date", ["a", "b"])
+    assert opened == [path]
+
+
+@pytest.mark.parametrize(
+    "month, cells, clean_blocks, ends",
+    [
+        (12, {"a": '"NA"'}, 2, [[10, 11, 12, 13]]),
+        (12, {"note": '"two\nlines"'}, 2, [[10, 11, 12, 14]]),
+        (12, {"note": '"two\nlines"', "a": "abc"}, 2, [[10, 11, 12, 14]]),
+        (1, {"note": '"ok"'}, 0, [[2, 3, 4, 5], [6, 7, 8, 9], [10, 11, 12, 13]]),
+    ],
+    ids=["quoted-NA", "note-across-blocks", "bad-cell-after-note", "first-block"],
+)
+def test_block_holding_a_quote_hands_the_rest_to_the_row_blocked_parser(
+    month, cells, clean_blocks, ends, tmp_path, monkeypatch
+):
+    # A block boundary could cut a quoted field; under block_rows(4) the
+    # note's second line starts a block of its own. The blocks before the
+    # quote's block stay with np.loadtxt.
+    path = tmp_path / "data.csv"
+    lines = monthly_file(path, cells, month=month)
+    expected = outcome(reference_load_csv, path, ["a", "b"])
+    loadtxt_calls = record_loadtxt(monkeypatch)
+    calls = record_parse_block(monkeypatch)
+    with block_rows(4):
+        assert outcome(load_csv, path, ["a", "b"]) == expected
+    assert loadtxt_calls == [lines[1:5], lines[5:9]][:clean_blocks]
+    assert calls == ends
 
 
 @pytest.mark.parametrize("cell", [".5", "nana", "Nan1", "#n/ab", "nul", "n"])
@@ -446,6 +524,67 @@ def test_rows_before_a_late_decode_error_are_read_first(cell, bad_bytes, tmp_pat
     expected = outcome(reference_load_csv, path, ["a", "b"])
     assert expected[0] is MalformedCsvError and ("UTF-8" in expected[1]) == (cell != "abc")
     assert outcome(load_csv, path, ["a", "b"]) == expected
+
+
+def sized_rows_file(path: Path, header: str, row: int = 1, old: bytes = b"", new: bytes = b"") -> int:
+    """A file of 32-byte rows, row 400 holding a byte that is not UTF-8; new replaces old in row.
+
+    Returns how many lines the text layer gives before the decode error:
+    it decodes in chunks, so those are the lines of its first chunk.
+    """
+    rows = [f"{date(2000, 1, 1) + timedelta(days=i)},{i % 10}.25,0.5,unused text".encode() for i in range(1, 1000)]
+    rows[row - 1] = rows[row - 1].replace(old, new)
+    rows[399] = rows[399].replace(b"used", b"us\xffd")
+    assert {len(line) for line in rows} == {31}
+    path.write_bytes(b"\n".join([header.encode(), *rows]))
+    count = 0
+    with path.open(newline="", encoding="utf-8-sig") as handle:
+        with pytest.raises(UnicodeDecodeError):
+            for _ in handle:
+                count += 1
+    return count
+
+
+@pytest.mark.parametrize(
+    "old, new, error",
+    [(b",0.5,", b",x.5,", "column 'b': cannot read 'x.5'"), (b"unused text", b'"nused tex"', "not UTF-8")],
+    ids=["bad-cell", "quoted-note"],
+)
+def test_rows_a_decode_error_cuts_short_are_parsed_before_it(old, new, error, tmp_path, monkeypatch):
+    # The lines the text layer gives before the decode error end part way
+    # through a block. That part is parsed first: its bad cell is the
+    # error reported, and a quote in it hands the csv module the rest of
+    # the file, whose first read is the decode error.
+    path = tmp_path / "data.csv"
+    count = sized_rows_file(path, "date,a,b,note")
+    # The chunks hold whole rows, 255 data rows in the first 8 KiB.
+    assert (count - 1) % 4 == 3
+    first = count - 3
+    sized_rows_file(path, "date,a,b,note", first, old, new)
+    expected = outcome(reference_load_csv, path, ["a", "b"])
+    assert expected[0] is MalformedCsvError and error in expected[1]
+    calls = record_parse_block(monkeypatch)
+    with block_rows(4):
+        assert outcome(load_csv, path, ["a", "b"]) == expected
+    assert calls == [[first + 1, first + 2, first + 3]]
+
+
+def test_decode_error_at_the_first_line_of_a_block_parses_no_empty_block(tmp_path, monkeypatch):
+    # A 128-byte header leaves a whole number of 4-row blocks before the
+    # decode error.
+    path = tmp_path / "data.csv"
+    count = sized_rows_file(path, "date,a,b,note," + "x" * 113)
+    assert (count - 1) % 4 == 0
+    expected = outcome(reference_load_csv, path, ["a", "b"])
+    assert expected[0] is MalformedCsvError and "UTF-8" in expected[1]
+    loadtxt_calls = record_loadtxt(monkeypatch)
+    calls = record_parse_block(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with block_rows(4):
+            assert outcome(load_csv, path, ["a", "b"]) == expected
+    assert len(loadtxt_calls) == (count - 1) // 4 and all(loadtxt_calls)
+    assert calls == []
 
 
 @pytest.mark.parametrize("missing", [False, True], ids=["clean", "dirty"])
