@@ -234,9 +234,9 @@ def _line_blocks(lines: Iterator[str]) -> Iterator[list[str]]:
 
 
 def _load_clean(
-    text: str, lines: list[str], date_position: int, value_positions: list[int]
+    lines: list[str], date_position: int, value_positions: list[int]
 ) -> tuple[list[date], np.ndarray] | None:
-    """Dates and (n, m) values of a block of lines that are all clean, or None; text joins the lines.
+    """Dates and (n, m) values of a block of lines that are all clean, or None.
 
     One np.loadtxt pass parses the lines in C. A block is clean when every
     selected value parses as a finite float and every date parses; any
@@ -248,6 +248,7 @@ def _load_clean(
     and float() does not; NUL, which the csv module rejects before Python
     3.11; or a line over csv.field_size_limit(), which np.loadtxt ignores.
     """
+    text = "".join(lines)
     limit = csv.field_size_limit()
     if any(char in text for char in _CSV_ONLY_CHARS) or (len(text) > limit and max(map(len, lines)) > limit):
         return None
@@ -354,11 +355,10 @@ def load_csv(path: str | Path, date_column: str, value_columns: Sequence[str]) -
 
     Rows where any selected value is missing are dropped; the count of
     dropped rows is returned alongside the panel. The file is read once,
-    _BLOCK_ROWS lines at a time, each block in one np.loadtxt pass when
-    every row holds a date and finite numbers. The csv module reads any
-    other block, and the blocks from the first quote on, since a quoted
-    field can span lines; its rows are converted column by column, which
-    drops rows and names bad cells.
+    _BLOCK_ROWS lines at a time, each block in one np.loadtxt pass while
+    every row holds a date and finite numbers. From the first block that
+    does not, the csv module reads the rest in blocks of _BLOCK_ROWS rows,
+    each converted column by column, which drop rows and name bad cells.
 
     Raises:
         ConfigError: a value column is named twice or is the date column, or none is.
@@ -401,14 +401,9 @@ def load_csv(path: str | Path, date_column: str, value_columns: Sequence[str]) -
             read = reader.line_num
             line_blocks = _line_blocks(handle)
             for lines in line_blocks:
-                text = "".join(lines)
-                clean = _load_clean(text, lines, date_position, value_positions)
-                if clean is not None:
-                    dates += clean[0]
-                    blocks.append(clean[1])
-                else:
-                    # A quoted field can span lines, so from a quote the csv module reads the rest.
-                    reader = csv.reader(chain(lines, chain.from_iterable(line_blocks)) if '"' in text else lines)
+                clean = _load_clean(lines, date_position, value_positions)
+                if clean is None:
+                    reader = csv.reader(chain(lines, chain.from_iterable(line_blocks)))
                     for rows, ends in _row_blocks(reader):
                         ends = [read + end for end in ends]
                         block_dates, block, block_dropped = _parse_block(
@@ -417,6 +412,9 @@ def load_csv(path: str | Path, date_column: str, value_columns: Sequence[str]) -
                         dates += block_dates
                         blocks.append(block)
                         dropped += block_dropped
+                    break
+                dates += clean[0]
+                blocks.append(clean[1])
                 read += len(lines)
         except csv.Error as exc:
             raise MalformedCsvError(f"{path}: row {read + reader.line_num}: {exc}") from None

@@ -5,13 +5,14 @@ one (date, values) tuple per row, a missing check and a parse per cell.
 load_csv must return a bit-identical matrix, the same dates and the same
 dropped count, or raise the same exception type with the same message,
 whatever the block size and whichever path reads each block: one
-np.loadtxt pass per clean block, the row-blocked parser for a block that
-is not clean, and for the rest of the file from a block holding a quote.
+np.loadtxt pass per clean block, the row-blocked parser from the first
+block that is not clean.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 from contextlib import contextmanager
@@ -271,7 +272,7 @@ def test_clean_file_takes_loadtxt_path_and_matches_reference(data, columns, tmp_
     path.write_bytes(data)
     expected = outcome(reference_load_csv, path, columns)
     saved = panel_module._row_blocks
-    # From the block holding a quote, the row-blocked parser reads the rest.
+    # From the first block holding a quote, the row-blocked parser reads the rest.
     if b'"' not in data:
         panel_module._row_blocks = row_blocks_unused
     try:
@@ -382,7 +383,7 @@ def monthly_file(path: Path, cells: dict[str, str | None], end: str = "\n", mont
     lines = ["date,a,b,note", *[",".join(v for v in row.values() if v is not None) for row in rows]]
     data = (end or "\n").join(lines).encode() + end.encode()
     path.write_bytes(data)
-    return data.decode().splitlines(keepends=True)
+    return io.StringIO(data.decode(), newline="").readlines()
 
 
 @pytest.mark.parametrize("cell", ["", ".", "NA", "nan", "NaN", "#N/A", "null", "None"])
@@ -416,17 +417,23 @@ def test_late_row_loadtxt_rejects_reparses_only_its_block(last, tmp_path, monkey
     assert calls == [[10, 11, 12, 13]]
 
 
-@pytest.mark.parametrize("cell", ["", ".", "NA"])
-def test_early_missing_cell_hands_the_next_block_back_to_loadtxt(cell, tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "cells, loadtxt_reads",
+    [({"b": ""}, 1), ({"b": "."}, 1), ({"b": "NA"}, 1), ({"note": "ok\x1c"}, 0)],
+    ids=["empty", "dot", "NA", "unselected-0x1c"],
+)
+def test_early_dirty_block_hands_the_rest_to_the_row_blocked_parser(cells, loadtxt_reads, tmp_path, monkeypatch):
+    # np.loadtxt rejects the first block, or never sees it for the 0x1c,
+    # and the row-blocked parser reads that block and the rest.
     path = tmp_path / "data.csv"
-    lines = monthly_file(path, {"b": cell}, month=2)
+    lines = monthly_file(path, cells, month=2)
     expected = outcome(reference_load_csv, path, ["a", "b"])
     loadtxt_calls = record_loadtxt(monkeypatch)
     calls = record_parse_block(monkeypatch)
     with block_rows(4):
         assert outcome(load_csv, path, ["a", "b"]) == expected
-    assert loadtxt_calls == [lines[1:5], lines[5:9], lines[9:13]]
-    assert calls == [[2, 3, 4, 5]]
+    assert loadtxt_calls == [lines[1:5]][:loadtxt_reads]
+    assert calls == [[2, 3, 4, 5], [6, 7, 8, 9], [10, 11, 12, 13]]
 
 
 @pytest.mark.parametrize(
@@ -476,9 +483,10 @@ def test_load_csv_opens_its_input_once(tmp_path, monkeypatch):
         (12, {"a": '"NA"'}, 2, [[10, 11, 12, 13]]),
         (12, {"note": '"two\nlines"'}, 2, [[10, 11, 12, 14]]),
         (12, {"note": '"two\nlines"', "a": "abc"}, 2, [[10, 11, 12, 14]]),
+        (6, {"note": '"ok"'}, 1, [[6, 7, 8, 9], [10, 11, 12, 13]]),
         (1, {"note": '"ok"'}, 0, [[2, 3, 4, 5], [6, 7, 8, 9], [10, 11, 12, 13]]),
     ],
-    ids=["quoted-NA", "note-across-blocks", "bad-cell-after-note", "first-block"],
+    ids=["quoted-NA", "note-across-blocks", "bad-cell-after-note", "middle-block", "first-block"],
 )
 def test_block_holding_a_quote_hands_the_rest_to_the_row_blocked_parser(
     month, cells, clean_blocks, ends, tmp_path, monkeypatch
