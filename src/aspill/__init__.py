@@ -21,7 +21,7 @@ from .errors import AspillError
 from .fred import fetch_fred
 from .panel import Panel, align, load_csv, log_transform, write_csv
 from .pipeline import RunConfig, RunManifest, config_from_manifest, run_pipeline
-from .report import parse_table_csv, render_net_json, render_rolling_csv, render_table
+from .report import render_net_json, render_rolling_csv, render_table
 from .rolling import RollingConfig, RollingTables, rolling_tables
 from .svgchart import render_plot, render_svg
 from .var_engine import VarSpec
@@ -49,7 +49,6 @@ __all__ = [
     "load_csv",
     "log_transform",
     "net_measures",
-    "parse_table_csv",
     "render_net_json",
     "render_plot",
     "render_rolling_csv",

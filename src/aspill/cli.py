@@ -2,7 +2,7 @@
 
 Subcommands compose the library stages: fetch (remote data to CSV),
 decompose (component export), analyze (tables, net measures, optional
-rolling), roll (analyze with its tables off) and report (re-render a table).
+rolling) and roll (analyze with its tables off).
 """
 
 from __future__ import annotations
@@ -17,15 +17,13 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .atomic import write_atomic
 from .config import _field_from_json, _to_json
 from .connectedness import SIGMA_SCALINGS
 from .decomposition import ShockSide, TrendSpec, split_side
-from .errors import AspillError, ConfigError, MalformedCsvError, PipelineError
+from .errors import AspillError, ConfigError, PipelineError
 from .fred import DEFAULT_CACHE_DIR, fetch_fred
 from .panel import Panel, align, check_columns, load_csv, log_transform, parse_date, write_csv
 from .pipeline import RunConfig, config_from_manifest, run_pipeline
-from .report import _FORMATS, parse_table_csv, render_table
 from .var_engine import CRITERIA
 from .version import __version__
 
@@ -171,22 +169,6 @@ def _cmd_fetch(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    try:
-        table = parse_table_csv(Path(args.table).read_text(encoding="utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError is one too
-        raise MalformedCsvError(f"{args.table}: {exc}") from exc
-    text = render_table(table, args.format)
-    if args.out:
-        out_path = Path(args.out)
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        write_atomic(out_path, text)
-        print(f"wrote {out_path}")
-    else:
-        print(text, end="")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aspill",
@@ -249,12 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="plain-text cache directory")
     fetch.add_argument("--out", required=True, help="output CSV path")
     fetch.set_defaults(func=_cmd_fetch)
-
-    report = sub.add_parser("report", help="re-render a table CSV as csv, json, or markdown")
-    report.add_argument("--table", required=True, help="table CSV produced by analyze")
-    report.add_argument("--format", default="markdown", choices=_FORMATS)
-    report.add_argument("--out", help="output path; prints to stdout when omitted")
-    report.set_defaults(func=_cmd_report)
     return parser
 
 

@@ -183,9 +183,9 @@ def table_from_percent(
 ) -> ConnectednessTable:
     """Assemble a table from an already percent-scaled matrix.
 
-    The matrix entries are stored untouched, so a table parsed from a
-    rendered file reproduces its source exactly. The looser default
-    tolerance accommodates published tables rounded to one decimal.
+    The matrix entries are stored untouched, so the table's shares are
+    the caller's values to the bit. The looser default tolerance
+    accommodates published tables rounded to one decimal.
 
     Raises:
         ValueError: the shape does not match the labels, an entry is not

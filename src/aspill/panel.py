@@ -399,16 +399,20 @@ def load_csv(path: str | Path, date_column: str, value_columns: Sequence[str]) -
             date_position = positions[date_column]
             value_positions = [positions[c] for c in value_columns]
             read = reader.line_num
+            # No name keeps a parsed block: the loop ends on None, the chain alone
+            # holds a rejected block, and each block of rows lives in the generator.
             line_blocks = _line_blocks(handle)
-            for lines in line_blocks:
+            while lines := next(line_blocks, None):
                 clean = _load_clean(lines, date_position, value_positions)
                 if clean is None:
                     reader = csv.reader(chain(lines, chain.from_iterable(line_blocks)))
-                    for rows, ends in _row_blocks(reader):
-                        ends = [read + end for end in ends]
-                        block_dates, block, block_dropped = _parse_block(
-                            path, rows, ends, date_column, value_columns, date_position, value_positions
-                        )
+                    del lines
+                    parsed = (
+                        _parse_block(path, rows, [read + end for end in ends], date_column,
+                                     value_columns, date_position, value_positions)
+                        for rows, ends in _row_blocks(reader)
+                    )
+                    for block_dates, block, block_dropped in parsed:
                         dates += block_dates
                         blocks.append(block)
                         dropped += block_dropped
@@ -426,6 +430,7 @@ def load_csv(path: str | Path, date_column: str, value_columns: Sequence[str]) -
     if not dates:
         raise NoUsableRowsError(f"{path}: no usable rows (dropped {dropped})")
     matrix = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    del blocks  # so that the sort and Panel's checks run beside one copy of the values
     if not all(map(lt, dates, islice(dates, 1, None))):
         order = sorted(range(len(dates)), key=dates.__getitem__)
         dates = [dates[i] for i in order]
@@ -474,7 +479,7 @@ def log_transform(panel: Panel) -> Panel:
         j = int(np.argmax(bad.any(axis=0)))
         i = int(np.argmax(bad[:, j]))
         raise NonPositiveValueError(
-            f"series {panel.names[j]!r} has non-positive value {matrix[i, j]!r} "
+            f"series {panel.names[j]!r} has non-positive value {float(matrix[i, j])!r} "
             f"at {panel.dates[i].isoformat()}"
         )
     names = tuple(name + "_log" for name in panel.names)

@@ -2,8 +2,7 @@
 
 CSV and JSON carry full float precision so files round-trip exactly;
 markdown rounds to one decimal the way published spillover tables do,
-with the total index as the bottom-right cell. Rendering the parse of a
-rendered table reproduces the original bytes.
+with the total index as the bottom-right cell.
 """
 
 from __future__ import annotations
@@ -13,9 +12,7 @@ import io
 import json
 import math
 
-import numpy as np
-
-from .connectedness import ConnectednessTable, NetMeasures, table_from_percent
+from .connectedness import ConnectednessTable, NetMeasures
 from .rolling import RollingTables
 
 _FORMATS = ("csv", "json", "markdown")
@@ -83,40 +80,6 @@ def _table_markdown(table: ConnectednessTable) -> str:
     own_cells = [cell(v) for v in table.including_own] + [f"{table.total_spillover:.2f}%"]
     lines.append(f"| {INCLUDING_OWN_LABEL} | " + " | ".join(own_cells) + " |")
     return "\n".join(lines) + "\n"
-
-
-def parse_table_csv(text: str) -> ConnectednessTable:
-    """Rebuild a table from its CSV rendering.
-
-    Only labels and the share matrix are read; margins are recomputed, so
-    they agree bit-for-bit with what rendering would emit again. A cell
-    that is not a finite number is named by its 1-based row and column.
-    """
-    rows = list(csv.reader(io.StringIO(text)))
-    if len(rows) < 4:
-        raise ValueError("table CSV needs a header, data rows, and two margin rows")
-    header = rows[0]
-    labels = tuple(header[1:-1])
-    m = len(labels)
-    if len(rows) != m + 3:
-        raise ValueError(f"expected {m + 3} rows for {m} labels, got {len(rows)}")
-    matrix = np.empty((m, m))
-    for i, row in enumerate(rows[1 : m + 1]):
-        if len(row) <= m:
-            raise ValueError(f"row {i + 2} has {len(row)} cells, expected {m + 2}")
-        if row[0] != labels[i]:
-            raise ValueError(f"row label {row[0]!r} does not match header label {labels[i]!r}")
-        for j, cell in enumerate(row[1 : m + 1]):
-            try:
-                value = float(cell)
-            except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise ValueError(
-                    f"row {i + 2}, column {j + 2} ({labels[j]}): {cell!r} is not a finite number"
-                )
-            matrix[i, j] = value
-    return table_from_percent(matrix, labels)
 
 
 def render_net_json(net: NetMeasures) -> str:

@@ -39,7 +39,6 @@ PUBLIC = [
     "load_csv",
     "log_transform",
     "net_measures",
-    "parse_table_csv",
     "render_net_json",
     "render_plot",
     "render_rolling_csv",

@@ -19,9 +19,9 @@ import aspill.decomposition as decomposition
 import aspill.pipeline as pipeline
 import aspill.var_engine as var_engine
 from aspill.cli import main
-from aspill.errors import ConfigError
+from aspill.errors import ConfigError, NonPositiveValueError
 from aspill.fred import fetch_fred
-from aspill.panel import load_csv, write_csv
+from aspill.panel import load_csv, log_transform, write_csv
 from aspill.pipeline import RunConfig
 from aspill.rolling import RollingTables
 from varsim import make_panel, random_walk_matrix
@@ -129,6 +129,21 @@ class TestAnalyze:
         )
         assert tree_digest(out) == first
         assert not (tmp_path / "moved").exists()
+
+    def test_non_positive_value_under_log_is_one_error_line(self, tmp_path, capsys):
+        csv_path = tmp_path / "walk.csv"
+        write_walk_csv(csv_path)
+        lines = csv_path.read_text(encoding="utf-8").splitlines()
+        when, aa, _, cc = lines[5].split(",")
+        lines[5] = f"{when},{aa},-1.5,{cc}"
+        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        line = f"series 'bb' has non-positive value -1.5 at {when}"
+        with pytest.raises(NonPositiveValueError) as info:
+            log_transform(load_csv(csv_path, "date", ["aa", "bb", "cc"])[0])
+        assert str(info.value) == line
+        code = main(analyze_args(csv_path, tmp_path / "out", "--log"))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {line}\n"
 
     def test_missing_input_is_clean_error(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -355,11 +370,6 @@ class TestOneReader:
 
 class TestOsErrors:
     """A path the system refuses ends in one error line, not a traceback."""
-
-    def test_report_table_that_is_a_directory(self, tmp_path, capsys):
-        code = main(["report", "--table", str(tmp_path)])
-        assert code == 1
-        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
 
     def test_manifest_that_is_a_directory(self, tmp_path, capsys):
         code = main(["analyze", "--from-manifest", str(tmp_path)])
@@ -657,79 +667,17 @@ class TestFetch:
         assert "error:" in capsys.readouterr().err
 
 
-class TestReport:
-    def test_markdown_to_stdout(self, tmp_path, capsys):
-        csv_path = tmp_path / "walk.csv"
-        write_walk_csv(csv_path)
-        out = tmp_path / "out"
-        main(analyze_args(csv_path, out, "--sides", "sym"))
-        capsys.readouterr()
-        code = main(["report", "--table", str(out / "table_sym.csv")])
-        captured = capsys.readouterr()
-        assert code == 0
-        assert captured.out.startswith("| | aa | bb | cc |")
-
-    def test_csv_round_trip_to_file(self, tmp_path, capsys):
-        csv_path = tmp_path / "walk.csv"
-        write_walk_csv(csv_path)
-        out = tmp_path / "out"
-        main(analyze_args(csv_path, out, "--sides", "sym"))
-        target = tmp_path / "again.csv"
-        code = main([
-            "report",
-            "--table", str(out / "table_sym.csv"),
-            "--format", "csv",
-            "--out", str(target),
-        ])
-        assert code == 0
-        assert target.read_bytes() == (out / "table_sym.csv").read_bytes()
-
-    def test_non_number_cell_names_file_row_and_column(self, tmp_path, capsys):
-        csv_path = tmp_path / "walk.csv"
-        write_walk_csv(csv_path)
-        out = tmp_path / "out"
-        main(analyze_args(csv_path, out, "--sides", "sym"))
-        lines = (out / "table_sym.csv").read_text(encoding="utf-8").splitlines()
-        cells = lines[2].split(",")
-        cells[2] = "abc"
-        lines[2] = ",".join(cells)
-        bad = tmp_path / "bad.csv"
-        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        capsys.readouterr()
-        code = main(["report", "--table", str(bad)])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err == f"error: {bad}: row 3, column 3 (bb): 'abc' is not a finite number\n"
-
-    def test_short_data_row_is_clean_error(self, tmp_path, capsys):
-        csv_path = tmp_path / "walk.csv"
-        write_walk_csv(csv_path)
-        out = tmp_path / "out"
-        main(analyze_args(csv_path, out, "--sides", "sym"))
-        lines = (out / "table_sym.csv").read_text(encoding="utf-8").splitlines()
-        lines[1] = ",".join(lines[1].split(",")[:3])
-        bad = tmp_path / "bad.csv"
-        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        capsys.readouterr()
-        code = main(["report", "--table", str(bad)])
-        assert code == 1
-        assert capsys.readouterr().err == f"error: {bad}: row 2 has 3 cells, expected 5\n"
-
-    def test_undecodable_table_is_clean_error(self, tmp_path, capsys):
-        bad = tmp_path / "bad.csv"
-        bad.write_bytes(b",aa,bb,from_others\n\xff\xfe,1,2,3\n")
-        code = main(["report", "--table", str(bad)])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
-
-
 class TestParser:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["--version"])
         assert info.value.code == 0
         assert "aspill" in capsys.readouterr().out
+
+    def test_help_lists_the_four_subcommands(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert "{analyze,roll,decompose,fetch}" in capsys.readouterr().out
 
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -26,7 +26,6 @@ from aspill.errors import (
 )
 from aspill.panel import write_csv
 from aspill.pipeline import RunConfig, run_pipeline
-from aspill.report import parse_table_csv
 from aspill.rolling import RollingConfig, rolling_tables
 from aspill.var_engine import (
     _BLOCK_ROWS,
@@ -38,6 +37,7 @@ from aspill.var_engine import (
     fit_sample,
     ma_stack,
 )
+from test_pipeline import read_table_csv
 from varsim import make_panel, random_walk_matrix, random_walk_panel
 
 TOLERANCE = 1e-10
@@ -337,7 +337,7 @@ def test_run_tables_match_loop_oracle(tmp_path, lags, ty_augment, sigma_scaling)
         record = manifest.sides[side.value]
         want, reason, _ = oracle_side(panel, cfg, side, record["lag"])
         table_csv = tmp_path / "out" / f"table_{side.value}.csv"
-        table = parse_table_csv(table_csv.read_text(encoding="utf-8"))
+        table = read_table_csv(table_csv)
         assert reason is None
         assert abs(table.total_spillover - want) < TOLERANCE
 

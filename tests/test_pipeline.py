@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import re
@@ -9,6 +10,7 @@ import tracemalloc
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from aspill.decomposition import ShockSide, TrendSpec, component_panel, decompos
 from aspill.errors import ConfigError, ManifestMismatchError, PipelineError, SeriesTooShortError
 from aspill.panel import load_csv, log_transform, write_csv
 from aspill.pipeline import RunConfig, config_from_manifest, run_pipeline
-from aspill.report import parse_table_csv, render_rolling_csv
+from aspill.report import render_rolling_csv
 from aspill.rolling import RollingConfig, rolling_tables
 from aspill.svgchart import render_svg
 import aspill.var_engine as var_engine
@@ -49,6 +51,23 @@ def base_config(input_path: Path, out_dir: Path, **kw) -> RunConfig:
     )
     defaults.update(kw)
     return RunConfig(**defaults)
+
+
+class TableFile(NamedTuple):
+    labels: tuple[str, ...]
+    matrix: np.ndarray
+    total_spillover: float
+
+
+def read_table_csv(path: Path) -> TableFile:
+    """The labels, shares and total spillover cell of a run's table CSV, read by csv.reader."""
+    with path.open(encoding="utf-8", newline="") as handle:
+        header, *rows = csv.reader(handle)
+    labels = tuple(header[1:-1])
+    shares = rows[: len(labels)]
+    assert len(rows) == len(labels) + 2 and tuple(row[0] for row in shares) == labels
+    matrix = np.array([[float(cell) for cell in row[1:-1]] for row in shares])
+    return TableFile(labels, matrix, float(rows[-1][-1]))
 
 
 def tree_digest(root: Path) -> dict[str, str]:
@@ -102,7 +121,7 @@ class TestFullRun:
         fevd = compute_fevd(ma_coefficients(fit, 10), fit.Gamma, 10)
         expected = build_table(fevd.normalized, panel.names)
 
-        parsed = parse_table_csv((out / "table_sym.csv").read_text(encoding="utf-8"))
+        parsed = read_table_csv(out / "table_sym.csv")
         np.testing.assert_array_equal(parsed.matrix, expected.matrix)
         assert parsed.total_spillover == expected.total_spillover
 
@@ -220,7 +239,7 @@ class TestOneFactorPerSide:
             fit = estimate_var(side_panel, VarSpec(p=lag, ty_extra_lags=1 if cfg.ty_augment else 0))
             fevd = compute_fevd(ma_coefficients(fit, cfg.horizon), fit.Gamma, cfg.horizon)
             expected = build_table(fevd.normalized, panel.names)
-            parsed = parse_table_csv((out / f"table_{side.value}.csv").read_text(encoding="utf-8"))
+            parsed = read_table_csv(out / f"table_{side.value}.csv")
             np.testing.assert_allclose(parsed.matrix, expected.matrix, rtol=0, atol=1e-10)
         return factored
 
@@ -329,8 +348,7 @@ class TestRollingOutputs:
         assert [tables.side for tables in records] == list(cfg.sides)
         for tables in records:
             table_csv = tmp_path / "out" / f"table_{tables.side.value}.csv"
-            header = parse_table_csv(table_csv.read_text(encoding="utf-8"))
-            assert tables.labels == cfg.columns == header.labels
+            assert tables.labels == cfg.columns == read_table_csv(table_csv).labels
             assert all(tables.table(i).labels == cfg.columns for i in range(len(tables)))
 
 
