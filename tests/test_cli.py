@@ -25,7 +25,7 @@ from aspill.panel import load_csv, log_transform, write_csv
 from aspill.pipeline import RunConfig
 from aspill.rolling import RollingTables
 from varsim import make_panel, random_walk_matrix
-from test_pipeline import tree_digest, write_decreasing_csv, write_walk_csv
+from test_pipeline import read_table_csv, tree_digest, write_decreasing_csv, write_walk_csv
 
 
 def analyze_args(csv_path: Path, out: Path, *extra: str) -> list[str]:
@@ -399,6 +399,19 @@ class TestOsErrors:
         assert target.read_text(encoding="utf-8") == "kept\n"
 
 
+    @pytest.mark.parametrize("command", ["analyze", "roll", "decompose"])
+    def test_input_that_is_a_directory(self, tmp_path, capsys, command):
+        folder = tmp_path / "walk.csv"
+        folder.mkdir()
+        target = tmp_path / ("parts.csv" if command == "decompose" else "out")
+        extra = ["--window", "220"] if command == "roll" else []
+        code = main([command, "--input", str(folder), "--columns", "aa,bb", "--out", str(target), *extra])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and str(folder) in err and len(err.splitlines()) == 1
+        assert sorted(tmp_path.iterdir()) == [folder]
+
+
 class TestColumnLists:
     @pytest.mark.parametrize(
         "columns, named",
@@ -665,6 +678,38 @@ class TestFetch:
         ])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestTableFiles:
+    """analyze writes each side's table as csv, json and markdown; nothing reads them back."""
+
+    def test_markdown_table_file(self, tmp_path, capsys):
+        csv_path = tmp_path / "walk.csv"
+        write_walk_csv(csv_path)
+        out = tmp_path / "out"
+        assert main(analyze_args(csv_path, out, "--sides", "sym")) == 0
+        lines = (out / "table_sym.md").read_text(encoding="utf-8").splitlines()
+        assert lines[0].startswith("| | aa | bb | cc |")
+
+    @pytest.mark.parametrize("side", ["pos", "neg", "sym"])
+    def test_json_table_holds_the_csv_values_to_the_bit(self, tmp_path, capsys, side):
+        csv_path = tmp_path / "walk.csv"
+        write_walk_csv(csv_path)
+        out = tmp_path / "out"
+        assert main(analyze_args(csv_path, out, "--sides", side)) == 0
+        payload = json.loads((out / f"table_{side}.json").read_text(encoding="utf-8"))
+        table = read_table_csv(out / f"table_{side}.csv")
+        assert tuple(payload["labels"]) == table.labels == ("aa", "bb", "cc")
+        assert [float(v).hex() for v in np.ravel(payload["matrix"])] == [
+            float(v).hex() for v in np.ravel(table.matrix)
+        ]
+        assert float(payload["total_spillover"]).hex() == table.total_spillover.hex()
+
+    def test_report_is_no_longer_a_subcommand(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["report", "--table", str(tmp_path / "table_sym.csv")])
+        assert info.value.code == 2
+        assert "invalid choice: 'report'" in capsys.readouterr().err
 
 
 class TestParser:

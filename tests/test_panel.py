@@ -306,6 +306,15 @@ class TestLogTransform:
             log_transform(panel)
         assert str(info.value) == "series 'px' has non-positive value -1.5 at 2000-02-01"
 
+    @pytest.mark.parametrize(
+        "value, printed", [(0.0, "0.0"), (-0.0, "-0.0"), (-2.0, "-2.0"), (-1e-300, "-1e-300")]
+    )
+    def test_non_positive_value_prints_as_a_plain_float(self, value, printed):
+        panel = make_panel(np.array([[2.0, 3.0], [4.0, value]]), names=["px", "qx"])
+        with pytest.raises(NonPositiveValueError) as info:
+            log_transform(panel)
+        assert str(info.value) == f"series 'qx' has non-positive value {printed} at 2000-02-01"
+
     def test_exp_recovers_input(self):
         rng = np.random.default_rng(6)
         panel = make_panel(np.exp(rng.normal(size=(50, 2))))
