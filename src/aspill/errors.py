@@ -59,10 +59,6 @@ class MalformedResponseError(AspillError):
     """The remote service answered with a payload we cannot interpret."""
 
 
-class MalformedCacheError(AspillError):
-    """A cache file holds a line that is not a date and a finite value, or a date out of order."""
-
-
 # -- estimation -------------------------------------------------------------
 
 class SeriesTooShortError(AspillError):

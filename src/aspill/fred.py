@@ -1,9 +1,11 @@
 """Cache-first download of observation series from the FRED HTTP API.
 
-Fetches are keyed by series id and date range. A hit in the plain-text
-cache is served without touching the network or needing credentials, so
-a warmed cache makes every downstream run offline-reproducible. The
-transport is injectable for tests.
+Fetches are keyed by series id and date range. The cache holds one
+`date,<id>` CSV per entry, written by write_csv and read by load_csv, so
+a cache file is also a valid input. A hit is served without touching
+the network or needing credentials, so a warmed cache makes every
+downstream run offline-reproducible. The transport is injectable for
+tests.
 """
 
 from __future__ import annotations
@@ -21,15 +23,14 @@ from typing import Callable
 
 import numpy as np
 
-from .atomic import write_atomic
 from .errors import (
     HttpFetchError,
-    MalformedCacheError,
+    MalformedCsvError,
     MalformedResponseError,
     MissingCredentialsError,
     SeriesNotFoundError,
 )
-from .panel import Panel, parse_date
+from .panel import Panel, load_csv, parse_date, write_csv
 
 logger = logging.getLogger(__name__)
 
@@ -69,44 +70,20 @@ def _cache_path(cache_dir: Path, series_id: str, date_range: tuple[date | None, 
     start, end = date_range
     safe_id = re.sub(r"[^A-Za-z0-9_-]", "_", series_id)
     tag = f"{start.isoformat() if start else 'none'}_{end.isoformat() if end else 'none'}"
-    return cache_dir / f"{safe_id}_{tag}.txt"
+    return cache_dir / f"{safe_id}_{tag}.csv"
 
 
 def _read_cache(path: Path, series_id: str) -> Panel | None:
-    if not path.is_file():
+    try:
+        panel, dropped = load_csv(path, "date", [series_id])
+    except FileNotFoundError:
         return None
-    dates: list[date] = []
-    values: list[float] = []
-    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            when, text = line.split()
-            day, value = parse_date(when), float(text)
-            if not math.isfinite(value):
-                raise ValueError(text)
-        except ValueError:
-            raise MalformedCacheError(
-                f"{path}: line {number}: expected a date and a finite value, got {line!r}"
-            ) from None
-        if dates and day <= dates[-1]:
-            raise MalformedCacheError(
-                f"{path}: line {number}: date not after {dates[-1].isoformat()}, got {line!r}"
-            )
-        dates.append(day)
-        values.append(value)
-    if not dates:
-        return None
-    logger.debug("cache hit for %s at %s (%d observations)", series_id, path, len(dates))
-    return Panel((series_id,), dates, np.asarray(values)[:, np.newaxis])
-
-
-def _write_cache(path: Path, panel: Panel) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"# {panel.names[0]}"]
-    lines += [f"{d.isoformat()} {float(v)!r}" for d, v in zip(panel.dates, panel.matrix[:, 0])]
-    write_atomic(path, "\n".join(lines) + "\n")
+    if dropped:
+        raise MalformedCsvError(
+            f"{path}: column {series_id!r}: {dropped} row(s) without a value; a cache row must hold one"
+        )
+    logger.debug("cache hit for %s at %s (%d observations)", series_id, path, len(panel))
+    return panel
 
 
 def _parse_observations(series_id: str, body: bytes) -> Panel:
@@ -152,6 +129,8 @@ def fetch_fred(
         SeriesNotFoundError: the service does not know the id.
         HttpFetchError: transport or HTTP-level failure.
         MalformedResponseError: a payload we cannot interpret.
+        MalformedCsvError, DuplicateDateError, NoUsableRowsError: a cache
+            file that load_csv rejects, or a cache row without a value.
     """
     cache_dir = Path(cache_dir)
     path = _cache_path(cache_dir, series_id, date_range)
@@ -184,6 +163,7 @@ def fetch_fred(
         if status != 200:
             raise HttpFetchError(f"{series_id}: HTTP {status}", status=status)
         panel = _parse_observations(series_id, body)
-        _write_cache(path, panel)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_csv(panel, path)
         logger.info("fetched %s (%d observations)", series_id, len(panel))
         return panel

@@ -362,7 +362,8 @@ def load_csv(path: str | Path, date_column: str, value_columns: Sequence[str]) -
 
     Raises:
         ConfigError: a value column is named twice or is the date column, or none is.
-        FileNotFoundError: the file does not exist.
+        OSError: the file cannot be opened, as FileNotFoundError or
+            IsADirectoryError.
         UnknownColumnError: a named column is absent from the header.
         MalformedCsvError: the header names a selected column twice, the
             file is not UTF-8 CSV text, or a kept row has a date or value
@@ -373,8 +374,6 @@ def load_csv(path: str | Path, date_column: str, value_columns: Sequence[str]) -
     """
     check_columns(date_column, value_columns)
     path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"no such file: {path}")
     dates: list[date] = []
     blocks: list[np.ndarray] = []
     dropped = 0

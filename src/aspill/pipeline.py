@@ -308,7 +308,7 @@ def config_from_manifest(path: str | Path) -> RunConfig:
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise ConfigError(f"not a JSON manifest: {exc} (manifest {path})") from None
     input_path = Path(cfg.input_path)
-    if not input_path.is_file():
+    if not input_path.exists():
         raise ManifestMismatchError(f"recorded input {cfg.input_path!r} no longer exists")
     digest = _sha256(input_path)
     if digest != recorded:

@@ -25,6 +25,7 @@ from aspill.connectedness import (
     table_from_percent,
 )
 from aspill.decomposition import ShockSide, TrendSpec, component_panel, decompose_panel
+from aspill.panel import Panel, write_csv
 from aspill.rolling import RollingConfig, rolling_tables
 from aspill.var_engine import VarSpec, estimate_var, ma_coefficients
 from test_connectedness import gfevd_oracle, random_ma, random_table
@@ -354,10 +355,8 @@ def test_asymmetry_demo_script_runs_from_a_warm_cache(tmp_path, monkeypatch, cap
     cache_dir.mkdir()
     for series_id in ids:
         levels = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.04, size=len(dates))))
-        lines = [f"# {series_id}"] + [f"{d.isoformat()} {float(v)!r}" for d, v in zip(dates, levels)]
-        fred._cache_path(cache_dir, series_id, demo.RANGE).write_text(
-            "\n".join(lines) + "\n", encoding="utf-8"
-        )
+        panel = Panel((series_id,), dates, levels[:, None])
+        write_csv(panel, fred._cache_path(cache_dir, series_id, demo.RANGE))
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -398,7 +398,6 @@ class TestOsErrors:
         assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{target}'\n"
         assert target.read_text(encoding="utf-8") == "kept\n"
 
-
     @pytest.mark.parametrize("command", ["analyze", "roll", "decompose"])
     def test_input_that_is_a_directory(self, tmp_path, capsys, command):
         folder = tmp_path / "walk.csv"
@@ -406,10 +405,23 @@ class TestOsErrors:
         target = tmp_path / ("parts.csv" if command == "decompose" else "out")
         extra = ["--window", "220"] if command == "roll" else []
         code = main([command, "--input", str(folder), "--columns", "aa,bb", "--out", str(target), *extra])
-        err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("error: ") and str(folder) in err and len(err.splitlines()) == 1
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{folder}'\n"
         assert sorted(tmp_path.iterdir()) == [folder]
+
+    def test_recorded_input_that_is_now_a_directory(self, tmp_path, capsys):
+        csv_path = tmp_path / "walk.csv"
+        write_walk_csv(csv_path)
+        out = tmp_path / "out"
+        assert main(analyze_args(csv_path, out)) == 0
+        first = tree_digest(out)
+        csv_path.unlink()
+        csv_path.mkdir()
+        capsys.readouterr()
+        code = main(["analyze", "--from-manifest", str(out / "manifest.json")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{csv_path}'\n"
+        assert tree_digest(out) == first
 
 
 class TestColumnLists:
@@ -614,32 +626,24 @@ class TestFetch:
         assert len(panel) == 3
         np.testing.assert_array_equal(panel.matrix[:, 1], [4.0, 5.0, 6.0])
 
-    def test_malformed_cache_line_is_clean_error(self, tmp_path, capsys, monkeypatch):
+    def test_one_series_out_is_its_cache_file(self, tmp_path, capsys, monkeypatch):
+        # The cache is the date,<id> CSV that fetch --out writes.
         monkeypatch.delenv("FRED_API_KEY", raising=False)
         cache = tmp_path / "cache"
-        self.warm_cache(cache, "AAA", [1.0, 2.0, 3.0])
-        (path,) = cache.glob("*.txt")
-        lines = path.read_text(encoding="utf-8").splitlines()
-        lines[2] = "2020-01-02"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        code = main([
-            "fetch",
-            "--series", "AAA",
-            "--cache-dir", str(cache),
-            "--out", str(tmp_path / "fetched.csv"),
-        ])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert f"error: {path}: line 3:" in err
-        assert not (tmp_path / "fetched.csv").exists()
+        self.warm_cache(cache, "AAA", [1.0, 0.1 + 0.2, 1 / 3])
+        out_csv = tmp_path / "fetched.csv"
+        code = main(["fetch", "--series", "AAA", "--cache-dir", str(cache), "--out", str(out_csv)])
+        assert code == 0
+        (path,) = cache.glob("*.csv")
+        assert out_csv.read_bytes() == path.read_bytes()
 
-    def test_out_of_order_cache_date_is_clean_error(self, tmp_path, capsys, monkeypatch):
+    def test_malformed_cache_cell_is_clean_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("FRED_API_KEY", raising=False)
         cache = tmp_path / "cache"
         self.warm_cache(cache, "AAA", [1.0, 2.0, 3.0])
-        (path,) = cache.glob("*.txt")
+        (path,) = cache.glob("*.csv")
         lines = path.read_text(encoding="utf-8").splitlines()
-        lines[2], lines[3] = lines[3], lines[2]
+        lines[2] = "2020-01-02,abc"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         code = main([
             "fetch",
@@ -648,9 +652,9 @@ class TestFetch:
             "--out", str(tmp_path / "fetched.csv"),
         ])
         assert code == 1
-        err = capsys.readouterr().err
-        assert f"error: {path}: line 4:" in err
-        assert "Traceback" not in err
+        assert capsys.readouterr().err == (
+            f"error: {path}: row 3, column 'AAA': cannot read 'abc' as a finite number\n"
+        )
         assert not (tmp_path / "fetched.csv").exists()
 
     @pytest.mark.parametrize("option", ["--start", "--end"])

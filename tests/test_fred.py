@@ -11,13 +11,16 @@ import numpy as np
 import pytest
 
 from aspill.errors import (
+    DuplicateDateError,
     HttpFetchError,
-    MalformedCacheError,
+    MalformedCsvError,
     MalformedResponseError,
     MissingCredentialsError,
+    NoUsableRowsError,
     SeriesNotFoundError,
 )
-from aspill.fred import fetch_fred
+from aspill.fred import _cache_path, fetch_fred
+from aspill.panel import load_csv
 
 
 def body_for(rows) -> bytes:
@@ -29,6 +32,12 @@ OK_ROWS = [
     {"date": "2020-01-02", "value": "."},
     {"date": "2020-01-03", "value": "2.25"},
 ]
+
+
+# Values whose shortest repr has 17 significant digits, or that sit at the
+# ends of the float range, so a cache that does not keep every bit shows.
+EXACT_VALUES = [0.1 + 0.2, 1 / 3, -2.5e17, 1e-300, 5e-324, 1.7976931348623157e308]
+EXACT_ROWS = [{"date": f"2020-01-{i + 1:02d}", "value": repr(v)} for i, v in enumerate(EXACT_VALUES)]
 
 
 class RecordingTransport:
@@ -76,10 +85,13 @@ class TestFetch:
 
     def test_cache_hit_needs_no_key_or_network(self, tmp_path, monkeypatch):
         monkeypatch.delenv("FRED_API_KEY", raising=False)
-        first = fetch_fred("VXO", api_key="k", cache_dir=tmp_path, transport=RecordingTransport())
+        transport = RecordingTransport(body=body_for(EXACT_ROWS))
+        first = fetch_fred("VXO", api_key="k", cache_dir=tmp_path, transport=transport)
         second = fetch_fred("VXO", cache_dir=tmp_path, transport=refusing_transport)
+        assert first.matrix[:, 0].tolist() == EXACT_VALUES
+        assert second.names == first.names
         assert second.dates == first.dates
-        np.testing.assert_array_equal(second.matrix, first.matrix)
+        assert second.matrix.tobytes() == first.matrix.tobytes()
 
     def test_missing_key_fails_before_network(self, tmp_path, monkeypatch):
         monkeypatch.delenv("FRED_API_KEY", raising=False)
@@ -105,7 +117,7 @@ class TestFetch:
             transport=transport,
         )
         assert len(transport.urls) == 2
-        assert len(list(tmp_path.glob("*.txt"))) == 2
+        assert len(list(tmp_path.glob("*.csv"))) == 2
 
 
 class TestFailureModes:
@@ -174,7 +186,7 @@ class TestFailureModes:
                 transport=RecordingTransport(body=body),
             )
         assert str(info.value) == f"VXO: malformed observation {row!r}"
-        assert list(tmp_path.glob("*.txt")) == []
+        assert list(tmp_path.glob("*.csv")) == []
 
     def test_empty_observations_means_unknown(self, tmp_path):
         with pytest.raises(SeriesNotFoundError):
@@ -197,37 +209,79 @@ class TestFailureModes:
                 "VXO", api_key="k", cache_dir=tmp_path,
                 transport=RecordingTransport(status=500, body=b"boom"),
             )
-        assert list(tmp_path.glob("*.txt")) == []
+        assert list(tmp_path.glob("*.csv")) == []
+
+
+class TestCacheFile:
+    """The cache is the date,<id> CSV that write_csv writes and load_csv reads."""
+
+    def test_cache_file_is_an_input(self, tmp_path):
+        transport = RecordingTransport(body=body_for(EXACT_ROWS))
+        fetched = fetch_fred("VXO", api_key="k", cache_dir=tmp_path, transport=transport)
+        (path,) = tmp_path.glob("*.csv")
+        assert path == _cache_path(tmp_path, "VXO", (None, None))
+        loaded, dropped = load_csv(path, "date", ["VXO"])
+        assert dropped == 0
+        assert loaded.dates == fetched.dates
+        assert loaded.matrix.tobytes() == fetched.matrix.tobytes()
+
+    def test_old_text_cache_is_not_read(self, tmp_path):
+        old = _cache_path(tmp_path, "VXO", (None, None)).with_suffix(".txt")
+        old.write_text("# VXO\n2020-01-01 9.0\n", encoding="utf-8")
+        transport = RecordingTransport()
+        panel = fetch_fred("VXO", api_key="k", cache_dir=tmp_path, transport=transport)
+        assert len(transport.urls) == 1
+        np.testing.assert_array_equal(panel.matrix, [[1.5], [2.25]])
+        assert old.read_text(encoding="utf-8") == "# VXO\n2020-01-01 9.0\n"
 
 
 class TestMalformedCache:
-    @pytest.mark.parametrize(
-        "line",
-        ["2020-01-02", "2020-01-02 1.5 2.5", "2020-13-02 1.5", "2020-01-02 abc", "2020-01-02 nan"],
-    )
-    def test_bad_line_names_file_and_line(self, tmp_path, line):
+    @staticmethod
+    def cache_with_row(tmp_path, row: str):
+        """The warmed cache file with row inserted as its third line."""
         fetch_fred("VXO", api_key="k", cache_dir=tmp_path, transport=RecordingTransport())
-        (path,) = tmp_path.glob("*.txt")
+        (path,) = tmp_path.glob("*.csv")
         lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[1:] == ["2020-01-01 1.5", "2020-01-03 2.25"]
-        path.write_text("\n".join([lines[0], lines[1], line, lines[2]]) + "\n", encoding="utf-8")
-        with pytest.raises(MalformedCacheError) as caught:
-            fetch_fred("VXO", cache_dir=tmp_path, transport=refusing_transport)
-        assert str(path) in str(caught.value)
-        assert "line 3" in str(caught.value)
-        assert repr(line) in str(caught.value)
+        assert lines == ["date,VXO", "2020-01-01,1.5", "2020-01-03,2.25"]
+        path.write_text("\n".join([lines[0], lines[1], row, lines[2]]) + "\n", encoding="utf-8")
+        return path
 
-    @pytest.mark.parametrize("line", ["2019-12-31 0.5", "2020-01-01 0.5"], ids=["out-of-order", "repeated"])
-    def test_date_not_after_the_previous_names_file_and_line(self, tmp_path, line):
-        fetch_fred("VXO", api_key="k", cache_dir=tmp_path, transport=RecordingTransport())
-        (path,) = tmp_path.glob("*.txt")
-        lines = path.read_text(encoding="utf-8").splitlines()
-        path.write_text("\n".join([lines[0], lines[1], line, lines[2]]) + "\n", encoding="utf-8")
-        with pytest.raises(MalformedCacheError) as caught:
+    @pytest.mark.parametrize(
+        "row, column, reading",
+        [
+            ("2020-01-02,abc", "VXO", "'abc' as a finite number"),
+            ("2020-01-02,inf", "VXO", "'inf' as a finite number"),
+            ("2020-13-02,1.5", "date", "'2020-13-02' as a date"),
+        ],
+        ids=["value", "inf", "date"],
+    )
+    def test_bad_cell_names_file_row_and_column(self, tmp_path, row, column, reading):
+        path = self.cache_with_row(tmp_path, row)
+        with pytest.raises(MalformedCsvError) as caught:
             fetch_fred("VXO", cache_dir=tmp_path, transport=refusing_transport)
-        assert str(path) in str(caught.value)
-        assert "line 3" in str(caught.value)
-        assert repr(line) in str(caught.value)
+        assert str(caught.value) == f"{path}: row 3, column {column!r}: cannot read {reading}"
+
+    @pytest.mark.parametrize("row", ["2020-01-02", "2020-01-02,", "2020-01-02,."])
+    def test_row_without_a_value_names_file_and_column(self, tmp_path, row):
+        path = self.cache_with_row(tmp_path, row)
+        with pytest.raises(MalformedCsvError) as caught:
+            fetch_fred("VXO", cache_dir=tmp_path, transport=refusing_transport)
+        assert str(caught.value) == (
+            f"{path}: column 'VXO': 1 row(s) without a value; a cache row must hold one"
+        )
+
+    def test_cache_without_rows_is_an_error_not_a_miss(self, tmp_path):
+        path = _cache_path(tmp_path, "VXO", (None, None))
+        path.write_text("date,VXO\n", encoding="utf-8")
+        with pytest.raises(NoUsableRowsError) as caught:
+            fetch_fred("VXO", cache_dir=tmp_path, transport=refusing_transport)
+        assert str(caught.value) == f"{path}: no usable rows (dropped 0)"
+
+    def test_repeated_date_names_file_and_date(self, tmp_path):
+        path = self.cache_with_row(tmp_path, "2020-01-01,0.5")
+        with pytest.raises(DuplicateDateError) as caught:
+            fetch_fred("VXO", cache_dir=tmp_path, transport=refusing_transport)
+        assert str(caught.value) == f"{path}: duplicate date 2020-01-01"
 
 
 class TestConcurrency:

@@ -42,8 +42,6 @@ def reference_load_csv(
 ) -> tuple[np.ndarray, tuple[date, ...], int]:
     """(matrix, dates, dropped) read one row at a time."""
     path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"no such file: {path}")
     rows: list[tuple[date, list[float]]] = []
     dropped = 0
     with path.open(newline="", encoding="utf-8-sig") as handle:
