@@ -19,7 +19,7 @@ from datetime import date
 from itertools import chain, islice
 from operator import itemgetter, lt
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -43,6 +43,8 @@ _MISSING_TOKENS = {"", ".", "na", "nan", "null", "none", "#n/a"}
 # under the fits that follow. Each block's fixed cost is small next to
 # 512 rows of parsing.
 _BLOCK_ROWS = 512
+
+_T = TypeVar("_T")
 
 # Characters that keep a block off the np.loadtxt path; see _load_clean.
 _CSV_ONLY_CHARS = ('"', "\0", "\x1c", "\x1d", "\x1e", "\x1f")
@@ -189,42 +191,18 @@ def check_columns(date_column: str | None, value_columns: Sequence[str]) -> None
         seen.add(column)
 
 
-def _row_blocks(reader: Any) -> Iterator[tuple[list[list[str]], list[int]]]:
-    """Blocks of up to _BLOCK_ROWS non-blank rows, with the line each row ends on.
+def _blocks(items: Iterator[_T]) -> Iterator[list[_T]]:
+    """Lists of up to _BLOCK_ROWS items.
 
-    A csv.Error or UnicodeDecodeError is raised only after the rows read
-    before it are yielded, so that a bad cell in an earlier row is the
-    one reported.
-    """
-    rows: list[list[str]] = []
-    ends: list[int] = []
-    try:
-        for line in reader:
-            if "".join(line).strip():
-                rows.append(line)
-                ends.append(reader.line_num)
-                if len(rows) == _BLOCK_ROWS:
-                    yield rows, ends
-                    rows, ends = [], []
-    except (csv.Error, UnicodeDecodeError):
-        if rows:
-            yield rows, ends
-        raise
-    if rows:
-        yield rows, ends
-
-
-def _line_blocks(lines: Iterator[str]) -> Iterator[list[str]]:
-    """Lists of up to _BLOCK_ROWS lines.
-
-    A UnicodeDecodeError is raised only after the lines read before it
-    are yielded: list.extend keeps what it took before the error.
+    A csv.Error or UnicodeDecodeError is raised only after the items read
+    before it are yielded, so that a bad cell in an earlier row is the one
+    reported: list.extend keeps what it took before the error.
     """
     while True:
-        block: list[str] = []
+        block: list[_T] = []
         try:
-            block.extend(islice(lines, _BLOCK_ROWS))
-        except UnicodeDecodeError:
+            block.extend(islice(items, _BLOCK_ROWS))
+        except (csv.Error, UnicodeDecodeError):
             if block:
                 yield block
             raise
@@ -399,17 +377,19 @@ def load_csv(path: str | Path, date_column: str, value_columns: Sequence[str]) -
             value_positions = [positions[c] for c in value_columns]
             read = reader.line_num
             # No name keeps a parsed block: the loop ends on None, the chain alone
-            # holds a rejected block, and each block of rows lives in the generator.
-            line_blocks = _line_blocks(handle)
+            # holds a rejected block, and each block of rows lives in a generator.
+            line_blocks = _blocks(handle)
             while lines := next(line_blocks, None):
                 clean = _load_clean(lines, date_position, value_positions)
                 if clean is None:
                     reader = csv.reader(chain(lines, chain.from_iterable(line_blocks)))
                     del lines
+                    # Each non-blank row, with the line it ends on.
+                    rows = ((row, read + reader.line_num) for row in reader if "".join(row).strip())
                     parsed = (
-                        _parse_block(path, rows, [read + end for end in ends], date_column,
+                        _parse_block(path, [row for row, _ in pairs], [end for _, end in pairs], date_column,
                                      value_columns, date_position, value_positions)
-                        for rows, ends in _row_blocks(reader)
+                        for pairs in _blocks(rows)
                     )
                     for block_dates, block, block_dropped in parsed:
                         dates += block_dates

@@ -70,6 +70,8 @@ class RunConfig:
         if not self.sides:
             raise ConfigError("at least one shock side must be requested")
         check_columns(self.date_column, self.columns)
+        if len(self.columns) < 2:
+            raise ConfigError(f"a VAR needs at least 2 value columns, got 1: {self.columns[0]!r}")
         for k, side in enumerate(self.sides):
             if side in self.sides[:k]:
                 raise ConfigError(f"side {side.value!r} is named twice")

@@ -26,7 +26,7 @@ from .connectedness import (
 )
 from .config import _field_from_json, check_count
 from .decomposition import ShockSide, TrendSpec, component_stack, split_side
-from .errors import AllWindowsFailedError, InsufficientDataError
+from .errors import AllWindowsFailedError, ConfigError, InsufficientDataError
 from .panel import Panel
 from .var_engine import (
     _UNSTABLE_RADIUS,
@@ -163,10 +163,18 @@ def rolling_tables(
     unstable and radius give the count and the radii.
 
     Raises:
+        ConfigError: decompose_per_window is not a bool, or components
+            does not have panel's shape and dates.
         InsufficientDataError: the panel is shorter than one window.
         AllWindowsFailedError: no window produced a table; a window
             check_sample rejects fails them all.
     """
+    decompose_per_window = _field_from_json("decompose_per_window", bool, decompose_per_window)
+    if components is not None and (components.m, components.dates) != (panel.m, panel.dates):
+        raise ConfigError(
+            f"components must be split from the panel, of shape {panel.matrix.shape} on its dates; "
+            f"got shape {components.matrix.shape}"
+        )
     T = len(panel)
     if T < cfg.window:
         raise InsufficientDataError(f"{T} rows cannot fill a window of {cfg.window}")

@@ -451,6 +451,22 @@ class TestColumnLists:
         assert named in err
         assert tree_digest(out) == first
 
+    @pytest.mark.parametrize("command", ["analyze", "roll"])
+    def test_one_series_is_one_error_before_the_input_is_read(self, tmp_path, capsys, command):
+        # A VAR needs two series: the config stops the run with one line before any side starts.
+        csv_path = tmp_path / "walk.csv"
+        write_walk_csv(csv_path)
+        out = tmp_path / "out"
+        assert main(analyze_args(csv_path, out, "--window", "220", "--step", "20")) == 0
+        first = tree_digest(out)
+        capsys.readouterr()
+        args = ["--input", str(csv_path), "--columns", "aa"]
+        assert main([command, *args, "--window", "220", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: a VAR needs at least 2 value columns, got 1: 'aa'\n"
+        assert tree_digest(out) == first
+        # decompose fits no VAR, so it still splits one series.
+        assert main(["decompose", *args, "--out", str(tmp_path / "aa.csv")]) == 0
+
     def test_series_named_twice_is_clean_error(self, tmp_path, capsys):
         code = main(["fetch", "--series", "AAA,BBB,AAA", "--cache-dir", str(tmp_path), "--out", str(tmp_path / "x.csv")])
         assert code == 1

@@ -259,35 +259,21 @@ def clean_file(draw):
     return (bom + newline.join([header, *rows]) + end).encode("utf-8")
 
 
-def row_blocks_unused(reader):
-    raise AssertionError("the row-blocked parser read a clean file")
-
-
 @settings(max_examples=300, deadline=None)
 @given(data=clean_file(), columns=st.sampled_from([["a", "b"], ["b", "a"], ["b"]]))
 def test_clean_file_takes_loadtxt_path_and_matches_reference(data, columns, tmp_path_factory):
     path = tmp_path_factory.mktemp("csv") / "data.csv"
     path.write_bytes(data)
     expected = outcome(reference_load_csv, path, columns)
-    saved = panel_module._row_blocks
-    # From the first block holding a quote, the row-blocked parser reads the rest.
-    if b'"' not in data:
-        panel_module._row_blocks = row_blocks_unused
-    try:
+    with pytest.MonkeyPatch.context() as patch:
+        calls = record_parse_block(patch)
         assert outcome(load_csv, path, columns) == expected
-    finally:
-        panel_module._row_blocks = saved
+    # From the first block holding a quote, the row-blocked parser reads the rest.
+    assert b'"' in data or calls == []
 
 
 def test_only_dirty_files_reach_row_blocked_parser(tmp_path, monkeypatch):
-    calls = []
-    original = panel_module._row_blocks
-
-    def counting(reader):
-        calls.append(reader)
-        return original(reader)
-
-    monkeypatch.setattr(panel_module, "_row_blocks", counting)
+    calls = record_parse_block(monkeypatch)
     clean = tmp_path / "clean.csv"
     clean.write_text("date,a,b\n2020-01-02,3,4\n2020-01-01,1,2\n", encoding="utf-8")
     panel, dropped = load_csv(clean, "date", ["a", "b"])
@@ -297,7 +283,7 @@ def test_only_dirty_files_reach_row_blocked_parser(tmp_path, monkeypatch):
     dirty = tmp_path / "dirty.csv"
     dirty.write_text("date,a,b\n2020-01-01,1,2\n2020-01-02,.,4\n2020-01-03,5,\n2020-01-04,7,8\n", encoding="utf-8")
     panel, dropped = load_csv(dirty, "date", ["a", "b"])
-    assert len(calls) == 1 and dropped == 2
+    assert calls == [[2, 3, 4, 5]] and dropped == 2
     assert panel.dates == (date(2020, 1, 1), date(2020, 1, 4))
     assert outcome(load_csv, dirty, ["a", "b"]) == outcome(reference_load_csv, dirty, ["a", "b"])
 
@@ -508,8 +494,9 @@ def test_cell_starting_like_a_missing_token_keeps_loadtxt_path(cell, tmp_path, m
     path = tmp_path / "data.csv"
     path.write_text(f"date,a,note\n2020-01-01,1,ok\n2020-01-02,3,{cell}\n", encoding="utf-8")
     expected = outcome(reference_load_csv, path, ["a"])
-    monkeypatch.setattr(panel_module, "_row_blocks", row_blocks_unused)
+    calls = record_parse_block(monkeypatch)
     assert outcome(load_csv, path, ["a"]) == expected
+    assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -600,12 +587,11 @@ def test_selected_column_named_twice_in_the_header_is_an_error(missing, tmp_path
     path = tmp_path / "data.csv"
     second = "." if missing else "4"
     path.write_text(f"date,a,a,b\n2020-01-01,1,2,3\n2020-01-02,{second},5,6\n", encoding="utf-8")
-    if not missing:
-        monkeypatch.setattr(panel_module, "_row_blocks", row_blocks_unused)
+    calls = record_parse_block(monkeypatch)
     with pytest.raises(MalformedCsvError) as info:
         load_csv(path, "date", ["b", "a"])
     assert str(info.value) == f"{path}: column 'a' is named twice in header ['date', 'a', 'a', 'b']"
     # A column the load does not select may be named twice.
     panel, dropped = load_csv(path, "date", ["b"])
-    assert dropped == 0
+    assert dropped == 0 and (missing or calls == [])
     np.testing.assert_array_equal(panel.matrix, [[3.0], [6.0]])

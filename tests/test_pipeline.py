@@ -738,6 +738,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=named):
             load_csv(tmp_path / "x.csv", date_column, columns)
 
+    def test_one_value_column_rejected_before_the_input_is_read(self, tmp_path):
+        with pytest.raises(ConfigError) as info:
+            base_config(tmp_path / "absent.csv", tmp_path / "out", columns=("aa",))
+        assert str(info.value) == "a VAR needs at least 2 value columns, got 1: 'aa'"
+        assert not (tmp_path / "out").exists()
+
     def test_bad_horizon_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             base_config(tmp_path / "x.csv", tmp_path / "out", horizon=0)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aspill.connectedness import ConnectednessTable, build_table, compute_fevd
-from aspill.decomposition import ShockSide, TrendSpec, component_panel, decompose_panel
+from aspill.decomposition import ShockSide, TrendSpec, component_panel, decompose_panel, split_side
 from aspill.errors import AllWindowsFailedError, ConfigError, InsufficientDataError
 from aspill.panel import Panel
 import aspill.pipeline as pipeline
@@ -451,6 +451,30 @@ class TestValidation:
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError):
             base_config(window=100, step=0)
+
+    @pytest.mark.parametrize("value", ["no", 1, None])
+    def test_decompose_per_window_must_be_a_bool(self, value):
+        # Read as a config bool is read: truthy is not enough.
+        panel = random_walk_panel(np.random.default_rng(72), T=120, m=3)
+        cfg = base_config(window=60, step=10, shock_side=ShockSide.POSITIVE)
+        with pytest.raises(ConfigError) as info:
+            rolling_tables(panel, cfg, value)
+        assert str(info.value) == f"config field 'decompose_per_window' must be true or false, got {value!r}"
+
+    @pytest.mark.parametrize(
+        "columns, rows", [(slice(0, 2), slice(None)), (slice(None), slice(1, None))], ids=["width", "dates"]
+    )
+    def test_components_of_another_panel_are_a_config_error(self, columns, rows):
+        panel = random_walk_panel(np.random.default_rng(73), T=120, m=3)
+        cfg = base_config(window=60, step=10, shock_side=ShockSide.POSITIVE)
+        other = Panel(panel.names[columns], panel.dates[rows], panel.matrix[rows, columns])
+        components = split_side(other, cfg.trend_spec, cfg.shock_side)
+        with pytest.raises(ConfigError) as info:
+            rolling_tables(panel, cfg, components=components)
+        assert str(info.value) == (
+            "components must be split from the panel, of shape (120, 3) on its dates; "
+            f"got shape {components.matrix.shape}"
+        )
 
 
 class TestDecompositionScope:
